@@ -19,9 +19,7 @@ from .algebra import (
     TermKey,
     exact_divide_linear,
     invert_z_linear,
-    series_prod,
     series_sum,
-    set_lambda_zero,
 )
 from .config import ConfigError, JobConfig, config_from_dict, parse_config
 from .identities import (
@@ -34,14 +32,12 @@ from .identities import (
     pushforward_iota,
 )
 from .ifunctions import (
-    ConfigurationError,
     ExtendedDataTooSmall,
     SectorFoldWarning,
     i_infinity_extended,
     i_infinity_extended_h0,
     i_infinity_nonextended,
     i_local,
-    i_relative_extended_h0,
     i_relative_smooth,
     i_root_extended,
     i_root_nonextended,
@@ -53,6 +49,7 @@ from .invariants import (
     TableEntry,
     UnsupportedMirrorMapError,
     extract_invariants,
+    merge_tables,
     mirror_map,
     n_orb,
     stabilization_check,
@@ -70,6 +67,7 @@ from .periods import (
 )
 from .targets import (
     AssumptionReport,
+    ConfigurationError,
     Divisor,
     DivisorArrangement,
     RootData,

@@ -64,8 +64,6 @@ class AmbientRing:
     @staticmethod
     def for_product(caps: Iterable[int]) -> AmbientRing:
         caps = tuple(int(c) for c in caps)
-        if not caps or any(c < 1 for c in caps):
-            raise ValueError("each projective factor needs dimension >= 1")
         if len(caps) == 1:
             names = ("P",)
         else:
@@ -95,10 +93,6 @@ class AmbientRing:
         if any(e > c for e, c in zip(out, self.caps)):
             return None
         return out
-
-    def mono_degree(self, mono: tuple[int, ...]) -> int:
-        """Complex degree (each generator counts 1)."""
-        return sum(mono)
 
     def dual_mono(self, mono: tuple[int, ...]) -> tuple[int, ...]:
         """Poincare-complementary monomial."""
@@ -183,12 +177,6 @@ class CohClass:
         return CohClass(self.ring, out)
 
     __rmul__ = __mul__
-
-    def power(self, e: int) -> CohClass:
-        out = CohClass.one(self.ring)
-        for _ in range(e):
-            out = out * self
-        return out
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -296,11 +284,6 @@ class SeriesContext:
             lam=(0,) * self.divisors,
         )
 
-    def with_roots(self, roots: tuple[int, ...] | None) -> SeriesContext:
-        return SeriesContext(
-            self.ring, self.divisors, self.beta_weights, self.beta_cap, self.z_floor, roots
-        )
-
 
 _UNSET = object()
 
@@ -399,6 +382,13 @@ class GradedSeries:
             isinstance(other, GradedSeries)
             and self.ctx == other.ctx
             and self.terms == other.terms
+        )
+
+    def first_mismatch(self, other: GradedSeries) -> TermKey | None:
+        """Smallest key, in sorted order, whose coefficients differ; None if equal."""
+        keys = self.terms.keys() | other.terms.keys()
+        return min(
+            (k for k in keys if self.terms.get(k) != other.terms.get(k)), default=None
         )
 
     def _require_same_ctx(self, other: GradedSeries) -> None:
@@ -555,14 +545,6 @@ class GradedSeries:
             out[key._replace(lam=tuple(lam))] = c
         return GradedSeries(self.ctx, out)
 
-    def times_lambda(self, index: int) -> GradedSeries:
-        out = {}
-        for key, c in self.terms.items():
-            lam = list(key.lam)
-            lam[index] += 1
-            out[key._replace(lam=tuple(lam))] = c
-        return GradedSeries(self.ctx, out)
-
     def without_lambda(self) -> GradedSeries:
         """Drop every key carrying an equivariant parameter (set all lam_i = 0)."""
         return GradedSeries(
@@ -587,13 +569,6 @@ def series_sum(ctx: SeriesContext, parts: Iterable[GradedSeries]) -> GradedSerie
         for key, c in part.terms.items():
             acc[key] = acc.get(key, Fraction(0)) + c
     return GradedSeries(ctx, acc)
-
-
-def series_prod(ctx: SeriesContext, parts: Iterable[GradedSeries]) -> GradedSeries:
-    out = GradedSeries.one(ctx)
-    for part in parts:
-        out = out * part
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +637,3 @@ def exact_divide_linear(num: GradedSeries, cls: CohClass, index: int) -> GradedS
             acc[key._replace(lam=tuple(lam))] = c
         out = out + GradedSeries(num.ctx, acc)
     return out
-
-
-def set_lambda_zero(series: GradedSeries) -> GradedSeries:
-    """Specialize every equivariant parameter to zero."""
-    return series.without_lambda()

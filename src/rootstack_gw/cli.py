@@ -10,13 +10,13 @@ division failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import DivisibilityError, GradedSeries, TermKey
-from .config import ConfigError, JobConfig, parse_config
+from .config import ConfigError, JobConfig, check_cap, parse_config, roots_for
 from .identities import (
     RefusedIdentityError,
     check_local_orbifold_extended,
@@ -24,13 +24,10 @@ from .identities import (
     check_local_relative_smooth,
 )
 from .ifunctions import (
-    ConfigurationError,
-    ExtendedDataTooSmall,
     i_infinity_extended,
     i_infinity_extended_h0,
     i_infinity_nonextended,
     i_local,
-    i_relative_extended_h0,
     i_relative_smooth,
     i_root_extended,
     i_root_nonextended,
@@ -39,6 +36,7 @@ from .invariants import (
     InvariantTable,
     UnsupportedMirrorMapError,
     extract_invariants,
+    merge_tables,
     mirror_map,
     stabilization_check,
 )
@@ -190,11 +188,7 @@ def table_human(table: InvariantTable, ring) -> list[str]:
 
 def _build_series(job: JobConfig, name: str) -> GradedSeries:
     X, arr, cap = job.target, job.arrangement, job.cap
-    betas = enumerate_curve_classes(X, cap)
-    max_deg = max(
-        (max(arr.degrees(b), default=0) for b in betas), default=1
-    )
-    m = job.contact_bound(max(1, max_deg))
+    m = job.contact_bound()
     floor = -(cap + 2)
     if name == "root":
         return i_root_nonextended(X, arr, job.require_roots(), cap)
@@ -209,7 +203,9 @@ def _build_series(job: JobConfig, name: str) -> GradedSeries:
     if name == "relative":
         return i_relative_smooth(X, arr, cap)
     if name == "relative-extended-h0":
-        return i_relative_extended_h0(X, arr, m, cap)
+        if arr.n != 1:
+            raise ConfigError("relative series needs exactly one divisor")
+        return i_infinity_extended_h0(X, arr, m, cap)
     if name == "local":
         return i_local(X, arr, cap)
     raise ConfigError(f"unknown series {name!r}")
@@ -226,18 +222,16 @@ def cmd_ifunction(job: JobConfig, args) -> tuple[int, list[str]]:
 
 def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
     X, arr, cap = job.target, job.arrangement, job.cap
-    betas = enumerate_curve_classes(X, cap)
-    max_deg = max((max(arr.degrees(b), default=0) for b in betas), default=1)
-    m = job.contact_bound(max(1, max_deg))
+    m = job.contact_bound()
     certificate = mirror_map(i_infinity_extended(X, arr, m, cap, z_floor=-1))
     if not certificate.trivial:
         raise UnsupportedMirrorMapError(
             certificate.explain() + "; Birkhoff factorization unsupported"
         )
-    table = extract_invariants(i_infinity_extended_h0(X, arr, m, cap), X, arr)
-    tangency = extract_invariants(i_infinity_nonextended(X, arr, cap), X, arr)
-    table.entries.update(tangency.entries)
-    table.flagged.extend(tangency.flagged)
+    table = merge_tables(
+        extract_invariants(i_infinity_extended_h0(X, arr, m, cap), X, arr),
+        extract_invariants(i_infinity_nonextended(X, arr, cap), X, arr),
+    )
     if args.format == "records":
         return 0, table_records(table)
     return 0, ["# extracted one-point invariants"] + table_human(table, X.ring)
@@ -420,25 +414,15 @@ def _load_job(args) -> JobConfig:
         raise ConfigError("missing --config PATH")
     job = parse_config(args.config)
     if args.cap is not None:
-        if not 1 <= args.cap <= 64:
-            raise ConfigError("cap: cap must lie in 1..64")
-        job = JobConfig(job.target, job.arrangement, job.roots, args.cap, job.m)
+        job = replace(job, cap=check_cap(args.cap))
     if args.roots and len(args.roots) == 1 and args.command != "stabilize":
         orders = tuple(int(tok) for tok in args.roots[0].split(","))
-        job = JobConfig(job.target, job.arrangement, RootData(orders), job.cap, job.m)
+        job = replace(job, roots=roots_for(orders, job.arrangement))
     return job
 
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("ROOTSTACK_GW_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("ROOTSTACK_GW_THREADS must be a positive integer", file=sys.stderr)
-            return 1
     try:
         if args.command == "laurent-period":
             status, lines = cmd_laurent_period(args)
@@ -459,7 +443,7 @@ def run(argv: list[str] | None = None) -> int:
     except (UnsupportedMirrorMapError, PeriodError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, ConfigurationError, ExtendedDataTooSmall, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     text = "\n".join(lines) + "\n"

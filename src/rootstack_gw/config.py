@@ -10,7 +10,9 @@ Schema::
       "m":        int                  # optional contact-order bound
     }
 
-Every violation is reported with the offending field path.
+Every violation is reported with the offending field path.  This module
+checks the JSON shapes only; the domain checks (positivity, nef divisors,
+distinct names, admissible root orders) belong to ``targets``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .targets import (
-    Divisor,
-    DivisorArrangement,
-    RootData,
-    TargetSpace,
-    check_coprime,
-)
+from .targets import Divisor, DivisorArrangement, RootData, TargetSpace
 
 MAX_CAP = 64
 
@@ -47,8 +43,11 @@ class JobConfig:
             raise ConfigError("this command needs root orders; set \"roots\"")
         return self.roots
 
-    def contact_bound(self, default: int) -> int:
-        return self.m if self.m is not None else default
+    def contact_bound(self) -> int:
+        """The configured m, else the largest intersection number in the cap."""
+        if self.m is not None:
+            return self.m
+        return max(1, *self.arrangement.max_degrees(self.target, self.cap))
 
 
 def _expect(condition: bool, where: str, message: str) -> None:
@@ -65,6 +64,30 @@ def _int_list(value, where: str) -> list[int]:
             "expected an integer",
         )
     return list(value)
+
+
+def _domain(where: str, check, *args):
+    """Run a constructor or check from ``targets``, naming the field on failure."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def check_cap(cap) -> int:
+    """The degree cap, if it is an integer in 1..MAX_CAP."""
+    _expect(
+        isinstance(cap, int) and not isinstance(cap, bool), "cap", "expected an integer"
+    )
+    _expect(1 <= cap <= MAX_CAP, "cap", f"cap must lie in 1..{MAX_CAP}")
+    return cap
+
+
+def roots_for(orders: tuple[int, ...], arrangement: DivisorArrangement) -> RootData:
+    """Root data admissible for the arrangement, or a ConfigError on ``roots``."""
+    roots = _domain("roots", RootData, orders)
+    _domain("roots", roots.validate_for, arrangement)
+    return roots
 
 
 def parse_config(source: str | Path) -> JobConfig:
@@ -88,10 +111,7 @@ def config_from_dict(doc) -> JobConfig:
     target_doc = doc.get("target")
     _expect(isinstance(target_doc, dict), "target", "expected an object")
     factors = _int_list(target_doc.get("factors"), "target.factors")
-    _expect(
-        all(n >= 1 for n in factors), "target.factors", "factors must be positive"
-    )
-    target = TargetSpace(tuple(factors))
+    target = _domain("target.factors", TargetSpace, tuple(factors))
 
     divisors_doc = doc.get("divisors")
     _expect(
@@ -106,38 +126,16 @@ def config_from_dict(doc) -> JobConfig:
         name = item.get("name")
         _expect(isinstance(name, str) and name, f"{where}.name", "expected a name")
         coeffs = _int_list(item.get("coeffs"), f"{where}.coeffs")
-        _expect(
-            len(coeffs) == target.rank,
-            f"{where}.coeffs",
-            f"expected {target.rank} coefficients for this target",
-        )
-        _expect(
-            all(c >= 0 for c in coeffs) and any(coeffs),
-            f"{where}.coeffs",
-            "divisor not nef on this target",
-        )
-        divisors.append(Divisor(name, tuple(coeffs)))
-    names = [d.name for d in divisors]
-    _expect(len(set(names)) == len(names), "divisors", "names must be distinct")
-    arrangement = DivisorArrangement(tuple(divisors))
+        divisor = Divisor(name, tuple(coeffs))
+        _domain(f"{where}.coeffs", divisor.validate_on, target)
+        divisors.append(divisor)
+    arrangement = _domain("divisors", DivisorArrangement, tuple(divisors))
 
     roots = None
     if doc.get("roots") is not None:
-        orders = _int_list(doc["roots"], "roots")
-        _expect(
-            len(orders) == arrangement.n, "roots", "one order per divisor required"
-        )
-        _expect(all(r >= 1 for r in orders), "roots", "orders must be positive")
-        _expect(
-            check_coprime(tuple(orders)), "roots", "roots must be pairwise coprime"
-        )
-        roots = RootData(tuple(orders))
+        roots = roots_for(tuple(_int_list(doc["roots"], "roots")), arrangement)
 
-    cap = doc.get("cap")
-    _expect(
-        isinstance(cap, int) and not isinstance(cap, bool), "cap", "expected an integer"
-    )
-    _expect(1 <= cap <= MAX_CAP, "cap", f"cap must lie in 1..{MAX_CAP}")
+    cap = check_cap(doc.get("cap"))
 
     m = doc.get("m")
     if m is not None:

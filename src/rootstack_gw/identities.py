@@ -21,20 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    GradedSeries,
-    TermKey,
-    exact_divide_linear,
-    set_lambda_zero,
-)
+from .algebra import GradedSeries, TermKey, exact_divide_linear
 from .ifunctions import (
-    ConfigurationError,
     i_infinity_extended_h0,
     i_infinity_nonextended,
     i_local,
     i_relative_smooth,
 )
-from .targets import DivisorArrangement, TargetSpace
+from .targets import ConfigurationError, DivisorArrangement, TargetSpace
 
 
 class RefusedIdentityError(ValueError):
@@ -50,20 +44,13 @@ class IdentityReport:
     sign: int
     left: GradedSeries
     right: GradedSeries
-    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.left == self.right
 
     def first_mismatch(self) -> TermKey | None:
-        if self.ok:
-            return None
-        keys = set(self.left.terms) | set(self.right.terms)
-        for key in sorted(keys):
-            if self.left.terms.get(key) != self.right.terms.get(key):
-                return key
-        return None
+        return self.left.first_mismatch(self.right)
 
 
 def pushforward_iota(
@@ -125,7 +112,7 @@ def _euler_normalized_local(
     out = local_slice
     for i, divisor in enumerate(arrangement.divisors):
         out = exact_divide_linear(out, -divisor.cls(X), i)
-    out = set_lambda_zero(out)
+    out = out.without_lambda()
     support = tuple(range(arrangement.n))
     return out.times_class(arrangement.intersection_class(X, support))
 
@@ -145,13 +132,13 @@ def local_point_invariant(
     dropping the parameters: the untwisted coefficient of z^(-psi-1).
     """
     beta = tuple(beta)
-    cap = sum(w * b for w, b in zip(X.anticanonical_weights, beta))
+    cap = X.anticanonical_degree(beta)
     if local_series is None:
         local_series = i_local(X, arrangement, cap)
     work = local_series.beta_slice(beta)
     for i, divisor in enumerate(arrangement.divisors):
         work = exact_divide_linear(work, -divisor.cls(X), i)
-    work = set_lambda_zero(work)
+    work = work.without_lambda()
     ctx = work.ctx
     return work.coefficient(
         beta=beta,
@@ -186,7 +173,7 @@ def check_local_orbifold_nonextended(
             "the divisors have empty common intersection, the tangency side "
             "is the zero sector and no identity is asserted"
         )
-    cap = sum(w * b for w, b in zip(X.anticanonical_weights, beta))
+    cap = X.anticanonical_degree(beta)
     if limit_series is None:
         limit_series = i_infinity_nonextended(X, arrangement, cap)
     if local_series is None:
@@ -196,14 +183,8 @@ def check_local_orbifold_nonextended(
     right = _euler_normalized_local(
         local_series.beta_slice(beta), X, arrangement
     ).scale(sign)
-    d = sum(degs)
-    notes = (
-        f"per-invariant consequence: tangency ({','.join(map(str, degs))}) "
-        f"one-point values equal {sign:+d} times local values with the "
-        f"divisor product inserted",
-    )
     return IdentityReport(
-        name="local-tangency", beta=beta, sign=sign, left=left, right=right, notes=notes
+        name="local-tangency", beta=beta, sign=sign, left=left, right=right
     )
 
 
@@ -224,18 +205,14 @@ def check_local_relative_smooth(
     d = arrangement.divisors[0].degree(beta)
     if d <= 0:
         raise RefusedIdentityError(f"divisor degree {d} must be positive")
-    cap = sum(w * b for w, b in zip(X.anticanonical_weights, beta))
+    cap = X.anticanonical_degree(beta)
     relative = i_relative_smooth(X, arrangement, cap)
     local = i_local(X, arrangement, cap)
     left = pushforward_iota(relative.beta_slice(beta), X, arrangement)
     sign = parity_sign((d,))
     right = _euler_normalized_local(local.beta_slice(beta), X, arrangement).scale(sign)
-    notes = (
-        f"per-invariant consequence: maximal-tangency relative values equal "
-        f"{sign:+d} times local values with the divisor class inserted",
-    )
     return IdentityReport(
-        name="local-relative", beta=beta, sign=sign, left=left, right=right, notes=notes
+        name="local-relative", beta=beta, sign=sign, left=left, right=right
     )
 
 
@@ -261,7 +238,7 @@ def check_local_orbifold_extended(
         raise RefusedIdentityError(
             f"every divisor must meet the class; degrees {degs} at beta={beta}"
         )
-    cap = sum(w * b for w, b in zip(X.anticanonical_weights, beta))
+    cap = X.anticanonical_degree(beta)
     if h0_series is None:
         h0_series = i_infinity_extended_h0(X, arrangement, max(degs), cap)
     if local_series is None:
@@ -274,16 +251,11 @@ def check_local_orbifold_extended(
     for i, divisor in enumerate(arrangement.divisors):
         work = exact_divide_linear(work, -divisor.cls(X), i)
     sign = parity_sign(degs)
-    right = set_lambda_zero(work).scale(sign)
-    notes = (
-        "contact coefficient compared against divisor-derivative transform "
-        f"of the local series, parity sign {sign:+d}",
-    )
+    right = work.without_lambda().scale(sign)
     return IdentityReport(
         name="local-tangency-extended",
         beta=beta,
         sign=sign,
         left=left,
         right=right,
-        notes=notes,
     )

@@ -6,8 +6,8 @@ Six families are built here, all as exact :class:`~rootstack_gw.algebra.GradedSe
   for finite root orders,
 * their infinite-order limits (the extended limit both in full and as its
   untwisted slice),
-* the relative-pair series for a single smooth divisor and its untwisted
-  extended form,
+* the relative-pair series for a single smooth divisor (its untwisted
+  extended form is the n = 1 case of the untwisted extended limit),
 * the equivariant local series of the dual direct-sum bundle.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
@@ -35,17 +35,13 @@ from .algebra import (
     xexp_from_dict,
 )
 from .targets import (
+    ConfigurationError,
     DivisorArrangement,
     RootData,
     TargetSpace,
     base_j_function,
-    check_coprime,
     enumerate_curve_classes,
 )
-
-
-class ConfigurationError(ValueError):
-    """Inputs violate a hypothesis of the construction."""
 
 
 class ExtendedDataTooSmall(ValueError):
@@ -169,10 +165,7 @@ def _validated(
 ) -> None:
     arrangement.validate_on(X)
     if roots is not None:
-        if len(roots.orders) != arrangement.n:
-            raise ConfigurationError("one root order per divisor is required")
-        if not check_coprime(roots.orders):
-            raise ConfigurationError("roots must be pairwise coprime")
+        roots.validate_for(arrangement)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +492,6 @@ def i_relative_smooth(
         )
         parts.append(term * unit)
     return series_sum(ctx, parts)
-
-
-def i_relative_extended_h0(
-    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> GradedSeries:
-    """Untwisted part of the extended relative series (single divisor)."""
-    if arrangement.n != 1:
-        raise ConfigurationError("relative series needs exactly one divisor")
-    return i_infinity_extended_h0(X, arrangement, m, cap)
 
 
 def i_local(

@@ -18,13 +18,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import ContractError, GradedSeries, TermKey
-from .ifunctions import i_infinity_nonextended, i_root_nonextended
+from .algebra import CohClass, ContractError, GradedSeries, TermKey
+from .ifunctions import (
+    i_infinity_extended_h0,
+    i_infinity_nonextended,
+    i_root_nonextended,
+)
 from .targets import (
+    ConfigurationError,
     DivisorArrangement,
     RootData,
     TargetSpace,
-    check_coprime,
+    check_assumption,
     enumerate_curve_classes,
 )
 
@@ -143,6 +148,19 @@ class InvariantTable:
         )
 
 
+def merge_tables(first: InvariantTable, second: InvariantTable) -> InvariantTable:
+    """A new table holding both; an entry present in both must agree in value."""
+    for entry, value in second.entries.items():
+        if first.entries.get(entry, value) != value:
+            raise ValueError(
+                f"conflicting values {first.entries[entry]} and {value} for {entry}"
+            )
+    return InvariantTable(
+        entries={**first.entries, **second.entries},
+        flagged=first.flagged + second.flagged,
+    )
+
+
 def extract_invariants(
     series: GradedSeries,
     X: TargetSpace,
@@ -190,7 +208,8 @@ def extract_invariants(
             table.flagged.append(key)
             continue
         support = tuple(i for i, s in enumerate(key.sector) if s)
-        paired = arrangement.intersection_class(X, support) * _mono_class(ring, key.mono)
+        inserted = CohClass(ring, {key.mono: Fraction(1)})
+        paired = arrangement.intersection_class(X, support) * inserted
         if paired.is_zero:
             table.flagged.append(key)
             continue
@@ -200,12 +219,6 @@ def extract_invariants(
                 weight * coeff,
             )
     return table
-
-
-def _mono_class(ring, mono):
-    from .algebra import CohClass
-
-    return CohClass(ring, {mono: Fraction(1)})
 
 
 def n_orb(
@@ -226,10 +239,7 @@ def n_orb(
     if d < 2:
         raise ValueError("total contact below 2 has no interior psi insertion")
     if table is None:
-        from .ifunctions import i_infinity_extended_h0
-        from .targets import check_assumption
-
-        cap = sum(w * b for w, b in zip(X.anticanonical_weights, beta))
+        cap = X.anticanonical_degree(beta)
         assumption = check_assumption(X, arrangement, cap)
         if not assumption.holds:
             raise UnsupportedMirrorMapError(
@@ -261,13 +271,7 @@ class StabilizationCase:
     limit: GradedSeries
 
     def first_mismatch(self) -> TermKey | None:
-        if self.ok:
-            return None
-        keys = set(self.rescaled.terms) | set(self.limit.terms)
-        for key in sorted(keys):
-            if self.rescaled.terms.get(key) != self.limit.terms.get(key):
-                return key
-        return None
+        return self.rescaled.first_mismatch(self.limit)
 
 
 @dataclass(frozen=True)
@@ -323,15 +327,14 @@ def stabilization_check(
     ladder is the single step that carries the whole order dependence.
     """
     betas = enumerate_curve_classes(X, cap)
-    max_degs = [
-        max((arrangement.divisors[i].degree(b) for b in betas), default=0)
-        for i in range(arrangement.n)
-    ]
+    max_degs = arrangement.max_degrees(X, cap)
     limit = i_infinity_nonextended(X, arrangement, cap)
     cases = []
     for roots in roots_list:
-        if not check_coprime(roots.orders):
-            raise ContractError(f"orders {roots.orders} are not pairwise coprime")
+        try:
+            roots.validate_for(arrangement)
+        except ConfigurationError as err:
+            raise ContractError(f"orders {roots.orders}: {err}") from err
         for r, dmax in zip(roots.orders, max_degs):
             if dmax > 0 and r <= dmax:
                 raise ContractError(

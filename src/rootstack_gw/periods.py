@@ -20,9 +20,10 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import rat
-from .ifunctions import ConfigurationError, i_infinity_extended_h0
+from .ifunctions import i_infinity_extended_h0
 from .invariants import extract_invariants, n_orb
 from .targets import (
+    ConfigurationError,
     DivisorArrangement,
     TargetSpace,
     base_j_function,
@@ -116,26 +117,22 @@ def classical_period_orbifold(
     Requires the arrangement to be anticanonical and to satisfy the
     two-positive-pairings condition, which makes the mirror map trivial.
     """
-    arrangement.validate_on(X)
+    assumption = check_assumption(X, arrangement, cap)
     if not arrangement.is_anticanonical(X):
         raise ConfigurationError("arrangement must sum to the anticanonical class")
-    assumption = check_assumption(X, arrangement, cap)
     if not assumption.holds:
         raise PeriodError(
             "two-positive-pairings condition fails at "
             f"{assumption.violations[0]}; the mirror map is not trivial"
         )
-    betas = enumerate_curve_classes(X, cap)
-    m_bound = max(
-        (max(arrangement.degrees(b), default=0) for b in betas), default=1
-    )
-    h0 = i_infinity_extended_h0(X, arrangement, max(1, m_bound), cap)
+    m = max(1, *arrangement.max_degrees(X, cap))
+    h0 = i_infinity_extended_h0(X, arrangement, m, cap)
     table = extract_invariants(h0, X, arrangement)
     coeffs = [Fraction(0)] * (cap + 1)
     coeffs[0] = Fraction(1)
     realized: dict[int, set[tuple[int, ...]]] = {}
     contributions = []
-    for beta in betas:
+    for beta in enumerate_curve_classes(X, cap):
         if not any(beta):
             continue
         degs = arrangement.degrees(beta)

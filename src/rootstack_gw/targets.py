@@ -22,6 +22,10 @@ from .algebra import (
 )
 
 
+class ConfigurationError(ValueError):
+    """Inputs violate a hypothesis of the construction."""
+
+
 @dataclass(frozen=True)
 class TargetSpace:
     """A product of projective spaces prod_k P^{n_k}."""
@@ -30,15 +34,11 @@ class TargetSpace:
 
     def __post_init__(self):
         if not self.factors or any(n < 1 for n in self.factors):
-            raise ValueError("factors must be positive integers")
+            raise ConfigurationError("factors must be positive integers")
 
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.factors)
 
     @property
     def ring(self) -> AmbientRing:
@@ -49,20 +49,12 @@ class TargetSpace:
         """Degree of the anticanonical class against each curve-class generator."""
         return tuple(n + 1 for n in self.factors)
 
-    def hyperplane(self, k: int) -> CohClass:
-        return CohClass.generator(self.ring, k)
-
-    def anticanonical_class(self) -> CohClass:
-        ring = self.ring
-        out = CohClass.zero(ring)
-        for k, n in enumerate(self.factors):
-            out = out + CohClass.generator(ring, k).scale(n + 1)
-        return out
+    def anticanonical_degree(self, beta: tuple[int, ...]) -> int:
+        """Degree of the anticanonical class on the curve class beta."""
+        return sum(w * b for w, b in zip(self.anticanonical_weights, beta))
 
     def cls(self, coeffs: tuple[int, ...]) -> CohClass:
         """The class sum_k coeffs[k] * P_k."""
-        if len(coeffs) != self.rank:
-            raise ValueError("coefficient vector length mismatch")
         ring = self.ring
         out = CohClass.zero(ring)
         for k, c in enumerate(coeffs):
@@ -129,6 +121,16 @@ class Divisor:
     def degree(self, beta: tuple[int, ...]) -> int:
         return pairing(self.coeffs, beta)
 
+    def validate_on(self, X: TargetSpace) -> None:
+        if len(self.coeffs) != X.rank:
+            raise ConfigurationError(
+                f"divisor {self.name!r}: coefficient length mismatch"
+            )
+        if any(c < 0 for c in self.coeffs):
+            raise ConfigurationError(f"divisor {self.name!r} not nef on this target")
+        if not any(self.coeffs):
+            raise ConfigurationError(f"divisor {self.name!r} is trivial")
+
 
 @dataclass(frozen=True)
 class DivisorArrangement:
@@ -140,14 +142,13 @@ class DivisorArrangement:
     """
 
     divisors: tuple[Divisor, ...]
-    distinct: bool = True
 
     def __post_init__(self):
         if not self.divisors:
-            raise ValueError("arrangement needs at least one divisor")
+            raise ConfigurationError("arrangement needs at least one divisor")
         names = [d.name for d in self.divisors]
         if len(set(names)) != len(names):
-            raise ValueError("divisor names must be distinct")
+            raise ConfigurationError("divisor names must be distinct")
 
     @property
     def n(self) -> int:
@@ -155,15 +156,15 @@ class DivisorArrangement:
 
     def validate_on(self, X: TargetSpace) -> None:
         for d in self.divisors:
-            if len(d.coeffs) != X.rank:
-                raise ValueError(f"divisor {d.name!r}: coefficient length mismatch")
-            if any(c < 0 for c in d.coeffs):
-                raise ValueError(f"divisor {d.name!r} not nef on this target")
-            if not any(d.coeffs):
-                raise ValueError(f"divisor {d.name!r} is trivial")
+            d.validate_on(X)
 
     def degrees(self, beta: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(d.degree(beta) for d in self.divisors)
+
+    def max_degrees(self, X: TargetSpace, cap: int) -> tuple[int, ...]:
+        """Largest intersection number of each divisor over the classes in the cap."""
+        betas = enumerate_curve_classes(X, cap)
+        return tuple(max(d.degree(b) for b in betas) for d in self.divisors)
 
     def total_degree(self, beta: tuple[int, ...]) -> int:
         return sum(self.degrees(beta))
@@ -196,11 +197,13 @@ class RootData:
 
     def __post_init__(self):
         if not self.orders or any(r < 1 for r in self.orders):
-            raise ValueError("root orders must be positive integers")
+            raise ConfigurationError("root orders must be positive integers")
 
-    @property
-    def coprime(self) -> bool:
-        return check_coprime(self.orders)
+    def validate_for(self, arrangement: DivisorArrangement) -> None:
+        if len(self.orders) != arrangement.n:
+            raise ConfigurationError("one root order per divisor is required")
+        if not check_coprime(self.orders):
+            raise ConfigurationError("roots must be pairwise coprime")
 
 
 def check_coprime(orders: tuple[int, ...]) -> bool:

@@ -16,7 +16,6 @@ from rootstack_gw.algebra import (
     SeriesContext,
     exact_divide_linear,
     invert_z_linear,
-    set_lambda_zero,
 )
 
 
@@ -210,13 +209,13 @@ class TestSelection:
         ctx = plane_ctx(divisors=1)
         d = GradedSeries.from_class(ctx, P(ctx).scale(-1))
         lam = GradedSeries.term(ctx, 1, lam=(1,))
-        assert set_lambda_zero(d + lam) == d
+        assert (d + lam).without_lambda() == d
         mixed = (
             GradedSeries.term(ctx, 1, lam=(2,))
             + GradedSeries.term(ctx, 3, mono=(1,), lam=(1,))
             + GradedSeries.term(ctx, 1, mono=(2,))
         )
-        assert set_lambda_zero(mixed) == GradedSeries.term(ctx, 1, mono=(2,))
+        assert mixed.without_lambda() == GradedSeries.term(ctx, 1, mono=(2,))
 
     def test_descending_factor_specialization(self):
         # prod_{0<=a<2}(-2P + lam - a z) at lam = 0 is 4P^2 + 2Pz
@@ -228,10 +227,25 @@ class TestSelection:
         want = GradedSeries.term(ctx, 4, mono=(2,)) + GradedSeries.term(
             ctx, 2, zpow=1, mono=(1,)
         )
-        assert set_lambda_zero(product) == want
+        assert product.without_lambda() == want
 
 
 class TestStructure:
+    def test_first_mismatch_is_smallest_differing_key(self):
+        ctx = plane_ctx()
+        shared = GradedSeries.term(ctx, 1, zpow=1)
+        left = shared + GradedSeries.term(ctx, 2, beta=(1,), zpow=-2)
+        right = (
+            shared
+            + GradedSeries.term(ctx, 3, beta=(1,), zpow=-2)
+            + GradedSeries.term(ctx, 4, zpow=-1)
+        )
+        low = ctx.zero_key()._replace(zpow=-1)
+        assert low < ctx.zero_key()._replace(beta=(1,), zpow=-2)
+        assert left.first_mismatch(right) == low
+        assert right.first_mismatch(left) == low
+        assert left.first_mismatch(left) is None
+
     def test_insertion_order_irrelevant(self):
         ctx = plane_ctx()
         rng = random.Random(99)

@@ -17,6 +17,12 @@ PLANE_JOB = {
     "cap": 9,
 }
 
+FIBRE_JOB = {
+    "target": {"factors": [1, 1]},
+    "divisors": [{"name": "F", "coeffs": [0, 1]}],
+    "cap": 4,
+}
+
 CUBIC_JOB = {
     "target": {"factors": [2]},
     "divisors": [{"name": "E", "coeffs": [3]}],
@@ -28,6 +34,12 @@ CUBIC_JOB = {
 def plane_config(tmp_path):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(PLANE_JOB), encoding="utf-8")
+    return str(path)
+
+
+def write_job(tmp_path, doc) -> str:
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -199,14 +211,68 @@ class TestCommands:
         assert run(["--command", "period"]) == 1
         assert "config" in capsys.readouterr().err
 
-    def test_env_thread_bound_validated(self, plane_config, monkeypatch, capsys):
-        monkeypatch.setenv("ROOTSTACK_GW_THREADS", "zero")
-        assert run(["--config", plane_config, "--command", "period"]) == 1
-        monkeypatch.setenv("ROOTSTACK_GW_THREADS", "2")
-        assert run(["--config", plane_config, "--command", "period"]) == 0
+    @pytest.mark.parametrize(
+        "roots, message",
+        [("2,4", "roots: roots must be pairwise coprime"), ("7", "roots: one root")],
+    )
+    def test_roots_override_validated(self, plane_config, capsys, roots, message):
+        args = ["--command", "period", "--roots", roots]
+        assert run(["--config", plane_config, *args]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "65"])
+    def test_cap_override_validated(self, plane_config, capsys, cap):
+        assert run(["--config", plane_config, "--command", "period", "--cap", cap]) == 1
+        assert "cap: cap must lie in 1..64" in capsys.readouterr().err
+
+    def test_relative_extended_h0_needs_one_divisor(self, plane_config, capsys):
+        args = ["--command", "ifunction", "--series", "relative-extended-h0"]
+        assert run(["--config", plane_config, *args, "--cap", "3"]) == 1
+        assert "exactly one divisor" in capsys.readouterr().err
+
+    def test_relative_extended_h0_is_untwisted_limit(self, tmp_path, capsys):
+        conic = dict(CUBIC_JOB, divisors=[{"name": "C", "coeffs": [2]}])
+        config = write_job(tmp_path, conic)
+        outputs = []
+        for series in ("relative-extended-h0", "infinity-extended-h0"):
+            args = ["--command", "ifunction", "--series", series, "--format", "records"]
+            assert run(["--config", config, *args]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("term\t")
 
 
 class TestRecords:
+    def test_invariants_with_overlapping_blocks(self, tmp_path, capsys):
+        # the contact block and the tangency block share four entries of equal
+        # value, e.g. beta (1,0), insertion (1,1), psi 0 is 1 in both
+        config = write_job(tmp_path, FIBRE_JOB)
+        args = ["--command", "invariants", "--format", "records"]
+        assert run(["--config", config, *args]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "invariant\t0,1\t-\t1,0\t0\t-1\t1/1",
+            "invariant\t0,1\t1:1^1\t1,1\t0\t0\t1/1",
+            "invariant\t0,1\t1:1^1\t1,0\t1\t0\t-1/1",
+            "invariant\t0,2\t-\t1,0\t1\t-2\t1/4",
+            "invariant\t0,2\t1:1^2\t1,1\t2\t0\t1/2",
+            "invariant\t0,2\t1:1^2\t1,0\t3\t0\t-3/4",
+            "invariant\t0,2\t1:2^1\t1,1\t1\t0\t1/2",
+            "invariant\t0,2\t1:2^1\t1,0\t2\t0\t-3/4",
+            "invariant\t1,0\t-\t1,1\t0\t0\t1/1",
+            "invariant\t1,0\t-\t0,1\t1\t0\t-2/1",
+            "invariant\t1,1\t-\t1,0\t2\t-1\t1/1",
+            "invariant\t1,1\t-\t0,0\t3\t-1\t-2/1",
+            "invariant\t1,1\t1:1^1\t1,1\t2\t0\t1/1",
+            "invariant\t1,1\t1:1^1\t0,1\t3\t0\t-2/1",
+            "invariant\t1,1\t1:1^1\t1,0\t3\t0\t-1/1",
+            "invariant\t1,1\t1:1^1\t0,0\t4\t0\t2/1",
+            "invariant\t2,0\t-\t1,1\t2\t0\t1/4",
+            "invariant\t2,0\t-\t0,1\t3\t0\t-3/4",
+            "flagged\t0,1\t-2\t-\t-1\t0,1\t0",
+            "flagged\t0,2\t-3\t-\t-2\t0,1\t0",
+            "flagged\t1,1\t-5\t-\t-1\t1,1\t0",
+            "flagged\t1,1\t-4\t-\t-1\t0,1\t0",
+        ]
+
     def test_round_trip_and_determinism(self, plane_config, capsys):
         args = [
             "--config",

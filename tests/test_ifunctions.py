@@ -14,7 +14,6 @@ from rootstack_gw import (
     i_infinity_extended_h0,
     i_infinity_nonextended,
     i_local,
-    i_relative_extended_h0,
     i_relative_smooth,
     i_root_extended,
     i_root_nonextended,
@@ -252,7 +251,7 @@ class TestRelative:
 
     def test_extended_single_contact_coefficient(self, p2, conic_only):
         # x_2 coefficient at degree 1: J * (2P+z)(2P+2z) / z = 2 z^-1 - 2 P^2 z^-3
-        series = i_relative_extended_h0(p2, conic_only, 4, 3)
+        series = i_infinity_extended_h0(p2, conic_only, 4, 3)
         got = series.beta_slice((1,)).coefficient(xexp=((0, 2, 1),), beta=(1,))
         flat = {(k.zpow, k.mono): c for k, c in got.terms.items()}
         assert flat == {(-1, (0,)): F(2), (-3, (2,)): F(-2)}

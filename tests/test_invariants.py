@@ -15,11 +15,13 @@ from rootstack_gw import (
     i_infinity_extended_h0,
     i_infinity_nonextended,
     i_root_nonextended,
+    merge_tables,
     mirror_map,
     n_orb,
     stabilization_check,
 )
 from rootstack_gw.algebra import ContractError
+from rootstack_gw.invariants import InvariantTable, TableEntry
 
 
 class TestMirrorMap:
@@ -121,6 +123,24 @@ class TestExtraction:
                     (d2, d1), ((0, e, 1), (1, e, 1)), (1, 1), 0, (0, 0)
                 )
                 assert a == b
+
+
+class TestMergeTables:
+    ENTRY = TableEntry((1, 0), (), (1, 1), 0, (0,))
+
+    def test_equal_overlap_kept_and_inputs_untouched(self):
+        first = InvariantTable({self.ENTRY: F(1)}, [])
+        other = TableEntry((0, 1), (), (1, 0), 0, (-1,))
+        second = InvariantTable({self.ENTRY: F(1), other: F(1)}, [])
+        merged = merge_tables(first, second)
+        assert merged.entries == {self.ENTRY: F(1), other: F(1)}
+        assert first.entries == {self.ENTRY: F(1)}
+
+    def test_conflicting_value_raises(self):
+        first = InvariantTable({self.ENTRY: F(1)}, [])
+        second = InvariantTable({self.ENTRY: F(2)}, [])
+        with pytest.raises(ValueError, match="conflicting values 1 and 2"):
+            merge_tables(first, second)
 
 
 class TestContactOneCounts:
