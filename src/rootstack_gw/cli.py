@@ -377,7 +377,7 @@ def cmd_laurent_period(args) -> tuple[int, list[str]]:
     if args.cap is None:
         raise ConfigError("laurent-period needs --cap N")
     f = LaurentPolynomial.parse(args.laurent)
-    seq = laurent_classical_period(f, args.cap)
+    seq = laurent_classical_period(f, check_cap(args.cap))
     return 0, _period_lines(seq, args)
 
 

@@ -240,7 +240,9 @@ def check_local_orbifold_extended(
         )
     cap = X.anticanonical_degree(beta)
     if h0_series is None:
-        h0_series = i_infinity_extended_h0(X, arrangement, max(degs), cap)
+        h0_series = i_infinity_extended_h0(
+            X, arrangement, max(1, *arrangement.max_degrees(X, cap)), cap
+        )
     if local_series is None:
         local_series = i_local(X, arrangement, cap)
     xexp = tuple((i, d, 1) for i, d in enumerate(degs))

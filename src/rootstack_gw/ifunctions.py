@@ -24,12 +24,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterator
+from itertools import product
+from math import lcm
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     CohClass,
     GradedSeries,
     SeriesContext,
+    TermKey,
     invert_z_linear,
     series_sum,
     xexp_from_dict,
@@ -204,28 +207,78 @@ def i_root_nonextended(
     return series_sum(ctx, parts)
 
 
-def _contact_vectors(
-    slots: list[tuple[int, int]],
-    weights: list[Fraction],
-    budget: Fraction,
-) -> Iterator[dict[tuple[int, int], int]]:
-    """All exponent assignments to (divisor, order) slots with bounded
-    weighted total.  Each unit of slot s costs weights[s] > 0 of the budget,
-    so the enumeration is finite and prunes early."""
+class _Contact(NamedTuple):
+    """One divisor's contact monomial prod_j x_{ij}^{e_j}."""
 
-    def rec(idx: int, left: Fraction, acc: dict) -> Iterator[dict]:
-        if idx == len(slots):
-            yield dict(acc)
+    total: int  # sum_j e_j: the z-power the monomial divides out
+    cost: int  # its share of the broad budget, sum_j costs[j - 1] e_j
+    weight: Fraction  # 1 / prod_j e_j!
+    xexp: tuple[tuple[int, int, int], ...]
+
+
+def _contact_vectors(
+    i: int, costs: list[int], budget: int
+) -> dict[int, tuple[list[_Contact], int]]:
+    """Contact monomials of divisor i whose cost stays within the budget,
+    where order j costs costs[j - 1] > 0 per unit.
+
+    Grouped by the reduction sum_j j e_j they take off the intersection
+    number; each group is sorted by total and paired with its smallest cost.
+    """
+    groups: dict[int, list[_Contact]] = {}
+    xexp: list[tuple[int, int, int]] = []
+
+    def rec(j: int, left: int, reduction: int, total: int, denom: int) -> None:
+        if j > len(costs):
+            groups.setdefault(reduction, []).append(
+                _Contact(total, budget - left, Fraction(1, denom), tuple(xexp))
+            )
             return
         e = 0
-        while e * weights[idx] <= left:
+        while e * costs[j - 1] <= left:
             if e:
-                acc[slots[idx]] = e
-            yield from rec(idx + 1, left - e * weights[idx], acc)
+                denom *= e
+                xexp.append((i, j, e))
+            rec(j + 1, left - e * costs[j - 1], reduction + j * e, total + e, denom)
+            if e:
+                xexp.pop()
             e += 1
-        acc.pop(slots[idx], None)
 
-    yield from rec(0, budget, {})
+    rec(1, budget, 0, 0, 1)
+    out = {}
+    for reduction, group in groups.items():
+        group.sort(key=lambda c: c.total)
+        out[reduction] = (group, min(c.cost for c in group))
+    return out
+
+
+def _combinations(
+    groups: list[tuple[list[_Contact], int]], max_total: int, max_cost: int
+) -> Iterator[tuple[int, Fraction, tuple[tuple[int, int, int], ...]]]:
+    """(total, weight, xexp) of each choice of one contact monomial per group
+    whose summed total and cost stay within the limits."""
+    n = len(groups)
+    rest_total = [0] * (n + 1)
+    rest_cost = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        contacts, min_cost = groups[i]
+        rest_total[i] = rest_total[i + 1] + contacts[0].total
+        rest_cost[i] = rest_cost[i + 1] + min_cost
+
+    def rec(i: int, total: int, cost: int, weight: Fraction, xexp: tuple):
+        if i == n:
+            yield total, weight, xexp
+            return
+        for c in groups[i][0]:
+            if total + c.total + rest_total[i + 1] > max_total:
+                break
+            if cost + c.cost + rest_cost[i + 1] > max_cost:
+                continue
+            yield from rec(
+                i + 1, total + c.total, cost + c.cost, weight * c.weight, xexp + c.xexp
+            )
+
+    yield from rec(0, 0, 0, Fraction(1), ())
 
 
 def _extended_terms(
@@ -238,78 +291,101 @@ def _extended_terms(
 ) -> GradedSeries:
     """Shared double sum of the extended series, finite or infinite orders.
 
-    The truncation driver is the output z floor: a contact vector k can only
-    reach z-powers below it once the total weight sum(k) outgrows the broad
-    degree bound, at which point enumeration stops.  For finite orders every
-    contact order must stay below each root order so the bound decreases.
-    Terms are assembled without a floor (products with positive z parts may
-    climb back above it) and projected to the output truncation at the end.
+    A contact vector k multiplies the body of its net shifts d_i -
+    sum_j j k_ij (the j-slice times the divisor weights times the sector
+    unit) by prod x^k / (prod k! z^|k|).  Two exact bounds keep the sum
+    finite:
+
+    * the broad budget: the weighted total sum_ij w_ij k_ij, with w_ij =
+      (r_i - j)/r_i (1 at infinite order), is at most the class's degree
+      bound 1 + sum_i d_i + n - deg(beta) minus the z floor.  It decides
+      which shift tuples get a body.  For finite orders every contact order
+      must stay below each root order so the weights are positive.
+    * the top-z bound: a vector whose total |k| exceeds the highest z-power
+      of its body minus the floor has no term at or above the floor.
+
+    Divisor i's weight depends only on its own net shift, so each divisor's
+    contact monomials are enumerated once, grouped by shift and sorted by
+    total, and combined only while both bounds hold; every combination
+    reached keeps at least its body's top term.  The contact monomial is
+    attached by moving each body term to z-power zpow - |k|.
     """
-    if out_ctx.z_floor is None:
+    floor = out_ctx.z_floor
+    if floor is None:
         raise ConfigurationError("extended series need a finite z floor to truncate")
     if roots is not None and any(m >= r for r in roots):
         raise ConfigurationError(
             "contact orders up to m must stay below every root order"
         )
     ctx = replace(out_ctx, z_floor=None)
-    slots = [(i, j) for i in range(arrangement.n) for j in range(1, m + 1)]
-    if roots is None:
-        weights = [Fraction(1)] * len(slots)
-    else:
-        weights = [Fraction(roots[i] - j, roots[i]) for i, j in slots]
+    n = arrangement.n
     classes = [d.cls(X) for d in arrangement.divisors]
-    parts = []
+    # costs are the weights w_ij in units of 1/scale, so budgets stay integral
+    if roots is None:
+        scale, costs = 1, [[1] * m for _ in range(n)]
+    else:
+        scale = lcm(*roots)
+        costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
+    contact_cache: dict[tuple[int, int], dict[int, tuple[list[_Contact], int]]] = {}
+    factor_cache: dict[tuple[int, int, int], GradedSeries] = {}
+    support_ok: dict[tuple[int, ...], bool] = {}
+    out: dict[TermKey, Fraction] = {}
+
+    def factor(i: int, d: int, shift: int) -> GradedSeries:
+        # at infinite order every nonpositive shift keeps the full product
+        key = (i, d, shift if roots is not None else max(shift, 0))
+        if key not in factor_cache:
+            factor_cache[key] = (
+                _limit_factor(ctx, classes[i], d, shift)
+                if roots is None
+                else _root_factor(ctx, classes[i], d, shift, roots[i])
+            )
+        return factor_cache[key]
+
     for beta in enumerate_curve_classes(X, cap):
         degs = arrangement.degrees(beta)
-        top = 1 + sum(degs) + arrangement.n
+        top = 1 + sum(degs) + n
         if any(beta):
             top -= ctx.beta_degree(beta)
-        budget = Fraction(top - out_ctx.z_floor)
+        budget = (top - floor) * scale
+        per_divisor = []
+        for i in range(n):
+            if (i, budget) not in contact_cache:
+                contact_cache[(i, budget)] = _contact_vectors(i, costs[i], budget)
+            per_divisor.append(
+                {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
+            )
         j_slice = base_j_function(X, beta, ctx)
-        body_cache: dict[tuple[int, ...], GradedSeries | None] = {}
-
-        def weighted_body(shifts: tuple[int, ...]) -> GradedSeries | None:
-            """j-slice times all divisor weights times the sector unit."""
-            if shifts not in body_cache:
-                if roots is None:
-                    sector = tuple(-s for s in shifts)
-                else:
-                    sector = _finite_sector(shifts, roots)
-                unit = _sector_unit(ctx, X, arrangement, sector)
-                if unit is None:
-                    body_cache[shifts] = None
-                else:
-                    body = j_slice
-                    for i in range(arrangement.n):
-                        if roots is None:
-                            body = body * _limit_factor(
-                                ctx, classes[i], degs[i], shifts[i]
-                            )
-                        else:
-                            body = body * _root_factor(
-                                ctx, classes[i], degs[i], shifts[i], roots[i]
-                            )
-                    body_cache[shifts] = body * unit
-            return body_cache[shifts]
-
-        for kvec in _contact_vectors(slots, weights, budget):
-            total = sum(kvec.values())
-            weight = Fraction(1)
-            for e in kvec.values():
-                for t in range(1, e + 1):
-                    weight /= t
-            shifts = tuple(
-                degs[i] - sum(j * e for (ii, j), e in kvec.items() if ii == i)
-                for i in range(arrangement.n)
-            )
-            body = weighted_body(shifts)
-            if body is None or body.is_zero:
+        for shifts in product(*per_divisor):
+            groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
+            if sum(min_cost for _, min_cost in groups) > budget:
                 continue
-            term = GradedSeries.term(
-                ctx, weight, zpow=-total, xexp=xexp_from_dict(kvec)
-            )
-            parts.append(term * body)
-    return series_sum(ctx, parts).in_context(out_ctx)
+            if roots is None:
+                sector = tuple(-s for s in shifts)
+            else:
+                sector = _finite_sector(shifts, roots)
+            support = tuple(i for i, s in enumerate(sector) if s)
+            if support not in support_ok:
+                support_ok[support] = not support or arrangement.intersection_nonempty(
+                    X, support
+                )
+            if not support_ok[support]:
+                continue
+            body = j_slice
+            for i in range(n):
+                body = body * factor(i, degs[i], shifts[i])
+            body = body * GradedSeries.term(ctx, 1, sector=sector)
+            if body.is_zero:
+                continue
+            body_terms = sorted(body.terms.items(), key=lambda kv: -kv[0].zpow)
+            max_total = body_terms[0][0].zpow - floor
+            for total, weight, xexp in _combinations(groups, max_total, budget):
+                for key, c in body_terms:
+                    zpow = key.zpow - total
+                    if zpow < floor:
+                        break
+                    out[key._replace(zpow=zpow, xexp=xexp)] = c * weight
+    return GradedSeries(out_ctx, out)
 
 
 def i_root_extended(

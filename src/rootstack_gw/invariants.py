@@ -245,7 +245,8 @@ def n_orb(
             raise UnsupportedMirrorMapError(
                 f"two-positive-pairings condition fails at {assumption.violations[0]}"
             )
-        h0 = i_infinity_extended_h0(X, arrangement, max(degs), cap)
+        m = max(1, *arrangement.max_degrees(X, cap))
+        h0 = i_infinity_extended_h0(X, arrangement, m, cap)
         table = extract_invariants(h0, X, arrangement)
     xexp = tuple((i, 1, d_i) for i, d_i in enumerate(degs) if d_i)
     return table.value(

@@ -225,6 +225,12 @@ class TestCommands:
         assert run(["--config", plane_config, "--command", "period", "--cap", cap]) == 1
         assert "cap: cap must lie in 1..64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["-1", "65"])
+    def test_laurent_cap_validated(self, capsys, cap):
+        args = ["--command", "laurent-period", "--laurent", "x+1/x", "--cap", cap]
+        assert run(args) == 1
+        assert "cap: cap must lie in 1..64" in capsys.readouterr().err
+
     def test_relative_extended_h0_needs_one_divisor(self, plane_config, capsys):
         args = ["--command", "ifunction", "--series", "relative-extended-h0"]
         assert run(["--config", plane_config, *args, "--cap", "3"]) == 1
@@ -242,6 +248,23 @@ class TestCommands:
 
 
 class TestRecords:
+    def test_fibre_identity_uses_cap_wide_contact_bound(self, tmp_path, capsys):
+        # beta (1,1) meets the fibre once, but beta (0,2) in the same cap
+        # needs tangency 2, so the extended check must build h0 with m = 2
+        config = write_job(tmp_path, FIBRE_JOB)
+        args = ["--command", "check-identity", "--format", "records"]
+        assert run(["--config", config, *args]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "identity\tlocal-relative\t0,1\t+1\tok",
+            "identity\tlocal-tangency-extended\t0,1\t+1\tok",
+            "identity\tlocal-relative\t0,2\t-1\tok",
+            "identity\tlocal-tangency-extended\t0,2\t-1\tok",
+            "identity\tlocal-relative\t1,1\t+1\tok",
+            "identity\tlocal-tangency-extended\t1,1\t+1\tok",
+            "skipped\t1,0\tsome divisor misses the class",
+            "skipped\t2,0\tsome divisor misses the class",
+        ]
+
     def test_invariants_with_overlapping_blocks(self, tmp_path, capsys):
         # the contact block and the tangency block share four entries of equal
         # value, e.g. beta (1,0), insertion (1,1), psi 0 is 1 in both

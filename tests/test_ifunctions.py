@@ -20,6 +20,8 @@ from rootstack_gw import (
 )
 from rootstack_gw.ifunctions import ConfigurationError, ExtendedDataTooSmall
 
+from oracle import extended_series
+
 
 class TestRootNonextended:
     def test_degree_zero_term(self, p2, line_conic):
@@ -230,6 +232,60 @@ class TestInfinityExtended:
         h0 = i_infinity_extended_h0(p2, line_conic, 4, 6)
         ((key, c),) = h0.beta_slice((0,)).ordered_terms()
         assert key.zpow == 1 and c == 1 and not key.xexp
+
+
+class TestExtendedEdges:
+    def test_root_extended_fold_warning(self, p2, line_conic):
+        with pytest.warns(SectorFoldWarning):
+            i_root_extended(p2, line_conic, RootData((3, 5)), 2, 9)
+
+    def test_missing_floor_rejected(self, p2, line_conic):
+        with pytest.raises(ConfigurationError, match="finite z floor"):
+            i_infinity_extended(p2, line_conic, 2, 3, z_floor=None)
+
+    def test_infinity_extended_term_count(self, p2, line_conic):
+        series = i_infinity_extended(p2, line_conic, 4, 6, z_floor=-4)
+        assert len(series) == 4255
+
+
+def _flat(series) -> dict:
+    assert not any(any(k.lam) for k in series.terms)
+    return {
+        (k.beta[0], k.zpow, k.xexp, k.sector, k.mono[0]): c
+        for k, c in series.terms.items()
+    }
+
+
+class TestExtendedOracle:
+    """Every sector of both extended builders against brute-force expansion."""
+
+    @pytest.mark.parametrize("roots", [None, (7, 11), (3, 5)])
+    @pytest.mark.parametrize("floor", [-1, -3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_full_series(self, p2, line_conic, m, floor, roots):
+        if roots is not None and m >= min(roots):
+            with pytest.raises(ConfigurationError, match="below every root order"):
+                i_root_extended(p2, line_conic, RootData(roots), m, 3, z_floor=floor)
+            return
+        want = extended_series(2, (1, 2), m, 3, floor, roots)
+        for cap in range(4):
+            if roots is None:
+                series = i_infinity_extended(p2, line_conic, m, cap, z_floor=floor)
+            else:
+                series = i_root_extended(
+                    p2, line_conic, RootData(roots), m, cap, z_floor=floor
+                )
+            assert _flat(series) == {k: c for k, c in want.items() if 3 * k[0] <= cap}
+
+    def test_grid_reaches_zero_lower_step(self, p2, line_conic):
+        # x_{11}^3 at degree 0 and order 3 leaves the line net shift -3, divisible
+        # by its order; the lower ladder is the single step k = 0, the class P/3,
+        # so the term is z * (P/3) * z^-3 / 3! in the folded untwisted sector
+        key = (0, -2, ((0, 1, 3),), (0, 0), 1)
+        assert extended_series(2, (1, 2), 1, 0, -3, (3, 5))[key] == F(1, 18)
+        with pytest.warns(SectorFoldWarning):
+            series = i_root_extended(p2, line_conic, RootData((3, 5)), 1, 0, z_floor=-3)
+        assert _flat(series)[key] == F(1, 18)
 
 
 class TestRelative:

@@ -153,6 +153,15 @@ class TestContactOneCounts:
     def test_two_diagonals_unit(self, p1p1, two_diagonals):
         assert n_orb(p1p1, two_diagonals, (1, 0)) == 1
 
+    def test_contact_bound_covers_the_whole_cap(self, p1p1):
+        # beta (1,1) meets each fibre once, but beta (0,2) of the same degree
+        # meets each twice, so the untwisted series must be built with m = 2
+        fibres = DivisorArrangement((Divisor("A", (0, 1)), Divisor("B", (0, 1))))
+        table = extract_invariants(
+            i_infinity_extended_h0(p1p1, fibres, 2, 4), p1p1, fibres
+        )
+        assert n_orb(p1p1, fibres, (1, 1)) == n_orb(p1p1, fibres, (1, 1), table)
+
     def test_degenerate_total_contact(self, p2):
         line = DivisorArrangement((Divisor("L", (1,)),))
         with pytest.raises(ValueError, match="total contact"):
