@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -229,10 +230,6 @@ def merge_xexp(
     return tuple(sorted((i, j, e) for (i, j), e in acc.items() if e))
 
 
-def xexp_from_dict(exps: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
-    return tuple(sorted((i, j, e) for (i, j), e in exps.items() if e))
-
-
 @dataclass(frozen=True)
 class SeriesContext:
     """Ring plus truncation data shared by all series of one computation.
@@ -291,8 +288,10 @@ _UNSET = object()
 class GradedSeries:
     """Immutable sparse series: a finite map TermKey -> Fraction.
 
-    All operations are pure; results never store zero coefficients, so two
-    series are equal exactly when their stored maps agree.
+    ``terms`` is a read-only view, so a shared series (such as a cached
+    target slice) cannot be changed by any holder.  All operations are pure;
+    results never store zero coefficients, so two series are equal exactly
+    when their stored maps agree.
     """
 
     __slots__ = ("ctx", "terms")
@@ -307,7 +306,7 @@ class GradedSeries:
             if ctx.keeps(key):
                 clean[key] = c
         self.ctx = ctx
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors -------------------------------------------------------
 

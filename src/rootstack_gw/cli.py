@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import DivisibilityError, GradedSeries, TermKey
-from .config import ConfigError, JobConfig, check_cap, parse_config, roots_for
+from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
 from .identities import (
     RefusedIdentityError,
     check_local_orbifold_extended,
@@ -89,24 +89,22 @@ def fmt_xexp(xexp: tuple[tuple[int, int, int], ...]) -> str:
     return ",".join(f"{i + 1}:{j}^{e}" for i, j, e in xexp)
 
 
+def series_records_key(key: TermKey) -> tuple[str, ...]:
+    return (
+        fmt_ints(key.beta),
+        str(key.zpow),
+        fmt_xexp(key.xexp),
+        fmt_ints(key.sector),
+        fmt_ints(key.mono),
+        fmt_ints(key.lam),
+    )
+
+
 def series_records(series: GradedSeries) -> list[str]:
-    rows = []
-    for key, c in series.ordered_terms():
-        rows.append(
-            "\t".join(
-                (
-                    "term",
-                    fmt_ints(key.beta),
-                    str(key.zpow),
-                    fmt_xexp(key.xexp),
-                    fmt_ints(key.sector),
-                    fmt_ints(key.mono),
-                    fmt_ints(key.lam),
-                    fmt_rat(c, records=True),
-                )
-            )
-        )
-    return rows
+    return [
+        "\t".join(("term", *series_records_key(key), fmt_rat(c, records=True)))
+        for key, c in series.ordered_terms()
+    ]
 
 
 def _term_human(key: TermKey, c: Fraction, ring) -> str:
@@ -152,17 +150,6 @@ def table_records(table: InvariantTable) -> list[str]:
     for key in sorted(table.flagged):
         rows.append("flagged\t" + "\t".join(series_records_key(key)))
     return rows
-
-
-def series_records_key(key: TermKey) -> tuple[str, ...]:
-    return (
-        fmt_ints(key.beta),
-        str(key.zpow),
-        fmt_xexp(key.xexp),
-        fmt_ints(key.sector),
-        fmt_ints(key.mono),
-        fmt_ints(key.lam),
-    )
 
 
 def table_human(table: InvariantTable, ring) -> list[str]:
@@ -239,11 +226,7 @@ def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
 
 def _roots_from_args(job: JobConfig, args) -> list[RootData]:
     if args.roots:
-        out = []
-        for spec in args.roots:
-            orders = tuple(int(tok) for tok in spec.split(","))
-            out.append(RootData(orders))
-        return out
+        return [parse_roots(spec, job.arrangement) for spec in args.roots]
     return [job.require_roots()]
 
 
@@ -416,8 +399,7 @@ def _load_job(args) -> JobConfig:
     if args.cap is not None:
         job = replace(job, cap=check_cap(args.cap))
     if args.roots and len(args.roots) == 1 and args.command != "stabilize":
-        orders = tuple(int(tok) for tok in args.roots[0].split(","))
-        job = replace(job, roots=roots_for(orders, job.arrangement))
+        job = replace(job, roots=parse_roots(args.roots[0], job.arrangement))
     return job
 
 

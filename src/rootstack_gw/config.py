@@ -90,6 +90,15 @@ def roots_for(orders: tuple[int, ...], arrangement: DivisorArrangement) -> RootD
     return roots
 
 
+def parse_roots(spec: str, arrangement: DivisorArrangement) -> RootData:
+    """Root data from an "r1,r2,..." command-line spec, checked by roots_for."""
+    try:
+        orders = tuple(int(tok) for tok in spec.split(","))
+    except ValueError:
+        raise ConfigError(f"roots: expected integers like 7,11, got {spec!r}") from None
+    return roots_for(orders, arrangement)
+
+
 def parse_config(source: str | Path) -> JobConfig:
     """Parse a JSON job description from a path or inline text."""
     text = source

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GradedSeries, TermKey, exact_divide_linear
+from .algebra import GradedSeries, SeriesContext, TermKey, exact_divide_linear
 from .ifunctions import (
-    i_infinity_extended_h0,
-    i_infinity_nonextended,
-    i_local,
-    i_relative_smooth,
+    h0_slice,
+    infinity_slice,
+    local_slice,
+    relative_slice,
 )
 from .targets import ConfigurationError, DivisorArrangement, TargetSpace
 
@@ -102,47 +102,69 @@ def parity_sign(degrees: tuple[int, ...]) -> int:
     return -1 if sum(d - 1 for d in degrees) % 2 else 1
 
 
-def _euler_normalized_local(
-    local_slice: GradedSeries,
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
+def _without_normal_weights(
+    series: GradedSeries, X: TargetSpace, arrangement: DivisorArrangement
 ) -> GradedSeries:
-    """Divide out each divisor's a = 0 equivariant weight (lam_i - D_i),
-    drop the parameters, and restore the product of divisor classes."""
-    out = local_slice
+    """Divide out each divisor's a = 0 equivariant weight (lam_i - D_i)
+    exactly and drop the parameters."""
     for i, divisor in enumerate(arrangement.divisors):
-        out = exact_divide_linear(out, -divisor.cls(X), i)
-    out = out.without_lambda()
+        series = exact_divide_linear(series, -divisor.cls(X), i)
+    return series.without_lambda()
+
+
+def _euler_normalized_local(
+    series: GradedSeries, X: TargetSpace, arrangement: DivisorArrangement
+) -> GradedSeries:
+    """The local series without its normal weights, times the product of
+    the divisor classes."""
     support = tuple(range(arrangement.n))
-    return out.times_class(arrangement.intersection_class(X, support))
+    return _without_normal_weights(series, X, arrangement).times_class(
+        arrangement.intersection_class(X, support)
+    )
+
+
+def _positive_degrees(
+    arrangement: DivisorArrangement, beta: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The intersection numbers of beta, refused unless all are positive."""
+    degs = arrangement.degrees(beta)
+    if any(d <= 0 for d in degs):
+        raise RefusedIdentityError(
+            f"every divisor must meet the class; degrees {degs} at beta={beta}"
+        )
+    return degs
+
+
+def _class_context(
+    X: TargetSpace, arrangement: DivisorArrangement, beta: tuple[int, ...]
+) -> SeriesContext:
+    """Validate the arrangement; the context of a one-class check, capped at
+    the class's own anticanonical degree."""
+    arrangement.validate_on(X)
+    return X.context(arrangement.n, X.anticanonical_degree(beta))
 
 
 def local_point_invariant(
     X: TargetSpace,
     arrangement: DivisorArrangement,
     beta: tuple[int, ...],
-    psi: int = 0,
-    local_series: GradedSeries | None = None,
 ) -> Fraction:
     """One-point invariant of the dual-bundle-sum theory with a point
-    insertion and the given psi power.
+    insertion.
 
-    Read off the local series after dividing out the equivariant normal
-    weights (the pairing of the local theory carries their inverse) and
-    dropping the parameters: the untwisted coefficient of z^(-psi-1).
+    Builds the class-beta slice of the local series at cap deg(beta), divides
+    out the equivariant normal weights (the pairing of the local theory
+    carries their inverse), drops the parameters and reads the untwisted
+    coefficient of z^-1.  A class missing some divisor has no such weight
+    to divide out and is refused.
     """
     beta = tuple(beta)
-    cap = X.anticanonical_degree(beta)
-    if local_series is None:
-        local_series = i_local(X, arrangement, cap)
-    work = local_series.beta_slice(beta)
-    for i, divisor in enumerate(arrangement.divisors):
-        work = exact_divide_linear(work, -divisor.cls(X), i)
-    work = work.without_lambda()
-    ctx = work.ctx
-    return work.coefficient(
+    _positive_degrees(arrangement, beta)
+    ctx = _class_context(X, arrangement, beta)
+    local = local_slice(X, arrangement, beta, ctx)
+    return _without_normal_weights(local, X, arrangement).coefficient(
         beta=beta,
-        zpow=-psi - 1,
+        zpow=-1,
         mono=ctx.ring.zero_mono,
         sector=(0,) * ctx.divisors,
         lam=(0,) * ctx.divisors,
@@ -153,36 +175,28 @@ def check_local_orbifold_nonextended(
     X: TargetSpace,
     arrangement: DivisorArrangement,
     beta: tuple[int, ...],
-    limit_series: GradedSeries | None = None,
-    local_series: GradedSeries | None = None,
 ) -> IdentityReport:
     """Tangency side against local side, one interior-free marking.
 
-    Requires every intersection number positive and a nonempty common
-    intersection of the divisors; outside those hypotheses nothing is
-    asserted and the check refuses to run.
+    Builds only the class-beta slices of the non-extended limit series and
+    of the local series, at cap deg(beta).  Requires every intersection
+    number positive and a nonempty common intersection of the divisors;
+    outside those hypotheses nothing is asserted and the check refuses to
+    run.
     """
     beta = tuple(beta)
-    degs = arrangement.degrees(beta)
-    if any(d <= 0 for d in degs):
-        raise RefusedIdentityError(
-            f"every divisor must meet the class; degrees {degs} at beta={beta}"
-        )
+    degs = _positive_degrees(arrangement, beta)
     if not arrangement.intersection_nonempty(X, tuple(range(arrangement.n))):
         raise RefusedIdentityError(
             "the divisors have empty common intersection, the tangency side "
             "is the zero sector and no identity is asserted"
         )
-    cap = X.anticanonical_degree(beta)
-    if limit_series is None:
-        limit_series = i_infinity_nonextended(X, arrangement, cap)
-    if local_series is None:
-        local_series = i_local(X, arrangement, cap)
-    left = pushforward_iota(limit_series.beta_slice(beta), X, arrangement)
+    ctx = _class_context(X, arrangement, beta)
+    tangency = infinity_slice(X, arrangement, beta, ctx)
+    left = pushforward_iota(tangency, X, arrangement)
     sign = parity_sign(degs)
-    right = _euler_normalized_local(
-        local_series.beta_slice(beta), X, arrangement
-    ).scale(sign)
+    local = local_slice(X, arrangement, beta, ctx)
+    right = _euler_normalized_local(local, X, arrangement).scale(sign)
     return IdentityReport(
         name="local-tangency", beta=beta, sign=sign, left=left, right=right
     )
@@ -195,9 +209,10 @@ def check_local_relative_smooth(
 ) -> IdentityReport:
     """Single smooth divisor: relative side against local side.
 
-    The relative series is built from its own closed form, so this is not a
-    restatement of the n = 1 specialization of the tangency check even
-    though the two must agree exactly.
+    Builds only the class-beta slices of the relative and local series, at
+    cap deg(beta).  The relative series is built from its own closed form,
+    so this is not a restatement of the n = 1 specialization of the tangency
+    check even though the two must agree exactly.
     """
     if arrangement.n != 1:
         raise ConfigurationError("smooth-divisor check takes exactly one divisor")
@@ -205,12 +220,12 @@ def check_local_relative_smooth(
     d = arrangement.divisors[0].degree(beta)
     if d <= 0:
         raise RefusedIdentityError(f"divisor degree {d} must be positive")
-    cap = X.anticanonical_degree(beta)
-    relative = i_relative_smooth(X, arrangement, cap)
-    local = i_local(X, arrangement, cap)
-    left = pushforward_iota(relative.beta_slice(beta), X, arrangement)
+    ctx = _class_context(X, arrangement, beta)
+    relative = relative_slice(X, arrangement, beta, ctx)
+    left = pushforward_iota(relative, X, arrangement)
     sign = parity_sign((d,))
-    right = _euler_normalized_local(local.beta_slice(beta), X, arrangement).scale(sign)
+    local = local_slice(X, arrangement, beta, ctx)
+    right = _euler_normalized_local(local, X, arrangement).scale(sign)
     return IdentityReport(
         name="local-relative", beta=beta, sign=sign, left=left, right=right
     )
@@ -220,44 +235,29 @@ def check_local_orbifold_extended(
     X: TargetSpace,
     arrangement: DivisorArrangement,
     beta: tuple[int, ...],
-    h0_series: GradedSeries | None = None,
-    local_series: GradedSeries | None = None,
 ) -> IdentityReport:
     """Maximal-tangency contact coefficient against divisor derivatives of
     the local series.
 
-    Left side: the coefficient of prod_i x_{i,d_i} in the untwisted extended
-    limit.  Right side: apply one divisor derivative per divisor to the
-    local series, divide out the equivariant normal weights exactly, set the
-    parameters to zero and apply the parity sign.  An inexact division here
-    means a transcription error somewhere and must never happen.
+    Builds only the class-beta slices of the untwisted extended limit (with
+    contact orders up to the largest d_i) and of the local series, at cap
+    deg(beta).  Left side: the coefficient of prod_i x_{i,d_i}.  Right side:
+    apply one divisor derivative per divisor to the local slice, divide out
+    the equivariant normal weights exactly, set the parameters to zero and
+    apply the parity sign.  An inexact division here means a transcription
+    error somewhere and must never happen.
     """
     beta = tuple(beta)
-    degs = arrangement.degrees(beta)
-    if any(d <= 0 for d in degs):
-        raise RefusedIdentityError(
-            f"every divisor must meet the class; degrees {degs} at beta={beta}"
-        )
-    cap = X.anticanonical_degree(beta)
-    if h0_series is None:
-        h0_series = i_infinity_extended_h0(
-            X, arrangement, max(1, *arrangement.max_degrees(X, cap)), cap
-        )
-    if local_series is None:
-        local_series = i_local(X, arrangement, cap)
+    degs = _positive_degrees(arrangement, beta)
+    ctx = _class_context(X, arrangement, beta)
+    h0 = h0_slice(X, arrangement, max(degs), beta, ctx)
     xexp = tuple((i, d, 1) for i, d in enumerate(degs))
-    left = h0_series.beta_slice(beta).coefficient(xexp=xexp)
-    work = local_series.beta_slice(beta)
+    left = h0.coefficient(xexp=xexp)
+    work = local_slice(X, arrangement, beta, ctx)
     for i in range(arrangement.n):
         work = divisor_derivative(work, X, arrangement, i)
-    for i, divisor in enumerate(arrangement.divisors):
-        work = exact_divide_linear(work, -divisor.cls(X), i)
     sign = parity_sign(degs)
-    right = work.without_lambda().scale(sign)
+    right = _without_normal_weights(work, X, arrangement).scale(sign)
     return IdentityReport(
-        name="local-tangency-extended",
-        beta=beta,
-        sign=sign,
-        left=left,
-        right=right,
+        name="local-tangency-extended", beta=beta, sign=sign, left=left, right=right
     )

@@ -10,6 +10,11 @@ Six families are built here, all as exact :class:`~rootstack_gw.algebra.GradedSe
   extended form is the n = 1 case of the untwisted extended limit),
 * the equivariant local series of the dual direct-sum bundle.
 
+Each closed-form family has a per-class ``<family>_slice(X, arrangement,
+[m,] beta, ctx)`` that returns one curve class's terms and leaves input
+validation to its caller; its capped builder validates and sums the slices
+over the classes in the cap.  The extended series use :func:`_extended_terms`.
+
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
 for finite root order r_i the fractional steps a run over rationals with
@@ -25,7 +30,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Iterator, NamedTuple
 
 from .algebra import (
@@ -35,7 +40,6 @@ from .algebra import (
     TermKey,
     invert_z_linear,
     series_sum,
-    xexp_from_dict,
 )
 from .targets import (
     ConfigurationError,
@@ -176,35 +180,40 @@ def _validated(
 # ---------------------------------------------------------------------------
 
 
-def i_root_nonextended(
+def root_slice(
     X: TargetSpace,
     arrangement: DivisorArrangement,
-    roots: RootData,
-    cap: int,
+    beta: tuple[int, ...],
+    ctx: SeriesContext,
 ) -> GradedSeries:
-    """Non-extended series of the root stack, summed over beta up to the cap.
+    """Class-beta terms of the non-extended root-stack series, root orders
+    read from ``ctx.roots``; zero when the sector's support does not meet.
 
     Degree zero contributes z times the untwisted unit; a general class
     contributes the one-point slice of the target times the per-divisor
     hypergeometric weights, in the sector labelled by the residues of the
     negated intersection numbers.
     """
+    degs = arrangement.degrees(beta)
+    unit = _sector_unit(ctx, X, arrangement, _finite_sector(degs, ctx.roots))
+    if unit is None:
+        return GradedSeries.zero(ctx)
+    term = base_j_function(X, beta, ctx)
+    for i, d in enumerate(degs):
+        cls = arrangement.divisors[i].cls(X)
+        term = term * _root_factor(ctx, cls, d, d, ctx.roots[i])
+    return term * unit
+
+
+def i_root_nonextended(
+    X: TargetSpace, arrangement: DivisorArrangement, roots: RootData, cap: int
+) -> GradedSeries:
+    """Non-extended series of the root stack: the sum of
+    :func:`root_slice` over beta up to the cap."""
     _validated(X, arrangement, roots)
     ctx = X.context(arrangement.n, cap, roots=roots.orders)
-    parts = []
-    for beta in enumerate_curve_classes(X, cap):
-        degs = arrangement.degrees(beta)
-        sector = _finite_sector(degs, roots.orders)
-        unit = _sector_unit(ctx, X, arrangement, sector)
-        if unit is None:
-            continue
-        term = base_j_function(X, beta, ctx)
-        for i, d in enumerate(degs):
-            term = term * _root_factor(
-                ctx, arrangement.divisors[i].cls(X), d, d, roots.orders[i]
-            )
-        parts.append(term * unit)
-    return series_sum(ctx, parts)
+    betas = enumerate_curve_classes(X, cap)
+    return series_sum(ctx, [root_slice(X, arrangement, b, ctx) for b in betas])
 
 
 class _Contact(NamedTuple):
@@ -414,29 +423,38 @@ def i_root_extended(
 # ---------------------------------------------------------------------------
 
 
-def i_infinity_nonextended(
-    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+def infinity_slice(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    beta: tuple[int, ...],
+    ctx: SeriesContext,
 ) -> GradedSeries:
-    """Large-order limit of the non-extended series.
+    """Class-beta terms of the large-order limit of the non-extended series;
+    zero when the sector's support does not meet.
 
     Per divisor the weight is the strict product over 0 < a < d_i, and the
     unit carries the integer tangency labels (-d_1, ..., -d_n), absorbing the
     product of root orders of the finite-order picture.
     """
+    degs = arrangement.degrees(beta)
+    unit = _sector_unit(ctx, X, arrangement, tuple(-d for d in degs))
+    if unit is None:
+        return GradedSeries.zero(ctx)
+    term = base_j_function(X, beta, ctx)
+    for i, d in enumerate(degs):
+        term = term * _limit_factor(ctx, arrangement.divisors[i].cls(X), d, d)
+    return term * unit
+
+
+def i_infinity_nonextended(
+    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+) -> GradedSeries:
+    """Large-order limit of the non-extended series: the sum of
+    :func:`infinity_slice` over beta up to the cap."""
     _validated(X, arrangement, None)
     ctx = X.context(arrangement.n, cap)
-    parts = []
-    for beta in enumerate_curve_classes(X, cap):
-        degs = arrangement.degrees(beta)
-        sector = tuple(-d for d in degs)
-        unit = _sector_unit(ctx, X, arrangement, sector)
-        if unit is None:
-            continue
-        term = base_j_function(X, beta, ctx)
-        for i, d in enumerate(degs):
-            term = term * _limit_factor(ctx, arrangement.divisors[i].cls(X), d, d)
-        parts.append(term * unit)
-    return series_sum(ctx, parts)
+    betas = enumerate_curve_classes(X, cap)
+    return series_sum(ctx, [infinity_slice(X, arrangement, b, ctx) for b in betas])
 
 
 def i_infinity_extended(
@@ -461,81 +479,73 @@ def i_infinity_extended(
     return _extended_terms(X, arrangement, ctx, m, cap, None)
 
 
-def _partitions_with_parts(total: int, max_part: int) -> Iterator[dict[int, int]]:
-    """Multiplicity vectors {part: count} with sum(part * count) == total."""
+def _tilings(i: int, d: int, m: int) -> list[tuple[tuple, int, Fraction]]:
+    """(xexp, total, weight) of each contact monomial prod_j x_{ij}^{e_j} of
+    divisor i with sum_j j e_j = d and every j <= m, where total is sum_j e_j
+    and weight is 1 / prod_j e_j!."""
+    out = []
 
-    def rec(remaining: int, part: int, acc: dict) -> Iterator[dict]:
+    def rec(remaining: int, j: int, xexp: tuple, total: int, weight: Fraction):
         if remaining == 0:
-            yield dict(acc)
+            out.append((xexp, total, weight))
             return
-        if part == 0:
+        if j == 0:
             return
-        for count in range(remaining // part + 1):
-            if count:
-                acc[part] = count
-            yield from rec(remaining - part * count, part - 1, acc)
-            acc.pop(part, None)
+        for e in range(remaining // j + 1):
+            with_e = ((i, j, e),) + xexp if e else xexp
+            rec(remaining - j * e, j - 1, with_e, total + e, weight / factorial(e))
 
-    yield from rec(total, max_part, {})
+    rec(d, m, (), 0, Fraction(1))
+    return out
 
 
-def i_infinity_extended_h0(
+def h0_slice(
     X: TargetSpace,
     arrangement: DivisorArrangement,
     m: int,
-    cap: int,
+    beta: tuple[int, ...],
+    ctx: SeriesContext,
 ) -> GradedSeries:
-    """Untwisted part of the extended limit series.
+    """Class-beta terms of the untwisted extended limit series.
 
     Contact orders of each term must tile the intersection numbers exactly
     (sum_j j k_{ij} = d_i), so the sum is finite without a z floor and every
-    divisor contributes its full ascending product up to d_i.  The bound m
-    must reach the largest intersection number in the cap, otherwise the
-    maximal-tangency directions would be silently missing.
+    divisor contributes its full ascending product up to d_i.  Each tiling k
+    moves every term of the target slice times those products to z-power
+    zpow - |k|, with contact monomial x^k and weight 1 / prod k!.  Raises
+    ExtendedDataTooSmall when m misses an intersection number, since the
+    maximal-tangency directions would otherwise be silently missing.
     """
+    degs = arrangement.degrees(beta)
+    if max(degs, default=0) > m:
+        raise ExtendedDataTooSmall(
+            f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
+        )
+    hyper = GradedSeries.one(ctx)
+    for i, d in enumerate(degs):
+        hyper = hyper * ascending_product(ctx, arrangement.divisors[i].cls(X), 1, d)
+    base = (base_j_function(X, beta, ctx) * hyper).terms.items()
+    out: dict[TermKey, Fraction] = {}
+    for tiling in product(*(_tilings(i, d, m) for i, d in enumerate(degs))):
+        xexp = sum((t[0] for t in tiling), ())
+        total = sum(t[1] for t in tiling)
+        weight = prod((t[2] for t in tiling), start=Fraction(1))
+        for key, c in base:
+            out[key._replace(zpow=key.zpow - total, xexp=xexp)] = c * weight
+    return GradedSeries(ctx, out)
+
+
+def i_infinity_extended_h0(
+    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
+) -> GradedSeries:
+    """Untwisted part of the extended limit series: the sum of :func:`h0_slice`
+    over beta up to the cap, so m must reach every intersection number."""
     _validated(X, arrangement, None)
     if m < 1:
         raise ConfigurationError("at least one contact order is required")
     ctx = X.context(arrangement.n, cap)
-    parts = []
-    for beta in enumerate_curve_classes(X, cap):
-        degs = arrangement.degrees(beta)
-        if max(degs, default=0) > m:
-            raise ExtendedDataTooSmall(
-                f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
-            )
-        j_slice = base_j_function(X, beta, ctx)
-        hyper = GradedSeries.one(ctx)
-        for i, d in enumerate(degs):
-            hyper = hyper * ascending_product(
-                ctx, arrangement.divisors[i].cls(X), 1, d
-            )
-        base = j_slice * hyper
-        per_divisor = [list(_partitions_with_parts(d, m)) for d in degs]
-
-        def spread(i: int, kacc: dict, weight: Fraction, total: int) -> None:
-            if i == arrangement.n:
-                parts.append(
-                    GradedSeries.term(
-                        ctx, weight, zpow=-total, xexp=xexp_from_dict(kacc)
-                    )
-                    * base
-                )
-                return
-            for partition in per_divisor[i]:
-                w = weight
-                t = total
-                for j, e in partition.items():
-                    kacc[(i, j)] = e
-                    t += e
-                    for s in range(1, e + 1):
-                        w /= s
-                spread(i + 1, kacc, w, t)
-                for j in partition:
-                    kacc.pop((i, j), None)
-
-        spread(0, {}, Fraction(1), 0)
-    return series_sum(ctx, parts)
+    betas = enumerate_curve_classes(X, cap)
+    return series_sum(ctx, [h0_slice(X, arrangement, m, b, ctx) for b in betas])
 
 
 # ---------------------------------------------------------------------------
@@ -543,57 +553,75 @@ def i_infinity_extended_h0(
 # ---------------------------------------------------------------------------
 
 
-def i_relative_smooth(
-    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+def relative_slice(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    beta: tuple[int, ...],
+    ctx: SeriesContext,
 ) -> GradedSeries:
-    """Relative-pair series for a single smooth divisor.
+    """Class-beta terms of the relative-pair series of the single divisor.
 
     Weight prod_{0<a<=d-1}(D + a z) in sector (-d); built from its own
     displayed formula rather than as the n = 1 specialization of the limit
     series, so agreement of the two is a real check.
     """
+    divisor = arrangement.divisors[0]
+    d = divisor.degree(beta)
+    unit = _sector_unit(ctx, X, arrangement, (-d,))
+    if unit is None:
+        return GradedSeries.zero(ctx)
+    term = base_j_function(X, beta, ctx) * ascending_product(
+        ctx, divisor.cls(X), 1, d - 1
+    )
+    return term * unit
+
+
+def i_relative_smooth(
+    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+) -> GradedSeries:
+    """Relative-pair series for a single smooth divisor: the sum of
+    :func:`relative_slice` over beta up to the cap."""
     _validated(X, arrangement, None)
     if arrangement.n != 1:
         raise ConfigurationError("relative series needs exactly one divisor")
     ctx = X.context(1, cap)
-    divisor = arrangement.divisors[0]
-    parts = []
-    for beta in enumerate_curve_classes(X, cap):
-        d = divisor.degree(beta)
-        unit = _sector_unit(ctx, X, arrangement, (-d,))
-        if unit is None:
-            continue
-        term = base_j_function(X, beta, ctx) * ascending_product(
-            ctx, divisor.cls(X), 1, d - 1
-        )
-        parts.append(term * unit)
-    return series_sum(ctx, parts)
+    betas = enumerate_curve_classes(X, cap)
+    return series_sum(ctx, [relative_slice(X, arrangement, b, ctx) for b in betas])
 
 
-def i_local(
-    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+def local_slice(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    beta: tuple[int, ...],
+    ctx: SeriesContext,
 ) -> GradedSeries:
-    """Equivariant series of the sum of dual line bundles of the divisors.
+    """Class-beta terms of the equivariant series of the sum of dual line
+    bundles of the divisors.
 
     Weight per divisor: prod_{0<=a<d_i}(-D_i + lam_i - a z), the equivariant
     parameters carried symbolically.  No sectors appear; states live on the
     target itself.
     """
+    term = base_j_function(X, beta, ctx)
+    for i, d in enumerate(arrangement.degrees(beta)):
+        cls = arrangement.divisors[i].cls(X)
+        lam = tuple(1 if t == i else 0 for t in range(arrangement.n))
+        for a in range(d):
+            factor = (
+                GradedSeries.from_class(ctx, -cls)
+                + GradedSeries.term(ctx, 1, lam=lam)
+                + GradedSeries.term(ctx, -a, zpow=1)
+            )
+            term = term * factor
+    return term
+
+
+def i_local(
+    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+) -> GradedSeries:
+    """Equivariant local series: the sum of :func:`local_slice` over beta up
+    to the cap."""
     _validated(X, arrangement, None)
     ctx = X.context(arrangement.n, cap)
-    parts = []
-    for beta in enumerate_curve_classes(X, cap):
-        term = base_j_function(X, beta, ctx)
-        for i, d in enumerate(arrangement.degrees(beta)):
-            cls = arrangement.divisors[i].cls(X)
-            for a in range(d):
-                factor = (
-                    GradedSeries.from_class(ctx, -cls)
-                    + GradedSeries.term(ctx, 1, lam=tuple(
-                        1 if t == i else 0 for t in range(arrangement.n)
-                    ))
-                    + GradedSeries.term(ctx, -a, zpow=1)
-                )
-                term = term * factor
-        parts.append(term)
-    return series_sum(ctx, parts)
+    betas = enumerate_curve_classes(X, cap)
+    return series_sum(ctx, [local_slice(X, arrangement, b, ctx) for b in betas])

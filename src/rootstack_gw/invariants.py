@@ -21,8 +21,8 @@ from math import factorial, prod
 from .algebra import CohClass, ContractError, GradedSeries, TermKey
 from .ifunctions import (
     i_infinity_extended_h0,
-    i_infinity_nonextended,
-    i_root_nonextended,
+    infinity_slice,
+    root_slice,
 )
 from .targets import (
     ConfigurationError,
@@ -323,13 +323,17 @@ def stabilization_check(
 ) -> StabilizationReport:
     """Bit-exact large-order stabilization over every class in the cap.
 
-    Requires each supplied order vector to be pairwise coprime and to exceed
-    every relevant intersection number, so that each divisor's fractional
-    ladder is the single step that carries the whole order dependence.
+    Builds each class's limit slice once and, per order vector, each class's
+    finite-order slice, all at the given cap.  Requires each supplied order
+    vector to be pairwise coprime and to exceed every relevant intersection
+    number, so that each divisor's fractional ladder is the single step that
+    carries the whole order dependence.
     """
     betas = enumerate_curve_classes(X, cap)
     max_degs = arrangement.max_degrees(X, cap)
-    limit = i_infinity_nonextended(X, arrangement, cap)
+    arrangement.validate_on(X)
+    limit_ctx = X.context(arrangement.n, cap)
+    limits = [infinity_slice(X, arrangement, b, limit_ctx) for b in betas]
     cases = []
     for roots in roots_list:
         try:
@@ -341,12 +345,10 @@ def stabilization_check(
                 raise ContractError(
                     f"order {r} must exceed the largest intersection number {dmax}"
                 )
-        finite = i_root_nonextended(X, arrangement, roots, cap)
-        for beta in betas:
-            rescaled = rescale_to_limit(
-                finite.beta_slice(beta), X, arrangement, beta, limit.ctx
-            )
-            expected = limit.beta_slice(beta)
+        ctx = X.context(arrangement.n, cap, roots=roots.orders)
+        for beta, expected in zip(betas, limits):
+            finite = root_slice(X, arrangement, beta, ctx)
+            rescaled = rescale_to_limit(finite, X, arrangement, beta, limit_ctx)
             cases.append(
                 StabilizationCase(
                     roots=roots.orders,

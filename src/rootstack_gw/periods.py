@@ -208,6 +208,15 @@ def compare_periods(
 # ---------------------------------------------------------------------------
 
 
+# Laurent polynomial text is read as tokens: an integer ("n" in the shape
+# string), a variable with its optional exponent ("v"), or one symbol.
+_LAURENT_TOKEN = re.compile(
+    r"\s*(?:(\d+)|([a-zA-Z]\w*)(?:\s*\^\s*(-?)\s*(\d+))?|(\S))"
+)
+_LAURENT_TERM = r"[nv](?:\*[nv]|/(?:[nv]|\([nv](?:\*[nv])*\)))*"
+_LAURENT_SHAPE = re.compile(rf"[+-]?{_LAURENT_TERM}(?:[+-]{_LAURENT_TERM})*")
+
+
 @dataclass(frozen=True)
 class LaurentPolynomial:
     """Finitely supported map from integer exponent vectors to rationals."""
@@ -227,22 +236,35 @@ class LaurentPolynomial:
     @staticmethod
     def parse(text: str) -> LaurentPolynomial:
         """Parse sums of monomial terms like ``x + y + 1/(x*y)`` or
-        ``2*x^2*y^-1 - 3/2``."""
-        stripped = text.replace(" ", "")
-        if not stripped:
-            raise ValueError("empty Laurent polynomial")
-        # protect exponent signs from the top-level term split
-        stripped = stripped.replace("^-", "^~")
-        pieces = re.findall(r"[+-]?[^+-]+", stripped)
+        ``2*x^2*y^-1 - 3/2``.
+
+        Terms are joined by ``+`` or ``-``, the first one optionally signed.
+        A term is factors joined by ``*`` or ``/``, read left to right; a
+        factor is an integer or a variable with an optional exponent ``^int``
+        or ``^-int``, and a divisor may also be a parenthesized product of
+        factors.  Anything else raises ValueError.
+        """
+        tokens = _LAURENT_TOKEN.findall(text)
+        shape = "".join("n" if t[0] else "v" if t[1] else t[4] for t in tokens)
+        if not _LAURENT_SHAPE.fullmatch(shape):
+            raise ValueError(f"cannot parse Laurent polynomial {text!r}")
         raw: list[tuple[Fraction, dict[str, int]]] = []
-        names: list[str] = []
-        for piece in pieces:
-            coeff, exps = _parse_laurent_term(piece)
-            for name in exps:
-                if name not in names:
-                    names.append(name)
-            raw.append((coeff, exps))
-        names.sort()
+        orientation, group = 1, False
+        for number, name, minus, power, symbol in tokens:
+            if symbol in ("+", "-") or not raw:
+                raw.append((Fraction(-1 if symbol == "-" else 1), {}))
+            coeff, exps = raw[-1]
+            if symbol:
+                group = symbol == "(" or (group and symbol != ")")
+                orientation = -1 if symbol == "/" or group else 1
+            elif number:
+                if orientation < 0 and not int(number):
+                    raise ValueError(f"division by zero in {text!r}")
+                raw[-1] = (coeff * Fraction(int(number)) ** orientation, exps)
+            else:
+                exponent = int(minus + (power or "1"))
+                exps[name] = exps.get(name, 0) + orientation * exponent
+        names = sorted({name for _, exps in raw for name in exps})
         data: dict[tuple[int, ...], Fraction] = {}
         for coeff, exps in raw:
             key = tuple(exps.get(name, 0) for name in names)
@@ -266,51 +288,6 @@ class LaurentPolynomial:
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, Fraction(0)) + ca * cb
         return LaurentPolynomial.from_dict(self.variables, out)
-
-
-def _parse_laurent_term(piece: str) -> tuple[Fraction, dict[str, int]]:
-    sign = Fraction(1)
-    if piece.startswith("+"):
-        piece = piece[1:]
-    elif piece.startswith("-"):
-        sign = Fraction(-1)
-        piece = piece[1:]
-    coeff = sign
-    exps: dict[str, int] = {}
-
-    def absorb(mono_text: str, orientation: int) -> None:
-        for name, power in _parse_monomial(mono_text):
-            exps[name] = exps.get(name, 0) + orientation * power
-
-    recip = re.search(r"/\(([^)]*)\)", piece)
-    if recip:
-        absorb(recip.group(1), -1)
-        piece = piece[: recip.start()] + piece[recip.end():]
-    for token in filter(None, piece.split("*")):
-        if "/" in token:
-            left, right = token.split("/", 1)
-            if right and right[0].isalpha():
-                # numeric/monomial shorthand, e.g. 1/x or 3/x^2
-                coeff *= Fraction(left) if left else Fraction(1)
-                absorb(right, -1)
-                continue
-            coeff *= Fraction(token)
-            continue
-        if re.fullmatch(r"\d+", token):
-            coeff *= Fraction(token)
-            continue
-        absorb(token, +1)
-    return coeff, exps
-
-
-def _parse_monomial(text: str) -> list[tuple[str, int]]:
-    text = text.replace("~", "-")
-    out = []
-    for match in re.finditer(r"([a-zA-Z]\w*)(?:\^(-?\d+))?", text):
-        out.append((match.group(1), int(match.group(2) or 1)))
-    if not out and text not in {"", "1"}:
-        raise ValueError(f"cannot parse monomial {text!r}")
-    return out
 
 
 def laurent_classical_period(f: LaurentPolynomial, cap: int) -> PeriodSequence:

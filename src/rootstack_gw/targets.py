@@ -220,7 +220,9 @@ def check_coprime(orders: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded so a long run cannot grow it without limit; the largest benchmark
+# job (stabilization on the quadric at cap 12) holds 112 entries.
+@functools.lru_cache(maxsize=1024)
 def _j_slice_cached(
     X: TargetSpace, beta: tuple[int, ...], ctx: SeriesContext
 ) -> GradedSeries:

@@ -231,6 +231,23 @@ class TestCommands:
         assert run(args) == 1
         assert "cap: cap must lie in 1..64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ifunction", "stabilize"])
+    def test_roots_spec_must_be_integers(self, plane_config, capsys, command):
+        args = ["--command", command, "--roots", "7,x", "--cap", "3"]
+        assert run(["--config", plane_config, *args]) == 1
+        err = capsys.readouterr().err
+        assert "roots: expected integers" in err and "'7,x'" in err
+
+    def test_stabilize_roots_go_through_config_checks(self, plane_config, capsys):
+        args = ["--command", "stabilize", "--roots", "7,11", "--roots", "2,4"]
+        assert run(["--config", plane_config, *args]) == 1
+        assert "roots: roots must be pairwise coprime" in capsys.readouterr().err
+
+    def test_malformed_laurent_exits_one(self, capsys):
+        args = ["--command", "laurent-period", "--laurent", "2x+1/x", "--cap", "2"]
+        assert run(args) == 1
+        assert "cannot parse Laurent polynomial '2x+1/x'" in capsys.readouterr().err
+
     def test_relative_extended_h0_needs_one_divisor(self, plane_config, capsys):
         args = ["--command", "ifunction", "--series", "relative-extended-h0"]
         assert run(["--config", plane_config, *args, "--cap", "3"]) == 1
@@ -248,9 +265,9 @@ class TestCommands:
 
 
 class TestRecords:
-    def test_fibre_identity_uses_cap_wide_contact_bound(self, tmp_path, capsys):
-        # beta (1,1) meets the fibre once, but beta (0,2) in the same cap
-        # needs tangency 2, so the extended check must build h0 with m = 2
+    def test_fibre_identity_records(self, tmp_path, capsys):
+        # beta (1,1) meets the fibre once and beta (0,2) twice; each extended
+        # check builds h0 for its own class only, with m its own tangency
         config = write_job(tmp_path, FIBRE_JOB)
         args = ["--command", "check-identity", "--format", "records"]
         assert run(["--config", config, *args]) == 0

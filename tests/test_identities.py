@@ -5,18 +5,23 @@ from fractions import Fraction as F
 import pytest
 
 from rootstack_gw import (
+    ConfigurationError,
     Divisor,
     DivisorArrangement,
     RefusedIdentityError,
+    RootData,
     check_local_orbifold_extended,
     check_local_orbifold_nonextended,
     check_local_relative_smooth,
     divisor_derivative,
+    i_infinity_nonextended,
     i_local,
     pushforward_iota,
+    stabilization_check,
 )
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.identities import local_point_invariant, parity_sign
+from rootstack_gw.targets import _j_slice_cached
 
 
 class TestPushforward:
@@ -207,6 +212,14 @@ class TestLocalPointValues:
             loc = local_point_invariant(p2, line_conic, (d,))
             assert orb == (-1) ** d * 2 * d * d * loc
 
+    def test_class_missing_a_divisor_refused(self, p1p1):
+        # no step-zero normal weight to divide out; this used to surface as
+        # an internal DivisibilityError
+        fibre = DivisorArrangement((Divisor("F", (0, 1)),))
+        for beta in ((0, 0), (1, 0)):
+            with pytest.raises(RefusedIdentityError, match="must meet"):
+                local_point_invariant(p1p1, fibre, beta)
+
     def test_quadric_relation(self, p1p1, two_diagonals):
         from rootstack_gw import n_orb
 
@@ -214,3 +227,34 @@ class TestLocalPointValues:
         loc = local_point_invariant(p1p1, two_diagonals, (1, 1))
         assert loc == 1 and orb == 4
         assert orb == (1 + 1) ** 2 * loc
+
+
+class TestOneClassAtATime:
+    def test_nonextended_check_builds_only_its_class(self, p1p1, two_diagonals):
+        _j_slice_cached.cache_clear()
+        report = check_local_orbifold_nonextended(p1p1, two_diagonals, (2, 1))
+        assert report.ok
+        # both sides share the one target slice of beta (2,1) at cap 6
+        assert _j_slice_cached.cache_info().currsize == 1
+
+    def test_sides_match_the_capped_series(self, p1p1, two_diagonals):
+        report = check_local_orbifold_nonextended(p1p1, two_diagonals, (2, 1))
+        capped = i_infinity_nonextended(p1p1, two_diagonals, 6).beta_slice((2, 1))
+        assert report.left == pushforward_iota(capped, p1p1, two_diagonals)
+        assert report.left.ctx == report.right.ctx == p1p1.context(2, 6)
+
+    def test_every_entry_point_validates(self, p1p1):
+        # (2,-1) is not nef, yet meets (1,1) positively and the two classes
+        # still intersect, so only the arrangement check can refuse it
+        bad = DivisorArrangement((Divisor("D", (1, 1)), Divisor("E", (2, -1))))
+        single = DivisorArrangement((Divisor("E", (2, -1)),))
+        calls = [
+            lambda: check_local_orbifold_nonextended(p1p1, bad, (1, 1)),
+            lambda: check_local_orbifold_extended(p1p1, bad, (1, 1)),
+            lambda: check_local_relative_smooth(p1p1, single, (1, 1)),
+            lambda: local_point_invariant(p1p1, bad, (1, 1)),
+            lambda: stabilization_check(p1p1, bad, [RootData((5, 7))], 4),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="not nef"):
+                call()

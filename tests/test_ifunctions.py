@@ -18,7 +18,14 @@ from rootstack_gw import (
     i_root_extended,
     i_root_nonextended,
 )
-from rootstack_gw.ifunctions import ConfigurationError, ExtendedDataTooSmall
+from rootstack_gw.algebra import GradedSeries
+from rootstack_gw.ifunctions import (
+    ConfigurationError,
+    ExtendedDataTooSmall,
+    h0_slice,
+    infinity_slice,
+    root_slice,
+)
 
 from oracle import extended_series
 
@@ -232,6 +239,22 @@ class TestInfinityExtended:
         h0 = i_infinity_extended_h0(p2, line_conic, 4, 6)
         ((key, c),) = h0.beta_slice((0,)).ordered_terms()
         assert key.zpow == 1 and c == 1 and not key.xexp
+
+
+class TestSlices:
+    def test_empty_support_slice_is_zero(self, p2):
+        three = DivisorArrangement(tuple(Divisor(f"L{i}", (1,)) for i in range(3)))
+        ctx = p2.context(3, 3)
+        assert infinity_slice(p2, three, (1,), ctx) == GradedSeries.zero(ctx)
+        finite = p2.context(3, 3, roots=(2, 3, 5))
+        assert root_slice(p2, three, (1,), finite) == GradedSeries.zero(finite)
+
+    def test_h0_slice_checks_only_its_own_class(self, p2, line_conic):
+        ctx = p2.context(2, 6)
+        with pytest.raises(ExtendedDataTooSmall, match=r"beta=\(2,\)"):
+            h0_slice(p2, line_conic, 3, (2,), ctx)
+        capped = i_infinity_extended_h0(p2, line_conic, 2, 3).beta_slice((1,))
+        assert h0_slice(p2, line_conic, 2, (1,), ctx) == capped.in_context(ctx)
 
 
 class TestExtendedEdges:

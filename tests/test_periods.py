@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import (
     binomial_constant_term,
@@ -154,6 +156,65 @@ class TestLaurent:
     def test_parser_reciprocal_monomial(self):
         f = LaurentPolynomial.parse("1/(x*y^2)")
         assert dict(f.terms) == {(-1, -2): F(1)}
+
+
+class TestLaurentParser:
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("x+y+1/(x*y)", {(-1, -1): F(1), (0, 1): F(1), (1, 0): F(1)}),
+            ("x+1/x+y+1/y", {(-1, 0): 1, (0, -1): 1, (0, 1): 1, (1, 0): 1}),
+            ("2*x^2*y^-1 - 3/2", {(0, 0): F(-3, 2), (2, -1): F(2)}),
+            ("1/x^2", {(-2,): F(1)}),
+            ("2/x", {(-1,): F(2)}),
+        ],
+    )
+    def test_accepted_forms(self, text, terms):
+        assert dict(LaurentPolynomial.parse(text).terms) == terms
+
+    def test_divisor_group_keeps_its_integers(self):
+        # the integer inside the parentheses used to be dropped silently
+        assert dict(LaurentPolynomial.parse("1/(2*x)").terms) == {(-1,): F(1, 2)}
+
+    @pytest.mark.parametrize(
+        "text", ["2x+1/x", "x**2", "x^1.5", "x^", "x--y", "x y", "", "(x*y)", "x^+1"]
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError, match="cannot parse"):
+            LaurentPolynomial.parse(text)
+
+    def test_division_by_zero_rejected(self):
+        with pytest.raises(ValueError, match="division by zero"):
+            LaurentPolynomial.parse("x + 1/0")
+
+
+def _render(f: LaurentPolynomial) -> str:
+    """Canonical text of f: every variable written in every term, exponent
+    1 and coefficient 1 left implicit."""
+    text = ""
+    for exps, c in f.terms:
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(f.variables, exps)]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += sign + "*".join(factors)
+    return text
+
+
+@st.composite
+def laurent_polynomials(draw) -> LaurentPolynomial:
+    variables = st.sampled_from(["a", "x", "y", "z2"])
+    names = sorted(draw(st.lists(variables, max_size=3, unique=True)))
+    exponents = st.tuples(*[st.integers(-4, 4) for _ in names])
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    data = draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=5))
+    return LaurentPolynomial.from_dict(tuple(names), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polynomials())
+def test_parse_round_trips_canonical_rendering(f):
+    assert LaurentPolynomial.parse(_render(f)) == f
 
 
 def test_quadric_laurent_matches_regularized(p1p1, two_diagonals):

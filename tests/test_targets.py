@@ -16,6 +16,7 @@ from rootstack_gw import (
     enumerate_curve_classes,
     pairing,
 )
+from rootstack_gw.targets import _j_slice_cached
 
 
 class TestCurveClasses:
@@ -99,6 +100,16 @@ class TestBaseJ:
             beta=(1, 1), zpow=-3, mono=(0, 0), sector=(), lam=()
         ).scalar()
         assert got == 1
+
+    def test_cached_slice_is_read_only(self, p2):
+        j = base_j_function(p2, (1,))
+        key, value = next(iter(j.terms.items()))
+        with pytest.raises(TypeError):
+            j.terms[key] = value + 1
+        assert base_j_function(p2, (1,)).terms[key] == value
+
+    def test_slice_cache_is_bounded(self):
+        assert _j_slice_cached.cache_info().maxsize == 1024
 
 
 class TestHypotheses:
