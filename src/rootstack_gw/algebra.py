@@ -17,12 +17,21 @@ degree) and an optional lowest retained z-power.  Two series combine only
 when their contexts agree, and structural equality of the stored maps is
 mathematical equality within the truncation because zero coefficients are
 never stored.
+
+Keys are validated where a series is built from outside data, at the public
+constructors (``GradedSeries(ctx, terms)``, ``term``, ``one``, ``z_power``,
+``zero``, ``from_class``, ``in_context``), and nowhere else.  Ring
+operations only combine keys that are already valid, so their results skip
+the checks; an operation that can move a key across the truncation (a
+product, a z shift, a coefficient extraction) still applies the cap and
+the floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, gt, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -249,7 +258,7 @@ class SeriesContext:
     roots: tuple[int, ...] | None = None
 
     def beta_degree(self, beta: tuple[int, ...]) -> int:
-        return sum(w * b for w, b in zip(self.beta_weights, beta))
+        return sum(map(mul, self.beta_weights, beta))
 
     def keeps(self, key: TermKey) -> bool:
         """Truncation test: dropped keys are never an error, just absent."""
@@ -292,6 +301,10 @@ class GradedSeries:
     target slice) cannot be changed by any holder.  All operations are pure;
     results never store zero coefficients, so two series are equal exactly
     when their stored maps agree.
+
+    The public constructors check every key against the context and drop
+    the keys it truncates; ring operations build their results through
+    :meth:`_trusted`, which checks nothing.
     """
 
     __slots__ = ("ctx", "terms")
@@ -307,6 +320,18 @@ class GradedSeries:
                 clean[key] = c
         self.ctx = ctx
         self.terms = MappingProxyType(clean)
+
+    @classmethod
+    def _trusted(
+        cls, ctx: SeriesContext, terms: dict[TermKey, Fraction]
+    ) -> GradedSeries:
+        """Wrap ``terms`` as is.  Every key must already be valid for ``ctx``
+        and kept by it, and every coefficient a nonzero Fraction; the dict
+        must not be used by the caller afterwards."""
+        out = object.__new__(cls)
+        out.ctx = ctx
+        out.terms = MappingProxyType(terms)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -351,7 +376,12 @@ class GradedSeries:
         if value.ring != ctx.ring:
             raise ContractError("class ring differs from series ring")
         base = ctx.zero_key()
-        return cls(ctx, {base._replace(mono=m): c for m, c in value.coeffs.items()})
+        if not ctx.keeps(base):
+            return cls._trusted(ctx, {})
+        # CohClass already holds only in-ring monomials with nonzero Fractions
+        return cls._trusted(
+            ctx, {base._replace(mono=m): c for m, c in value.coeffs.items()}
+        )
 
     # -- basic structure ----------------------------------------------------
 
@@ -406,16 +436,19 @@ class GradedSeries:
             or ctx.beta_weights != self.ctx.beta_weights
         ):
             raise ContractError("contexts disagree on ring shape")
-        return GradedSeries(ctx, self.terms)
+        # same ring shape, so every key stays valid; only the truncation moves
+        keeps = ctx.keeps
+        return GradedSeries._trusted(
+            ctx, {k: c for k, c in self.terms.items() if keeps(k)}
+        )
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: GradedSeries) -> GradedSeries:
         self._require_same_ctx(other)
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return GradedSeries(self.ctx, out)
+        _accumulate(out, other.terms.items())
+        return GradedSeries._trusted(self.ctx, _nonzero(out))
 
     def __neg__(self) -> GradedSeries:
         return self.scale(-1)
@@ -426,36 +459,54 @@ class GradedSeries:
     def scale(self, q: Fraction | int) -> GradedSeries:
         q = rat(q)
         if not q:
-            return GradedSeries.zero(self.ctx)
-        return GradedSeries(self.ctx, {k: c * q for k, c in self.terms.items()})
+            return GradedSeries._trusted(self.ctx, {})
+        return GradedSeries._trusted(
+            self.ctx, {k: c * q for k, c in self.terms.items()}
+        )
+
+    def _mul_operand(self) -> list[tuple[TermKey, Fraction, bool, int]]:
+        """(key, coefficient, twisted?, anticanonical degree) of each term."""
+        degree = self.ctx.beta_degree
+        return [(k, c, any(k.sector), degree(k.beta)) for k, c in self.terms.items()]
 
     def __mul__(self, other: GradedSeries | Fraction | int) -> GradedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_ctx(other)
-        ring = self.ctx.ring
+        ctx = self.ctx
+        left, right = self._mul_operand(), other._mul_operand()
+        if any(t[2] for t in left) and any(t[2] for t in right):
+            raise ContractError(
+                "product of two twisted-sector terms is outside this engine"
+            )
+        caps = ctx.ring.caps
+        cap = ctx.beta_cap
+        floor = ctx.z_floor
         out: dict[TermKey, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                if any(ka.sector) and any(kb.sector):
-                    raise ContractError(
-                        "product of two twisted-sector terms is outside this engine"
-                    )
-                mono = ring.mul_mono(ka.mono, kb.mono)
-                if mono is None:
+        get = out.get
+        for ka, ca, twisted, da in left:
+            beta_a, zpow_a, xexp_a, sector_a, mono_a, lam_a = ka
+            for kb, cb, _, db in right:
+                if cap is not None and da + db > cap:
+                    continue
+                beta_b, zpow_b, xexp_b, sector_b, mono_b, lam_b = kb
+                zpow = zpow_a + zpow_b
+                if floor is not None and zpow < floor:
+                    continue
+                mono = tuple(map(add, mono_a, mono_b))
+                if any(map(gt, mono, caps)):
                     continue
                 key = TermKey(
-                    beta=tuple(a + b for a, b in zip(ka.beta, kb.beta)),
-                    zpow=ka.zpow + kb.zpow,
-                    xexp=merge_xexp(ka.xexp, kb.xexp),
-                    sector=ka.sector if any(ka.sector) else kb.sector,
-                    mono=mono,
-                    lam=tuple(a + b for a, b in zip(ka.lam, kb.lam)),
+                    tuple(map(add, beta_a, beta_b)),
+                    zpow,
+                    merge_xexp(xexp_a, xexp_b),
+                    sector_a if twisted else sector_b,
+                    mono,
+                    tuple(map(add, lam_a, lam_b)),
                 )
-                if not self.ctx.keeps(key):
-                    continue
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GradedSeries(self.ctx, out)
+                c = get(key)
+                out[key] = ca * cb if c is None else c + ca * cb
+        return GradedSeries._trusted(ctx, _nonzero(out))
 
     __rmul__ = __mul__
 
@@ -465,12 +516,13 @@ class GradedSeries:
         return self * GradedSeries.from_class(self.ctx, value)
 
     def shift_z(self, p: int) -> GradedSeries:
+        floor = self.ctx.z_floor
         out = {}
         for key, c in self.terms.items():
-            key = key._replace(zpow=key.zpow + p)
-            if self.ctx.keeps(key):
-                out[key] = c
-        return GradedSeries(self.ctx, out)
+            zpow = key.zpow + p
+            if floor is None or zpow >= floor:
+                out[key._replace(zpow=zpow)] = c
+        return GradedSeries._trusted(self.ctx, out)
 
     # -- selection ----------------------------------------------------------
 
@@ -512,12 +564,15 @@ class GradedSeries:
                 lam=base.lam if lam is not _UNSET else key.lam,
             )
             out[new] = out.get(new, Fraction(0)) + c
-        return GradedSeries(self.ctx, out)
+        keeps = self.ctx.keeps
+        return GradedSeries._trusted(
+            self.ctx, {k: c for k, c in out.items() if c and keeps(k)}
+        )
 
     def beta_slice(self, beta: tuple[int, ...]) -> GradedSeries:
         """Terms of one curve class, with the class kept in the keys."""
         beta = tuple(beta)
-        return GradedSeries(
+        return GradedSeries._trusted(
             self.ctx, {k: c for k, c in self.terms.items() if k.beta == beta}
         )
 
@@ -542,11 +597,11 @@ class GradedSeries:
             lam = list(key.lam)
             lam[index] = 0
             out[key._replace(lam=tuple(lam))] = c
-        return GradedSeries(self.ctx, out)
+        return GradedSeries._trusted(self.ctx, out)
 
     def without_lambda(self) -> GradedSeries:
         """Drop every key carrying an equivariant parameter (set all lam_i = 0)."""
-        return GradedSeries(
+        return GradedSeries._trusted(
             self.ctx, {k: c for k, c in self.terms.items() if not any(k.lam)}
         )
 
@@ -560,14 +615,27 @@ class GradedSeries:
         return "GradedSeries(" + "; ".join(bits) + more + ")"
 
 
+def _accumulate(
+    acc: dict[TermKey, Fraction], items: Iterable[tuple[TermKey, Fraction]]
+) -> None:
+    """Add each (key, coefficient) into ``acc``; sums may reach zero."""
+    get = acc.get
+    for key, c in items:
+        s = get(key)
+        acc[key] = c if s is None else s + c
+
+
+def _nonzero(acc: dict[TermKey, Fraction]) -> dict[TermKey, Fraction]:
+    return {k: c for k, c in acc.items() if c}
+
+
 def series_sum(ctx: SeriesContext, parts: Iterable[GradedSeries]) -> GradedSeries:
     acc: dict[TermKey, Fraction] = {}
     for part in parts:
         if part.ctx != ctx:
             raise ContractError("series have different ring or truncation contexts")
-        for key, c in part.terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return GradedSeries(ctx, acc)
+        _accumulate(acc, part.terms.items())
+    return GradedSeries._trusted(ctx, _nonzero(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -590,17 +658,17 @@ def invert_z_linear(
     c = rat(zcoeff)
     if not c:
         raise NotInvertibleError("factor has no z part; only z-linear factors invert")
-    out = GradedSeries.zero(ctx)
+    out: dict[TermKey, Fraction] = {}
     power = CohClass.one(ctx.ring)
     sign = Fraction(1)
     k = 0
     while not power.is_zero:
         piece = GradedSeries.from_class(ctx, power.scale(sign / c ** (k + 1)))
-        out = out + piece.shift_z(-k - 1)
+        _accumulate(out, piece.shift_z(-k - 1).terms.items())
         power = power * cls
         sign = -sign
         k += 1
-    return out
+    return GradedSeries._trusted(ctx, _nonzero(out))
 
 
 def exact_divide_linear(num: GradedSeries, cls: CohClass, index: int) -> GradedSeries:
@@ -627,12 +695,12 @@ def exact_divide_linear(num: GradedSeries, cls: CohClass, index: int) -> GradedS
             f"series is not divisible by (lam_{index} + {cls!r}); "
             f"remainder has {len(remainder)} terms"
         )
-    out = GradedSeries.zero(num.ctx)
+    out: dict[TermKey, Fraction] = {}
     for k, q in enumerate(quotient):
-        acc = {}
+        shifted = []
         for key, c in q.terms.items():
             lam = list(key.lam)
             lam[index] += k
-            acc[key._replace(lam=tuple(lam))] = c
-        out = out + GradedSeries(num.ctx, acc)
-    return out
+            shifted.append((key._replace(lam=tuple(lam)), c))
+        _accumulate(out, shifted)
+    return GradedSeries._trusted(num.ctx, _nonzero(out))

@@ -395,10 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_job(args) -> JobConfig:
     if not args.config:
         raise ConfigError("missing --config PATH")
+    if not Path(args.config).is_file():
+        raise ConfigError(f"config: no such file {args.config!r}")
     job = parse_config(args.config)
     if args.cap is not None:
         job = replace(job, cap=check_cap(args.cap))
-    if args.roots and len(args.roots) == 1 and args.command != "stabilize":
+    if args.roots and args.command != "stabilize":
+        if len(args.roots) > 1:
+            raise ConfigError("roots: only stabilize takes more than one --roots")
         job = replace(job, roots=parse_roots(args.roots[0], job.arrangement))
     return job
 
@@ -430,7 +434,12 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as err:
+            reason = err.strerror or err
+            print(f"error: cannot write {args.out!r}: {reason}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return status

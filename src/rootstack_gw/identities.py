@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GradedSeries, SeriesContext, TermKey, exact_divide_linear
+from .algebra import (
+    GradedSeries,
+    SeriesContext,
+    TermKey,
+    exact_divide_linear,
+    series_sum,
+)
 from .ifunctions import (
     h0_slice,
     infinity_slice,
@@ -65,13 +71,14 @@ def pushforward_iota(
     if series.ctx.roots is not None:
         raise ConfigurationError("pushforward needs integer tangency labels")
     ctx = series.ctx
-    out = GradedSeries.zero(ctx)
+    untwisted = ctx.zero_key().sector
+    pieces = []
     for key, c in series.terms.items():
         support = tuple(i for i, s in enumerate(key.sector) if s)
         cls = arrangement.intersection_class(X, support)
-        piece = GradedSeries(ctx, {key._replace(sector=ctx.zero_key().sector): c})
-        out = out + piece.times_class(cls)
-    return out
+        piece = GradedSeries(ctx, {key._replace(sector=untwisted): c})
+        pieces.append(piece.times_class(cls))
+    return series_sum(ctx, pieces)
 
 
 def divisor_derivative(

@@ -394,7 +394,8 @@ def _extended_terms(
                     if zpow < floor:
                         break
                     out[key._replace(zpow=zpow, xexp=xexp)] = c * weight
-    return GradedSeries(out_ctx, out)
+    # body keys are valid in ctx and stop at the floor; weights are nonzero
+    return GradedSeries._trusted(out_ctx, out)
 
 
 def i_root_extended(
@@ -525,14 +526,17 @@ def h0_slice(
     for i, d in enumerate(degs):
         hyper = hyper * ascending_product(ctx, arrangement.divisors[i].cls(X), 1, d)
     base = (base_j_function(X, beta, ctx) * hyper).terms.items()
+    floor = ctx.z_floor
     out: dict[TermKey, Fraction] = {}
     for tiling in product(*(_tilings(i, d, m) for i, d in enumerate(degs))):
         xexp = sum((t[0] for t in tiling), ())
         total = sum(t[1] for t in tiling)
         weight = prod((t[2] for t in tiling), start=Fraction(1))
         for key, c in base:
-            out[key._replace(zpow=key.zpow - total, xexp=xexp)] = c * weight
-    return GradedSeries(ctx, out)
+            zpow = key.zpow - total
+            if floor is None or zpow >= floor:
+                out[key._replace(zpow=zpow, xexp=xexp)] = c * weight
+    return GradedSeries._trusted(ctx, out)
 
 
 def i_infinity_extended_h0(

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_series
 from rootstack_gw.algebra import (
@@ -14,8 +17,11 @@ from rootstack_gw.algebra import (
     GradedSeries,
     NotInvertibleError,
     SeriesContext,
+    TermKey,
     exact_divide_linear,
     invert_z_linear,
+    merge_xexp,
+    series_sum,
 )
 
 
@@ -103,6 +109,15 @@ class TestAddMul:
         u = GradedSeries.term(ctx, 1, sector=(1,))
         with pytest.raises(ContractError):
             u * u
+
+    def test_twisted_pair_behind_untwisted_terms_rejected(self):
+        ctx = plane_ctx(divisors=1)
+        plain = GradedSeries.term(ctx, 1)
+        mixed = plain + GradedSeries.term(ctx, 2, zpow=1, sector=(1,))
+        assert not any(next(iter(mixed.terms)).sector)
+        assert (mixed * plain) == (plain * mixed)
+        with pytest.raises(ContractError):
+            mixed * mixed
 
 
 class TestInversion:
@@ -291,3 +306,171 @@ def test_ring_axioms_randomized():
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+
+def _plane_key(ctx, **fields) -> TermKey:
+    return ctx.zero_key()._replace(**fields)
+
+
+class TestPublicConstructorsValidate:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mono": (3,)},
+            {"beta": (-1,)},
+            {"beta": (1, 0)},
+            {"sector": (0, 0)},
+            {"lam": (0, 0)},
+            {"lam": (-1,)},
+        ],
+    )
+    def test_bad_key_rejected(self, fields):
+        ctx = plane_ctx(divisors=1)
+        with pytest.raises(ContractError):
+            GradedSeries.term(ctx, 1, **fields)
+        with pytest.raises(ContractError):
+            GradedSeries(ctx, {_plane_key(ctx, **fields): F(1)})
+
+    def test_foreign_ring_class_rejected(self):
+        ctx = plane_ctx()
+        other = AmbientRing.for_product((1, 1))
+        with pytest.raises(ContractError):
+            GradedSeries.from_class(ctx, CohClass.one(other))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ring": AmbientRing.for_product((3,))},
+            {"divisors": 2},
+            {"beta_weights": (2,)},
+        ],
+    )
+    def test_in_context_across_ring_shapes_rejected(self, change):
+        ctx = plane_ctx(divisors=1)
+        s = GradedSeries.term(ctx, 1, zpow=1)
+        with pytest.raises(ContractError):
+            s.in_context(replace(ctx, **change))
+
+    def test_from_class_at_positive_floor_is_empty(self):
+        ctx = replace(plane_ctx(), z_floor=1)
+        assert GradedSeries.from_class(ctx, P(ctx)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# The ring operations against validated references
+# ---------------------------------------------------------------------------
+
+
+def reference_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
+    """Term-by-term product, every pair tested on its own, result validated
+    by the public constructor."""
+    ring = a.ctx.ring
+    out: dict[TermKey, F] = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            if any(ka.sector) and any(kb.sector):
+                raise ContractError("two twisted-sector terms")
+            mono = ring.mul_mono(ka.mono, kb.mono)
+            if mono is None:
+                continue
+            key = TermKey(
+                beta=tuple(x + y for x, y in zip(ka.beta, kb.beta)),
+                zpow=ka.zpow + kb.zpow,
+                xexp=merge_xexp(ka.xexp, kb.xexp),
+                sector=ka.sector if any(ka.sector) else kb.sector,
+                mono=mono,
+                lam=tuple(x + y for x, y in zip(ka.lam, kb.lam)),
+            )
+            if not a.ctx.keeps(key):
+                continue
+            out[key] = out.get(key, F(0)) + ca * cb
+    return GradedSeries(a.ctx, out)
+
+
+def reference_sum(ctx: SeriesContext, parts, signs=None) -> GradedSeries:
+    out: dict[TermKey, F] = {}
+    for part, sign in zip(parts, signs or [1] * len(parts)):
+        for key, c in part.terms.items():
+            out[key] = out.get(key, F(0)) + sign * c
+    return GradedSeries(ctx, out)
+
+
+def truncations():
+    return st.tuples(
+        st.one_of(st.none(), st.integers(0, 8)),
+        st.one_of(st.none(), st.integers(-4, 1)),
+    )
+
+
+@st.composite
+def contexts(draw) -> SeriesContext:
+    caps = draw(st.sampled_from([(2,), (1, 1)]))
+    cap, floor = draw(truncations())
+    return SeriesContext(
+        ring=AmbientRing.for_product(caps),
+        divisors=draw(st.integers(1, 2)),
+        beta_weights=tuple(c + 1 for c in caps),
+        beta_cap=cap,
+        z_floor=floor,
+    )
+
+
+@st.composite
+def series(draw, ctx: SeriesContext) -> GradedSeries:
+    n = ctx.divisors
+    small = st.integers(0, 2)
+    if draw(st.booleans()):
+        sector = st.tuples(*[st.integers(-2, 2)] * n)
+    else:
+        sector = st.just((0,) * n)
+    key = st.builds(
+        TermKey,
+        beta=st.tuples(*[small] * len(ctx.beta_weights)),
+        zpow=st.integers(-5, 3),
+        xexp=st.sampled_from([(), ((0, 1, 1),), ((0, 1, 2),), ((n - 1, 2, 1),)]),
+        sector=sector,
+        mono=st.tuples(*[st.integers(0, c) for c in ctx.ring.caps]),
+        lam=st.tuples(*[small] * n),
+    )
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return GradedSeries(ctx, draw(st.dictionaries(key, coeff, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ring_operations_match_validated_references(data):
+    ctx = data.draw(contexts())
+    a, b = data.draw(series(ctx)), data.draw(series(ctx))
+    q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    p = data.draw(st.integers(-3, 3))
+    cap, floor = data.draw(truncations())
+    other = replace(ctx, beta_cap=cap, z_floor=floor)
+
+    def shift(key):
+        return key._replace(zpow=key.zpow + p)
+
+    pairs = [
+        (a + b, reference_sum(ctx, [a, b])),
+        (a - b, reference_sum(ctx, [a, b], [1, -1])),
+        (a.scale(q), GradedSeries(ctx, {k: c * q for k, c in a.terms.items()})),
+        (a.shift_z(p), GradedSeries(ctx, {shift(k): c for k, c in a.terms.items()})),
+        (series_sum(ctx, [a, b, a]), reference_sum(ctx, [a, b, a])),
+        (a.in_context(other), GradedSeries(other, dict(a.terms))),
+    ]
+    try:
+        want = reference_mul(a, b)
+    except ContractError:
+        with pytest.raises(ContractError):
+            a * b
+    else:
+        pairs.append((a * b, want))
+    for got, want in pairs:
+        assert got == want
+    results = [got for got, _ in pairs] + [
+        a.coefficient(zpow=0),
+        a.beta_slice((0,) * len(ctx.beta_weights)),
+        a.lambda_coefficient(0, 1),
+        a.without_lambda(),
+    ]
+    for got in results:
+        assert GradedSeries(got.ctx, dict(got.terms)) == got

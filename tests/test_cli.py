@@ -211,6 +211,46 @@ class TestCommands:
         assert run(["--command", "period"]) == 1
         assert "config" in capsys.readouterr().err
 
+    def test_missing_config_file_named(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert run(["--config", missing, "--command", "period"]) == 1
+        assert f"config: no such file {missing!r}" in capsys.readouterr().err
+
+    def test_unwritable_out_is_clean_error(self, plane_config, tmp_path, capsys):
+        target = tmp_path / "absent" / "report.txt"
+        args = ["--command", "period", "--cap", "3", "--out", str(target)]
+        assert run(["--config", plane_config, *args]) == 1
+        captured = capsys.readouterr()
+        assert f"error: cannot write {str(target)!r}" in captured.err
+        assert captured.out == "" and not target.exists()
+
+    def test_repeated_roots_refused_outside_stabilize(self, tmp_path, capsys):
+        config = write_job(tmp_path, dict(PLANE_JOB, roots=[11, 13]))
+        args = ["--command", "ifunction", "--series", "root", "--cap", "3"]
+        repeated = ["--roots", "2,4", "--roots", "11,13"]
+        assert run(["--config", config, *args, *repeated]) == 1
+        err = capsys.readouterr().err
+        assert "roots: only stabilize takes more than one --roots" in err
+
+    def test_single_roots_override_applies(self, tmp_path, capsys):
+        args = ["--command", "ifunction", "--series", "root", "--cap", "3"]
+        args += ["--format", "records"]
+        outputs = []
+        for roots, spec in (([7, 11], None), ([11, 13], "7,11")):
+            config = write_job(tmp_path, dict(PLANE_JOB, roots=roots))
+            extra = ["--roots", spec] if spec else []
+            assert run(["--config", config, *args, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "\t6,9\t" in outputs[0]
+
+    def test_stabilize_takes_several_roots(self, plane_config, capsys):
+        args = ["--command", "stabilize", "--cap", "3", "--format", "records"]
+        args += ["--roots", "7,11", "--roots", "11,13"]
+        assert run(["--config", plane_config, *args]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        vectors = {row.split("\t")[1] for row in rows}
+        assert vectors == {"7,11", "11,13"}
+
     @pytest.mark.parametrize(
         "roots, message",
         [("2,4", "roots: roots must be pairwise coprime"), ("7", "roots: one root")],
