@@ -210,11 +210,7 @@ def cmd_ifunction(job: JobConfig, args) -> tuple[int, list[str]]:
 def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
-    certificate = mirror_map(i_infinity_extended(X, arr, m, cap, z_floor=-1))
-    if not certificate.trivial:
-        raise UnsupportedMirrorMapError(
-            certificate.explain() + "; Birkhoff factorization unsupported"
-        )
+    mirror_map(i_infinity_extended(X, arr, m, cap, z_floor=-1)).require_trivial()
     table = merge_tables(
         extract_invariants(i_infinity_extended_h0(X, arr, m, cap), X, arr),
         extract_invariants(i_infinity_nonextended(X, arr, cap), X, arr),
@@ -355,6 +351,9 @@ def cmd_compare_periods(job: JobConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_laurent_period(args) -> tuple[int, list[str]]:
+    for flag in ("config", "roots", "series"):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"laurent-period reads no job; drop --{flag}")
     if not args.laurent:
         raise ConfigError("laurent-period needs --laurent EXPR")
     if args.cap is None:

@@ -7,7 +7,7 @@ Schema::
       "divisors": [{"name": str, "coeffs": [int, ...]}, ...],
       "roots":    [int, ...],          # optional
       "cap":      int,
-      "m":        int                  # optional contact-order bound
+      "m":        int                  # optional contact-order bound, 1..64
     }
 
 Every violation is reported with the offending field path.  This module
@@ -74,13 +74,20 @@ def _domain(where: str, check, *args):
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _bounded(value, name: str) -> int:
+    """The field's value, if it is an integer in 1..MAX_CAP."""
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool),
+        name,
+        "expected an integer",
+    )
+    _expect(1 <= value <= MAX_CAP, name, f"{name} must lie in 1..{MAX_CAP}")
+    return value
+
+
 def check_cap(cap) -> int:
     """The degree cap, if it is an integer in 1..MAX_CAP."""
-    _expect(
-        isinstance(cap, int) and not isinstance(cap, bool), "cap", "expected an integer"
-    )
-    _expect(1 <= cap <= MAX_CAP, "cap", f"cap must lie in 1..{MAX_CAP}")
-    return cap
+    return _bounded(cap, "cap")
 
 
 def roots_for(orders: tuple[int, ...], arrangement: DivisorArrangement) -> RootData:
@@ -148,11 +155,7 @@ def config_from_dict(doc) -> JobConfig:
 
     m = doc.get("m")
     if m is not None:
-        _expect(
-            isinstance(m, int) and not isinstance(m, bool) and m >= 1,
-            "m",
-            "expected a positive integer",
-        )
+        _bounded(m, "m")
 
     return JobConfig(
         target=target, arrangement=arrangement, roots=roots, cap=cap, m=m

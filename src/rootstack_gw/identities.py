@@ -29,7 +29,7 @@ from .algebra import (
     series_sum,
 )
 from .ifunctions import (
-    h0_slice,
+    h0_body,
     infinity_slice,
     local_slice,
     relative_slice,
@@ -246,9 +246,11 @@ def check_local_orbifold_extended(
     """Maximal-tangency contact coefficient against divisor derivatives of
     the local series.
 
-    Builds only the class-beta slices of the untwisted extended limit (with
-    contact orders up to the largest d_i) and of the local series, at cap
-    deg(beta).  Left side: the coefficient of prod_i x_{i,d_i}.  Right side:
+    Builds only the class-beta body of the untwisted extended limit and the
+    class-beta slice of the local series, at cap deg(beta).  Left side: the
+    coefficient of prod_i x_{i,d_i}, which is the body moved down by one
+    z-power per divisor (that tiling has weight 1), read without forming the
+    other tilings.  No mirror-map certificate runs here.  Right side:
     apply one divisor derivative per divisor to the local slice, divide out
     the equivariant normal weights exactly, set the parameters to zero and
     apply the parity sign.  An inexact division here means a transcription
@@ -257,9 +259,7 @@ def check_local_orbifold_extended(
     beta = tuple(beta)
     degs = _positive_degrees(arrangement, beta)
     ctx = _class_context(X, arrangement, beta)
-    h0 = h0_slice(X, arrangement, max(degs), beta, ctx)
-    xexp = tuple((i, d, 1) for i, d in enumerate(degs))
-    left = h0.coefficient(xexp=xexp)
+    left = h0_body(X, arrangement, beta, ctx).shift_z(-arrangement.n)
     work = local_slice(X, arrangement, beta, ctx)
     for i in range(arrangement.n):
         work = divisor_derivative(work, X, arrangement, i)

@@ -480,17 +480,20 @@ def i_infinity_extended(
     return _extended_terms(X, arrangement, ctx, m, cap, None)
 
 
-def _tilings(i: int, d: int, m: int) -> list[tuple[tuple, int, Fraction]]:
+def _tilings(
+    i: int, d: int, m: int, max_total: int
+) -> list[tuple[tuple, int, Fraction]]:
     """(xexp, total, weight) of each contact monomial prod_j x_{ij}^{e_j} of
-    divisor i with sum_j j e_j = d and every j <= m, where total is sum_j e_j
-    and weight is 1 / prod_j e_j!."""
+    divisor i with sum_j j e_j = d, every j <= m and total = sum_j e_j at
+    most max_total, where weight is 1 / prod_j e_j!."""
     out = []
 
     def rec(remaining: int, j: int, xexp: tuple, total: int, weight: Fraction):
         if remaining == 0:
             out.append((xexp, total, weight))
             return
-        if j == 0:
+        # the rest needs at least ceil(remaining / j) more parts
+        if j == 0 or total - (-remaining // j) > max_total:
             return
         for e in range(remaining // j + 1):
             with_e = ((i, j, e),) + xexp if e else xexp
@@ -500,6 +503,26 @@ def _tilings(i: int, d: int, m: int) -> list[tuple[tuple, int, Fraction]]:
     return out
 
 
+def h0_body(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    beta: tuple[int, ...],
+    ctx: SeriesContext,
+) -> GradedSeries:
+    """Class-beta body of the untwisted extended limit series: the target
+    slice times prod_i prod_{0<a<=d_i}(D_i + a z), no contact monomial yet.
+
+    Each contact tiling moves the body whole (see :func:`h0_slice`), so one
+    tiling's coefficient can be read here without forming the others.  Pass
+    a context without a z floor: a floor would drop target-slice terms that
+    the ascending products raise back above it.
+    """
+    hyper = GradedSeries.one(ctx)
+    for i, d in enumerate(arrangement.degrees(beta)):
+        hyper = hyper * ascending_product(ctx, arrangement.divisors[i].cls(X), 1, d)
+    return base_j_function(X, beta, ctx) * hyper
+
+
 def h0_slice(
     X: TargetSpace,
     arrangement: DivisorArrangement,
@@ -507,28 +530,33 @@ def h0_slice(
     beta: tuple[int, ...],
     ctx: SeriesContext,
 ) -> GradedSeries:
-    """Class-beta terms of the untwisted extended limit series.
+    """Class-beta terms of the untwisted extended limit series: every contact
+    tiling attached to :func:`h0_body`.
 
     Contact orders of each term must tile the intersection numbers exactly
-    (sum_j j k_{ij} = d_i), so the sum is finite without a z floor and every
-    divisor contributes its full ascending product up to d_i.  Each tiling k
-    moves every term of the target slice times those products to z-power
-    zpow - |k|, with contact monomial x^k and weight 1 / prod k!.  Raises
-    ExtendedDataTooSmall when m misses an intersection number, since the
-    maximal-tangency directions would otherwise be silently missing.
+    (sum_j j k_{ij} = d_i), so the sum is finite without a z floor.  Each
+    tiling k moves every body term to z-power zpow - |k|, with contact
+    monomial x^k and weight 1 / prod k!; the floor of ``ctx`` applies to the
+    moved terms only.  Raises ExtendedDataTooSmall when m misses an
+    intersection number, since the maximal-tangency directions would
+    otherwise be silently missing.
     """
     degs = arrangement.degrees(beta)
     if max(degs, default=0) > m:
         raise ExtendedDataTooSmall(
             f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
         )
-    hyper = GradedSeries.one(ctx)
-    for i, d in enumerate(degs):
-        hyper = hyper * ascending_product(ctx, arrangement.divisors[i].cls(X), 1, d)
-    base = (base_j_function(X, beta, ctx) * hyper).terms.items()
+    body = h0_body(X, arrangement, beta, replace(ctx, z_floor=None))
+    base = body.terms.items()
     floor = ctx.z_floor
+    # a tiling with more parts moves every body term below the floor
+    if floor is None or body.is_zero:
+        max_total = sum(degs)
+    else:
+        max_total = max(key.zpow for key in body.terms) - floor
     out: dict[TermKey, Fraction] = {}
-    for tiling in product(*(_tilings(i, d, m) for i, d in enumerate(degs))):
+    tilings = (_tilings(i, d, m, max_total) for i, d in enumerate(degs))
+    for tiling in product(*tilings):
         xexp = sum((t[0] for t in tiling), ())
         total = sum(t[1] for t in tiling)
         weight = prod((t[2] for t in tiling), start=Fraction(1))

@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import CohClass, ContractError, GradedSeries, TermKey
-from .ifunctions import (
-    i_infinity_extended_h0,
-    infinity_slice,
-    root_slice,
-)
+from .algebra import CohClass, ContractError, GradedSeries, TermKey, series_sum
+from .ifunctions import h0_body, h0_slice, infinity_slice, root_slice
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -66,6 +62,13 @@ class MirrorMapReport:
         for key, c in self.z_positive_extra.ordered_terms()[:3]:
             bits.append(f"positive-z term {c} at {key}")
         return "mirror map nontrivial: " + "; ".join(bits)
+
+    def require_trivial(self) -> None:
+        """Refuse a nontrivial mirror map, naming its offending terms."""
+        if not self.trivial:
+            raise UnsupportedMirrorMapError(
+                self.explain() + "; Birkhoff factorization unsupported"
+            )
 
 
 def _is_contact_unit(ctx, key: TermKey) -> bool:
@@ -175,11 +178,7 @@ def extract_invariants(
     classes inserted.  Anything else (finite-order residues, mixed blocks) is
     flagged for manual review rather than guessed at.
     """
-    report = mirror_map(series)
-    if not report.trivial:
-        raise UnsupportedMirrorMapError(
-            report.explain() + "; Birkhoff factorization unsupported"
-        )
+    mirror_map(series).require_trivial()
     ctx = series.ctx
     ring = ctx.ring
     table = InvariantTable()
@@ -221,41 +220,63 @@ def extract_invariants(
     return table
 
 
+def certify_h0_mirror_map(
+    X: TargetSpace, arrangement: DivisorArrangement, cap: int
+) -> None:
+    """Refuse unless the untwisted extended limit series up to the cap has a
+    trivial mirror map.
+
+    Only its terms at z^0 and above decide that, so each class's tilings are
+    attached at z floor 0, with contact orders up to the class's own largest
+    intersection number.
+    """
+    ctx = X.context(arrangement.n, cap, z_floor=0)
+    slices = [
+        h0_slice(X, arrangement, max(1, *arrangement.degrees(b)), b, ctx)
+        for b in enumerate_curve_classes(X, cap)
+    ]
+    mirror_map(series_sum(ctx, slices)).require_trivial()
+
+
+def contact_one_count(
+    X: TargetSpace, arrangement: DivisorArrangement, beta: tuple[int, ...]
+) -> Fraction:
+    """The value :func:`n_orb` returns, read without its refusals: the
+    untwisted z^1 coefficient with insertion 1 of the class body.
+
+    The tiling prod_i x_{i1}^{d_i} moves that body term to z^-(d-1) with
+    weight 1/prod_i d_i!, and extraction multiplies the weight back.
+    """
+    ctx = X.context(arrangement.n, X.anticanonical_degree(beta))
+    key = ctx.zero_key()._replace(beta=beta, zpow=1)
+    return h0_body(X, arrangement, beta, ctx).terms.get(key, Fraction(0))
+
+
 def n_orb(
     X: TargetSpace,
     arrangement: DivisorArrangement,
     beta: tuple[int, ...],
-    table: InvariantTable | None = None,
 ) -> Fraction:
     """Count with d_i contact-order-one markings on each divisor and one
     interior point insertion carrying psi^(d-2).
 
-    Looked up at the contact monomial prod_i x_{i1}^{d_i}; the extraction
-    contract already multiplied the raw coefficient by prod_i d_i!.
+    This is the invariant extraction reads at the contact monomial
+    prod_i x_{i1}^{d_i}; it is taken from the class body alone
+    (:func:`contact_one_count`).  Refused unless the two-positive-pairings
+    condition holds and the mirror map is trivial, both up to the class's
+    anticanonical degree (:func:`certify_h0_mirror_map`).
     """
     beta = tuple(beta)
-    degs = arrangement.degrees(beta)
-    d = sum(degs)
-    if d < 2:
+    if arrangement.total_degree(beta) < 2:
         raise ValueError("total contact below 2 has no interior psi insertion")
-    if table is None:
-        cap = X.anticanonical_degree(beta)
-        assumption = check_assumption(X, arrangement, cap)
-        if not assumption.holds:
-            raise UnsupportedMirrorMapError(
-                f"two-positive-pairings condition fails at {assumption.violations[0]}"
-            )
-        m = max(1, *arrangement.max_degrees(X, cap))
-        h0 = i_infinity_extended_h0(X, arrangement, m, cap)
-        table = extract_invariants(h0, X, arrangement)
-    xexp = tuple((i, 1, d_i) for i, d_i in enumerate(degs) if d_i)
-    return table.value(
-        beta,
-        xexp=xexp,
-        insertion=X.ring.top_mono,
-        psi=d - 2,
-        sector=(0,) * arrangement.n,
-    )
+    cap = X.anticanonical_degree(beta)
+    assumption = check_assumption(X, arrangement, cap)
+    if not assumption.holds:
+        raise UnsupportedMirrorMapError(
+            f"two-positive-pairings condition fails at {assumption.violations[0]}"
+        )
+    certify_h0_mirror_map(X, arrangement, cap)
+    return contact_one_count(X, arrangement, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from rootstack_gw import ifunctions
 from rootstack_gw.cli import run
 from rootstack_gw.config import ConfigError, config_from_dict, parse_config
 
@@ -77,6 +78,24 @@ class TestConfig:
             config_from_dict(dict(PLANE_JOB, cap=65))
         with pytest.raises(ConfigError, match="cap"):
             config_from_dict(dict(PLANE_JOB, cap=0))
+
+    def test_m_bounds(self):
+        assert config_from_dict(dict(PLANE_JOB, m=64)).m == 64
+        for m in (0, 65, 5000):
+            with pytest.raises(ConfigError, match=r"^m: m must lie in 1\.\.64$"):
+                config_from_dict(dict(PLANE_JOB, m=m))
+
+    @pytest.mark.parametrize("m", [65, 5000])
+    def test_large_m_refused_before_any_build(self, tmp_path, capsys, monkeypatch, m):
+        def unreachable(*args):
+            raise AssertionError("contact monomials enumerated")
+
+        monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
+        config = write_job(tmp_path, dict(PLANE_JOB, cap=1, m=m))
+        assert run(["--config", config, "--command", "invariants"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: m: m must lie in 1..64\n"
+        assert captured.out == ""
 
     def test_malformed_json_names_location(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -282,6 +301,17 @@ class TestCommands:
         args = ["--command", "stabilize", "--roots", "7,11", "--roots", "2,4"]
         assert run(["--config", plane_config, *args]) == 1
         assert "roots: roots must be pairwise coprime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--config", "/nonexistent"), ("--roots", "2,4"), ("--series", "root")],
+    )
+    def test_laurent_refuses_job_flags(self, capsys, flag, value):
+        args = ["--command", "laurent-period", "--laurent", "x+1/x", "--cap", "2"]
+        assert run([*args, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: laurent-period reads no job; drop {flag}\n"
+        assert captured.out == ""
 
     def test_malformed_laurent_exits_one(self, capsys):
         args = ["--command", "laurent-period", "--laurent", "2x+1/x", "--cap", "2"]

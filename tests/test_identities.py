@@ -21,6 +21,7 @@ from rootstack_gw import (
 )
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.identities import local_point_invariant, parity_sign
+from rootstack_gw.ifunctions import h0_slice
 from rootstack_gw.targets import _j_slice_cached
 
 
@@ -162,6 +163,17 @@ class TestExtended:
         for beta in ((1,), (2,), (3,)):
             report = check_local_orbifold_extended(p2, line_conic, beta)
             assert report.ok, (beta, report.first_mismatch())
+
+    def test_left_side_is_the_maximal_tangency_coefficient(self, p2, line_conic):
+        # read off the body, the left side equals the prod_i x_{i,d_i}
+        # coefficient of the tiled slice
+        for beta in ((1,), (3,), (5,)):
+            degs = line_conic.degrees(beta)
+            ctx = p2.context(2, p2.anticanonical_degree(beta))
+            tiled = h0_slice(p2, line_conic, max(degs), beta, ctx)
+            expected = tiled.coefficient(xexp=((0, degs[0], 1), (1, degs[1], 1)))
+            report = check_local_orbifold_extended(p2, line_conic, beta)
+            assert not expected.is_zero and report.left == expected
 
     def test_sign_flips_with_parity(self, p2, line_conic):
         # degrees (1,2) then (2,4): the sign alternates with the class parity

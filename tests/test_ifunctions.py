@@ -17,6 +17,7 @@ from rootstack_gw import (
     i_relative_smooth,
     i_root_extended,
     i_root_nonextended,
+    enumerate_curve_classes,
 )
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.ifunctions import (
@@ -255,6 +256,40 @@ class TestSlices:
             h0_slice(p2, line_conic, 3, (2,), ctx)
         capped = i_infinity_extended_h0(p2, line_conic, 2, 3).beta_slice((1,))
         assert h0_slice(p2, line_conic, 2, (1,), ctx) == capped.in_context(ctx)
+
+    def test_h0_slice_floor_applies_after_the_tilings(
+        self, p2, p1p1, line_conic, two_diagonals
+    ):
+        # the target slice's z powers below the floor come back up through the
+        # ascending products, so only the tiled terms may be cut, and tilings
+        # are pruned only past the floor; on the two anticanonical pairs every
+        # class but 0 keeps nothing at z >= 0, the other arrangements keep
+        # terms there (the quartic at the most parts the floor allows)
+        conics = DivisorArrangement((Divisor("A", (2,)), Divisor("B", (2,))))
+        mixed = DivisorArrangement((Divisor("A", (1, 1)), Divisor("B", (1, 2))))
+        quartic = DivisorArrangement((Divisor("Q", (4,)),))
+        cases = (
+            (p2, line_conic, 9, 0),
+            (p1p1, two_diagonals, 8, 0),
+            (p2, conics, 6, 2),
+            (p1p1, mixed, 6, 6),
+            (p2, quartic, 6, 2),
+        )
+        for X, arrangement, cap, kept_classes in cases:
+            full = X.context(arrangement.n, cap)
+            floored = X.context(arrangement.n, cap, z_floor=0)
+            kept = 0
+            for beta in enumerate_curve_classes(X, cap):
+                m = max(1, *arrangement.degrees(beta))
+                unfloored = h0_slice(X, arrangement, m, beta, full)
+                expected = GradedSeries(
+                    floored,
+                    {k: c for k, c in unfloored.terms.items() if k.zpow >= 0},
+                )
+                got = h0_slice(X, arrangement, m, beta, floored)
+                assert got == expected, (X, beta)
+                kept += any(beta) and not expected.is_zero
+            assert kept == kept_classes, X
 
 
 class TestExtendedEdges:

@@ -10,6 +10,8 @@ from rootstack_gw import (
     DivisorArrangement,
     RootData,
     UnsupportedMirrorMapError,
+    check_assumption,
+    enumerate_curve_classes,
     extract_invariants,
     i_infinity_extended,
     i_infinity_extended_h0,
@@ -153,14 +155,79 @@ class TestContactOneCounts:
     def test_two_diagonals_unit(self, p1p1, two_diagonals):
         assert n_orb(p1p1, two_diagonals, (1, 0)) == 1
 
-    def test_contact_bound_covers_the_whole_cap(self, p1p1):
-        # beta (1,1) meets each fibre once, but beta (0,2) of the same degree
-        # meets each twice, so the untwisted series must be built with m = 2
+    def test_matches_cap_wide_extraction(self, p2, p1p1, line_conic, two_diagonals):
+        # the per-class count agrees with the independent path: extraction
+        # from the whole untwisted series, built with m covering the cap
+        # (on the fibres beta (1,1) meets each divisor once, but (0,2) of
+        # the same degree meets each twice)
         fibres = DivisorArrangement((Divisor("A", (0, 1)), Divisor("B", (0, 1))))
-        table = extract_invariants(
-            i_infinity_extended_h0(p1p1, fibres, 2, 4), p1p1, fibres
+        compared = 0
+        for X, arrangement, cap in (
+            (p2, line_conic, 15),
+            (p1p1, two_diagonals, 8),
+            (p1p1, fibres, 4),
+        ):
+            m = max(1, *arrangement.max_degrees(X, cap))
+            table = extract_invariants(
+                i_infinity_extended_h0(X, arrangement, m, cap), X, arrangement
+            )
+            for beta in enumerate_curve_classes(X, cap):
+                degs = arrangement.degrees(beta)
+                if sum(degs) < 2:
+                    continue
+                expected = table.value(
+                    beta,
+                    xexp=tuple((i, 1, d) for i, d in enumerate(degs) if d),
+                    insertion=X.ring.top_mono,
+                    psi=sum(degs) - 2,
+                    sector=(0,) * arrangement.n,
+                )
+                assert n_orb(X, arrangement, beta) == expected, (X, beta)
+                compared += 1
+        assert compared == 5 + 14 + 3
+
+    def test_refusal_from_a_lower_class(self, p1p1):
+        # beta (1,1) itself is fine; the z^0 terms sit at (0,1) and (0,2),
+        # which only a certificate spanning every class up to deg beta sees
+        arrangement = DivisorArrangement(
+            (Divisor("A", (1, 1)), Divisor("B", (1, 2)))
         )
-        assert n_orb(p1p1, fibres, (1, 1)) == n_orb(p1p1, fibres, (1, 1), table)
+        assert check_assumption(p1p1, arrangement, 4).holds
+        with pytest.raises(UnsupportedMirrorMapError) as err:
+            n_orb(p1p1, arrangement, (1, 1))
+        assert str(err.value) == (
+            "mirror map nontrivial: "
+            "z^0 term 2 at TermKey(beta=(0, 1), zpow=0, xexp=((0, 1, 1), (1, 2, 1)), "
+            "sector=(0, 0), mono=(0, 0), lam=(0, 0)); "
+            "z^0 term 6 at TermKey(beta=(0, 2), zpow=0, xexp=((0, 1, 2), (1, 4, 1)), "
+            "sector=(0, 0), mono=(0, 0), lam=(0, 0)); "
+            "z^0 term 12 at TermKey(beta=(0, 2), zpow=0, "
+            "xexp=((0, 2, 1), (1, 1, 1), (1, 3, 1)), sector=(0, 0), mono=(0, 0), "
+            "lam=(0, 0)); "
+            "positive-z term 12 at TermKey(beta=(0, 2), zpow=1, "
+            "xexp=((0, 2, 1), (1, 4, 1)), sector=(0, 0), mono=(0, 0), lam=(0, 0)); "
+            "Birkhoff factorization unsupported"
+        )
+
+    def test_refusal_from_the_class_itself(self, p2):
+        conics = DivisorArrangement((Divisor("A", (2,)), Divisor("B", (2,))))
+        assert check_assumption(p2, conics, 3).holds
+        with pytest.raises(UnsupportedMirrorMapError) as err:
+            n_orb(p2, conics, (1,))
+        assert str(err.value) == (
+            "mirror map nontrivial: z^0 term 4 at TermKey(beta=(1,), zpow=0, "
+            "xexp=((0, 2, 1), (1, 2, 1)), sector=(0, 0), mono=(0,), lam=(0, 0)); "
+            "Birkhoff factorization unsupported"
+        )
+
+    @pytest.mark.parametrize("coeffs", [(2,), (3,)])
+    def test_one_component_refused_before_the_certificate(self, p2, coeffs):
+        single = DivisorArrangement((Divisor("E", coeffs),))
+        with pytest.raises(
+            UnsupportedMirrorMapError,
+            match=r"^two-positive-pairings condition fails at \(1,\)$",
+        ):
+            n_orb(p2, single, (1,))
 
     def test_degenerate_total_contact(self, p2):
         line = DivisorArrangement((Divisor("L", (1,)),))
