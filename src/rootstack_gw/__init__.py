@@ -25,9 +25,7 @@ from .config import ConfigError, JobConfig, config_from_dict, parse_config
 from .identities import (
     IdentityReport,
     RefusedIdentityError,
-    check_local_orbifold_extended,
-    check_local_orbifold_nonextended,
-    check_local_relative_smooth,
+    check_identities,
     divisor_derivative,
     pushforward_iota,
 )

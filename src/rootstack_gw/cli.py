@@ -17,12 +17,7 @@ from pathlib import Path
 
 from .algebra import DivisibilityError, GradedSeries, TermKey
 from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
-from .identities import (
-    RefusedIdentityError,
-    check_local_orbifold_extended,
-    check_local_orbifold_nonextended,
-    check_local_relative_smooth,
-)
+from .identities import RefusedIdentityError, check_identities
 from .ifunctions import (
     i_infinity_extended,
     i_infinity_extended_h0,
@@ -210,7 +205,8 @@ def cmd_ifunction(job: JobConfig, args) -> tuple[int, list[str]]:
 def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
-    mirror_map(i_infinity_extended(X, arr, m, cap, z_floor=-1)).require_trivial()
+    # mirror_map reads only the terms at z^0 and above, so floor 0 certifies
+    mirror_map(i_infinity_extended(X, arr, m, cap, z_floor=0)).require_trivial()
     table = merge_tables(
         extract_invariants(i_infinity_extended_h0(X, arr, m, cap), X, arr),
         extract_invariants(i_infinity_nonextended(X, arr, cap), X, arr),
@@ -261,11 +257,7 @@ def cmd_check_identity(job: JobConfig, args) -> tuple[int, list[str]]:
                 skipped.append((beta, "some divisor misses the class"))
             continue
         try:
-            if arr.n == 1:
-                reports.append(check_local_relative_smooth(X, arr, beta))
-            else:
-                reports.append(check_local_orbifold_nonextended(X, arr, beta))
-            reports.append(check_local_orbifold_extended(X, arr, beta))
+            reports.extend(check_identities(X, arr, beta))
         except RefusedIdentityError as err:
             skipped.append((beta, str(err)))
     lines = []

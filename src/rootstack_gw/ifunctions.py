@@ -235,25 +235,23 @@ def _contact_vectors(
     number; each group is sorted by total and paired with its smallest cost.
     """
     groups: dict[int, list[_Contact]] = {}
-    xexp: list[tuple[int, int, int]] = []
 
-    def rec(j: int, left: int, reduction: int, total: int, denom: int) -> None:
-        if j > len(costs):
-            groups.setdefault(reduction, []).append(
-                _Contact(total, budget - left, Fraction(1, denom), tuple(xexp))
-            )
-            return
-        e = 0
-        while e * costs[j - 1] <= left:
-            if e:
-                denom *= e
-                xexp.append((i, j, e))
-            rec(j + 1, left - e * costs[j - 1], reduction + j * e, total + e, denom)
-            if e:
-                xexp.pop()
-            e += 1
+    def rec(j0: int, left: int, reduction: int, total: int, denom: int, xexp: tuple):
+        # one call per monomial: record it, then extend it by one more
+        # order j >= j0 with a positive exponent
+        groups.setdefault(reduction, []).append(
+            _Contact(total, budget - left, Fraction(1, denom), xexp)
+        )
+        for j in range(j0, len(costs) + 1):
+            cost = costs[j - 1]
+            e, weight = 1, denom
+            while e * cost <= left:
+                weight *= e
+                with_e = xexp + ((i, j, e),)
+                rec(j + 1, left - e * cost, reduction + j * e, total + e, weight, with_e)
+                e += 1
 
-    rec(1, budget, 0, 0, 1)
+    rec(1, budget, 0, 0, 1, ())
     out = {}
     for reduction, group in groups.items():
         group.sort(key=lambda c: c.total)
@@ -534,12 +532,10 @@ def h0_slice(
     tiling attached to :func:`h0_body`.
 
     Contact orders of each term must tile the intersection numbers exactly
-    (sum_j j k_{ij} = d_i), so the sum is finite without a z floor.  Each
-    tiling k moves every body term to z-power zpow - |k|, with contact
-    monomial x^k and weight 1 / prod k!; the floor of ``ctx`` applies to the
-    moved terms only.  Raises ExtendedDataTooSmall when m misses an
-    intersection number, since the maximal-tangency directions would
-    otherwise be silently missing.
+    (sum_j j k_{ij} = d_i), so the sum is finite without a z floor; the
+    tilings are attached by :func:`attach_tilings`.  Raises
+    ExtendedDataTooSmall when m misses an intersection number, since the
+    maximal-tangency directions would otherwise be silently missing.
     """
     degs = arrangement.degrees(beta)
     if max(degs, default=0) > m:
@@ -547,6 +543,19 @@ def h0_slice(
             f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
         )
     body = h0_body(X, arrangement, beta, replace(ctx, z_floor=None))
+    return attach_tilings(body, degs, m, ctx)
+
+
+def attach_tilings(
+    body: GradedSeries, degs: tuple[int, ...], m: int, ctx: SeriesContext
+) -> GradedSeries:
+    """Every contact tiling of the intersection numbers ``degs``, with contact
+    orders up to m, attached to a class body from :func:`h0_body`.
+
+    Each tiling k moves every body term to z-power zpow - |k|, with contact
+    monomial x^k and weight 1 / prod k!; the floor of ``ctx`` applies to the
+    moved terms only.
+    """
     base = body.terms.items()
     floor = ctx.z_floor
     # a tiling with more parts moves every body term below the floor

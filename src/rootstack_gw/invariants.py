@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .algebra import CohClass, ContractError, GradedSeries, TermKey, series_sum
-from .ifunctions import h0_body, h0_slice, infinity_slice, root_slice
+from .ifunctions import attach_tilings, h0_body, infinity_slice, root_slice
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -220,36 +220,33 @@ def extract_invariants(
     return table
 
 
-def certify_h0_mirror_map(
+def contact_one_counts(
     X: TargetSpace, arrangement: DivisorArrangement, cap: int
-) -> None:
-    """Refuse unless the untwisted extended limit series up to the cap has a
-    trivial mirror map.
-
-    Only its terms at z^0 and above decide that, so each class's tilings are
-    attached at z floor 0, with contact orders up to the class's own largest
-    intersection number.
-    """
-    ctx = X.context(arrangement.n, cap, z_floor=0)
-    slices = [
-        h0_slice(X, arrangement, max(1, *arrangement.degrees(b)), b, ctx)
-        for b in enumerate_curve_classes(X, cap)
-    ]
-    mirror_map(series_sum(ctx, slices)).require_trivial()
-
-
-def contact_one_count(
-    X: TargetSpace, arrangement: DivisorArrangement, beta: tuple[int, ...]
-) -> Fraction:
-    """The value :func:`n_orb` returns, read without its refusals: the
-    untwisted z^1 coefficient with insertion 1 of the class body.
+) -> dict[tuple[int, ...], Fraction]:
+    """The value :func:`n_orb` returns for every class up to the cap, read
+    without its other refusals: the untwisted z^1 coefficient with
+    insertion 1 of each class body.
 
     The tiling prod_i x_{i1}^{d_i} moves that body term to z^-(d-1) with
-    weight 1/prod_i d_i!, and extraction multiplies the weight back.
+    weight 1/prod_i d_i!, and extraction multiplies the weight back.  The
+    same bodies certify the mirror map of the untwisted extended limit
+    series up to the cap: only its terms at z^0 and above decide it, so
+    each body's tilings are attached at z floor 0, with contact orders up
+    to the class's own largest intersection number.  Refused unless that
+    mirror map is trivial.
     """
-    ctx = X.context(arrangement.n, X.anticanonical_degree(beta))
-    key = ctx.zero_key()._replace(beta=beta, zpow=1)
-    return h0_body(X, arrangement, beta, ctx).terms.get(key, Fraction(0))
+    ctx = X.context(arrangement.n, cap)
+    floored = X.context(arrangement.n, cap, z_floor=0)
+    counts = {}
+    slices = []
+    for beta in enumerate_curve_classes(X, cap):
+        body = h0_body(X, arrangement, beta, ctx)
+        key = ctx.zero_key()._replace(beta=beta, zpow=1)
+        counts[beta] = body.terms.get(key, Fraction(0))
+        degs = arrangement.degrees(beta)
+        slices.append(attach_tilings(body, degs, max(1, *degs), floored))
+    mirror_map(series_sum(floored, slices)).require_trivial()
+    return counts
 
 
 def n_orb(
@@ -261,10 +258,10 @@ def n_orb(
     interior point insertion carrying psi^(d-2).
 
     This is the invariant extraction reads at the contact monomial
-    prod_i x_{i1}^{d_i}; it is taken from the class body alone
-    (:func:`contact_one_count`).  Refused unless the two-positive-pairings
+    prod_i x_{i1}^{d_i}; it is taken from the class body
+    (:func:`contact_one_counts`).  Refused unless the two-positive-pairings
     condition holds and the mirror map is trivial, both up to the class's
-    anticanonical degree (:func:`certify_h0_mirror_map`).
+    anticanonical degree.
     """
     beta = tuple(beta)
     if arrangement.total_degree(beta) < 2:
@@ -275,8 +272,10 @@ def n_orb(
         raise UnsupportedMirrorMapError(
             f"two-positive-pairings condition fails at {assumption.violations[0]}"
         )
-    certify_h0_mirror_map(X, arrangement, cap)
-    return contact_one_count(X, arrangement, beta)
+    counts = contact_one_counts(X, arrangement, cap)
+    if beta not in counts:
+        raise ValueError("beta must be an effective curve class of the target")
+    return counts[beta]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import rat
-from .invariants import certify_h0_mirror_map, contact_one_count
+from .invariants import contact_one_counts
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -114,10 +114,10 @@ def classical_period_orbifold(
     intersection numbers realize the contact tuple; formal tuples realized
     by no class carry no defined count and are skipped (and reported).
     Requires the arrangement to be anticanonical and to satisfy the
-    two-positive-pairings condition, which makes the mirror map trivial;
-    :func:`~rootstack_gw.invariants.certify_h0_mirror_map` then certifies
-    that once, at the cap.  Each count is the n_orb value read off its
-    class body by :func:`~rootstack_gw.invariants.contact_one_count`.
+    two-positive-pairings condition, which makes the mirror map trivial.
+    :func:`~rootstack_gw.invariants.contact_one_counts` builds each class
+    body once, certifies that mirror map from the bodies at the cap and
+    reads each count, the n_orb value, off its body.
     """
     assumption = check_assumption(X, arrangement, cap)
     if not arrangement.is_anticanonical(X):
@@ -127,7 +127,7 @@ def classical_period_orbifold(
             "two-positive-pairings condition fails at "
             f"{assumption.violations[0]}; the mirror map is not trivial"
         )
-    certify_h0_mirror_map(X, arrangement, cap)
+    counts = contact_one_counts(X, arrangement, cap)
     coeffs = [Fraction(0)] * (cap + 1)
     coeffs[0] = Fraction(1)
     realized: dict[int, set[tuple[int, ...]]] = {}
@@ -143,7 +143,7 @@ def classical_period_orbifold(
         weight = Fraction(factorial(d))
         for d_i in degs:
             weight /= factorial(d_i)
-        count = contact_one_count(X, arrangement, beta)
+        count = counts[beta]
         contributions.append((beta, degs, count))
         coeffs[d] += weight * count
     skipped = []

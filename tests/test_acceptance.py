@@ -23,9 +23,7 @@ from rootstack_gw import (
     RootData,
     TargetSpace,
     UnsupportedMirrorMapError,
-    check_local_orbifold_extended,
-    check_local_orbifold_nonextended,
-    check_local_relative_smooth,
+    check_identities,
     compare_periods,
     extract_invariants,
     i_infinity_extended,
@@ -113,7 +111,7 @@ def test_a4a_smooth_divisor_identity():
     ok = True
     for arr in (CONIC, CUBIC):
         for b in (1, 2, 3):
-            result = check_local_relative_smooth(PLANE, arr, (b,))
+            result = check_identities(PLANE, arr, (b,))[0]
             d = arr.divisors[0].degree((b,))
             ok = ok and result.ok and result.sign == (-1) ** (d - 1)
     report("A4a smooth-divisor identity, conic and cubic, degrees 1..3", ok)
@@ -123,13 +121,13 @@ def test_a4b_normal_crossing_identity():
     """Tangency/local series identity for both two-divisor targets."""
     ok = True
     for b in ((1,), (2,), (3,)):
-        result = check_local_orbifold_nonextended(PLANE, LINE_CONIC, b)
+        result = check_identities(PLANE, LINE_CONIC, b)[0]
         ok = ok and result.ok
     for b1 in range(5):
         for b2 in range(5):
             if not 0 < 2 * (b1 + b2) <= 8:
                 continue
-            result = check_local_orbifold_nonextended(QUADRIC, DIAGONALS, (b1, b2))
+            result = check_identities(QUADRIC, DIAGONALS, (b1, b2))[0]
             ok = ok and result.ok
     report("A4b normal-crossing identity on all positive-pairing classes", ok)
 
@@ -138,7 +136,7 @@ def test_a4c_extended_identity_with_values():
     """Extended identity plus the rank-two local values on both targets."""
     ok = True
     for b in ((1,), (2,), (3,)):
-        ok = ok and check_local_orbifold_extended(PLANE, LINE_CONIC, b).ok
+        ok = ok and check_identities(PLANE, LINE_CONIC, b)[1].ok
     for d in (1, 2, 3):
         local = local_point_invariant(PLANE, LINE_CONIC, (d,))
         orb = n_orb(PLANE, LINE_CONIC, (d,))
@@ -147,7 +145,7 @@ def test_a4c_extended_identity_with_values():
         factor = (-1) ** d * 2 * d * d
         ok = ok and local == want_local and orb == want_orb and orb == factor * local
     for b1, b2 in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1)):
-        ok = ok and check_local_orbifold_extended(QUADRIC, DIAGONALS, (b1, b2)).ok
+        ok = ok and check_identities(QUADRIC, DIAGONALS, (b1, b2))[1].ok
         local = local_point_invariant(QUADRIC, DIAGONALS, (b1, b2))
         orb = n_orb(QUADRIC, DIAGONALS, (b1, b2))
         ok = ok and orb == (b1 + b2) ** 2 * local

@@ -234,6 +234,14 @@ class TestContactOneCounts:
         with pytest.raises(ValueError, match="total contact"):
             n_orb(p2, line, (1,))
 
+    def test_non_effective_class_refused(self, p1p1, two_diagonals):
+        # (2,-1) meets each diagonal once and passes the certificate at its
+        # degree 2, but is no class of the target
+        with pytest.raises(
+            ValueError, match="^beta must be an effective curve class of the target$"
+        ):
+            n_orb(p1p1, two_diagonals, (2, -1))
+
 
 class TestStabilization:
     def test_plane_line_conic(self, p2, line_conic):

@@ -22,6 +22,9 @@ from rootstack_gw import (
     quantum_period,
     regularize,
 )
+from rootstack_gw import ifunctions, invariants
+from rootstack_gw.ifunctions import h0_body
+from rootstack_gw.targets import enumerate_curve_classes
 
 
 class TestQuantumPeriod:
@@ -90,6 +93,19 @@ class TestClassicalPeriod:
     def test_gaps_are_zero(self, p2, line_conic):
         result = classical_period_orbifold(p2, line_conic, 9)
         assert all(result.sequence[m] == 0 for m in (1, 2, 4, 5, 7, 8))
+
+    def test_each_class_body_built_once(self, p1p1, two_diagonals, monkeypatch):
+        # the counts and the mirror-map certificate come from one body
+        calls = []
+
+        def counted(X, arrangement, beta, ctx):
+            calls.append(beta)
+            return h0_body(X, arrangement, beta, ctx)
+
+        for module in (ifunctions, invariants):
+            monkeypatch.setattr(module, "h0_body", counted)
+        classical_period_orbifold(p1p1, two_diagonals, 10)
+        assert sorted(calls) == enumerate_curve_classes(p1p1, 10)
 
     def test_non_anticanonical_refused(self, p2, conic_only):
         from rootstack_gw import ConfigurationError
