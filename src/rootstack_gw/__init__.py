@@ -30,6 +30,7 @@ from .identities import (
     pushforward_iota,
 )
 from .ifunctions import (
+    ExtendedBudgetError,
     ExtendedDataTooSmall,
     SectorFoldWarning,
     i_infinity_extended,

@@ -25,12 +25,22 @@ operations only combine keys that are already valid, so their results skip
 the checks; an operation that can move a key across the truncation (a
 product, a z shift, a coefficient extraction) still applies the cap and
 the floor.
+
+Where Fractions are reduced.  A ``GradedSeries`` product reduces every
+coefficient it forms.  The closed-form slices (one curve class, one sector,
+a product of linear factors) are instead built by the dense kernel
+:class:`_Chain`: integer numerators over one common denominator, in the
+manner of FLINT's ``fmpq_poly``.  A chain is reduced once, when
+:meth:`_Chain.series` turns it into a ``GradedSeries`` at the slice
+boundary; the cap, the z floor and the sector label apply there too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add, gt, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
@@ -704,3 +714,169 @@ def exact_divide_linear(num: GradedSeries, cls: CohClass, index: int) -> GradedS
             shifted.append((key._replace(lam=tuple(lam)), c))
         _accumulate(out, shifted)
     return GradedSeries._trusted(num.ctx, _nonzero(out))
+
+
+# ---------------------------------------------------------------------------
+# The dense kernel for closed-form slices
+# ---------------------------------------------------------------------------
+
+
+class _Layout(NamedTuple):
+    """Cell numbering of a chain: every ring monomial within ``caps`` times
+    every lam exponent vector within ``lam_caps``, lam varying fastest.
+
+    Multiplying a cell by a generator or a lam parameter always moves it to
+    a larger index, so one pass in index order sees a cell's sources first.
+    """
+
+    caps: tuple[int, ...]
+    lam_caps: tuple[int, ...]
+    cells: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]  # mono, lam, |mono|+|lam|
+    gen_moves: tuple[tuple[tuple[int, int], ...], ...]  # per generator k: (cell * P_k, cell)
+    lam_moves: tuple[tuple[tuple[int, int], ...], ...]  # per lam slot i: (cell * lam_i, cell)
+    below: tuple[tuple[tuple[int, int], ...], ...]  # per cell: (k, source) with source * P_k
+    top: int  # the largest monomial degree; a degree-one class to top + 1 vanishes
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(caps: tuple[int, ...], lam_caps: tuple[int, ...]) -> _Layout:
+    cells = [
+        (mono, lam, sum(mono) + sum(lam))
+        for mono in product(*(range(c + 1) for c in caps))
+        for lam in product(*(range(c + 1) for c in lam_caps))
+    ]
+    index = {(mono, lam): i for i, (mono, lam, _) in enumerate(cells)}
+    gen_moves: list[list[tuple[int, int]]] = [[] for _ in caps]
+    lam_moves: list[list[tuple[int, int]]] = [[] for _ in lam_caps]
+    below: list[list[tuple[int, int]]] = [[] for _ in cells]
+    for src, (mono, lam, _) in enumerate(cells):
+        for k, cap in enumerate(caps):
+            if mono[k] < cap:
+                up = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
+                dst = index[(up, lam)]
+                gen_moves[k].append((dst, src))
+                below[dst].append((k, src))
+        for i, cap in enumerate(lam_caps):
+            if lam[i] < cap:
+                up = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
+                lam_moves[i].append((index[(mono, up)], src))
+    return _Layout(
+        caps,
+        lam_caps,
+        tuple(cells),
+        tuple(map(tuple, gen_moves)),
+        tuple(map(tuple, lam_moves)),
+        tuple(map(tuple, below)),
+        sum(caps),
+    )
+
+
+class _Chain(NamedTuple):
+    """A product of linear factors at one curve class, held densely.
+
+    Every factor, (D + a z), (D + a z)^-1 or (-D + lam_i - a z) with D a
+    degree-one class sum_k c_k P_k, is homogeneous of degree +1 or -1 in the
+    generators, z and lam.  So a chain of total degree ``degree`` needs no z
+    index: cell (mono, lam) holds the coefficient of
+    mono * lam * z^(degree - |mono| - |lam|), as the integer ``num[cell]``
+    over the common denominator ``den``.  Nothing is reduced until
+    :meth:`series`.  A chain is a tuple, so a cached one cannot change.
+    """
+
+    layout: _Layout
+    degree: int
+    num: tuple[int, ...]
+    den: int
+
+    @staticmethod
+    def z_power(caps: tuple[int, ...], p: int) -> _Chain:
+        """The chain z^p over the ring with exponent caps ``caps``, no lam slots."""
+        layout = _layout(tuple(caps), ())
+        return _Chain(layout, p, (1,) + (0,) * (len(layout.cells) - 1), 1)
+
+    def with_lam(self, lam_caps: tuple[int, ...]) -> _Chain:
+        """This lam-free chain, in a layout with lam slots up to ``lam_caps``."""
+        layout = _layout(self.layout.caps, tuple(lam_caps))
+        num = [0] * len(layout.cells)
+        num[:: len(layout.cells) // len(self.num)] = self.num
+        return _Chain(layout, self.degree, tuple(num), self.den)
+
+    def times_linear(
+        self, coeffs: tuple[int, ...], a: int, lam: int | None = None
+    ) -> _Chain:
+        """This chain times (D + a z), plus lam_``lam`` when it is given.
+
+        ``lam`` slots must have room: a chain meant for k such factors of
+        slot i needs ``lam_caps[i] >= k``.
+        """
+        layout, num = self.layout, self.num
+        out = [a * x for x in num]
+        for moves, c in zip(layout.gen_moves, coeffs):
+            if c:
+                for dst, src in moves:
+                    out[dst] += c * num[src]
+        if lam is not None:
+            for dst, src in layout.lam_moves[lam]:
+                out[dst] += num[src]
+        return _Chain(layout, self.degree + 1, tuple(out), self.den)
+
+    def over_linear(self, coeffs: tuple[int, ...], k: int) -> _Chain:
+        """This chain divided by (D + k z).
+
+        With T the top monomial degree, (D + k z) sum_{j<=T} (-D)^j (k z)^(T-j)
+        = (k z)^(T+1).  So the quotient is w / (den k^(T+1)), where
+        k w + D w = k^(T+1) num, solved cell by cell in index order.  The
+        division by k there is exact: w at a cell whose monomial has degree
+        e is a multiple of k^(T-e).
+        """
+        if not k:
+            raise NotInvertibleError("factor has no z part; only z-linear factors invert")
+        layout, num = self.layout, self.num
+        head = k**layout.top
+        w: list[int] = []
+        for x, sources in zip(num, layout.below):
+            acc = 0
+            for g, src in sources:
+                acc += coeffs[g] * w[src]
+            w.append(head * x - acc // k)
+        return _Chain(layout, self.degree - 1, tuple(w), self.den * k * head)
+
+    def scaled(self, p: int, q: int = 1) -> _Chain:
+        """This chain times p / q, for nonzero integers p and q."""
+        return _Chain(self.layout, self.degree, tuple(p * x for x in self.num), self.den * q)
+
+    def series(
+        self,
+        ctx: SeriesContext,
+        beta: tuple[int, ...],
+        sector: tuple[int, ...] | None = None,
+    ) -> GradedSeries:
+        """The chain as the class-``beta`` terms of ``ctx`` in ``sector``
+        (the untwisted one by default), each coefficient reduced once.
+
+        The cap and the z floor of ``ctx`` apply here, to the finished
+        product only.
+        """
+        layout = self.layout
+        n = ctx.divisors
+        beta = tuple(beta)
+        sector = (0,) * n if sector is None else tuple(sector)
+        if (
+            ctx.ring.caps != layout.caps
+            or len(beta) != len(ctx.beta_weights)
+            or any(b < 0 for b in beta)
+            or len(sector) != n
+            or (layout.lam_caps and len(layout.lam_caps) != n)
+        ):
+            raise ContractError("chain does not fit the series context")
+        if ctx.beta_cap is not None and ctx.beta_degree(beta) > ctx.beta_cap:
+            return GradedSeries._trusted(ctx, {})
+        floor = ctx.z_floor
+        no_lam = (0,) * n
+        degree, den = self.degree, self.den
+        out: dict[TermKey, Fraction] = {}
+        for (mono, lam, weight), c in zip(layout.cells, self.num):
+            if c and (floor is None or degree - weight >= floor):
+                key = TermKey(beta, degree - weight, (), sector, mono, lam or no_lam)
+                out[key] = Fraction(c, den)
+        return GradedSeries._trusted(ctx, out)

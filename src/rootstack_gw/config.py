@@ -107,15 +107,28 @@ def parse_roots(spec: str, arrangement: DivisorArrangement) -> RootData:
 
 
 def parse_config(source: str | Path) -> JobConfig:
-    """Parse a JSON job description from a path or inline text."""
+    """Parse a JSON job description from a path or inline text.
+
+    Text that cannot name a file (too long for a path, or holding a NUL
+    byte) is read as inline JSON.
+    """
     text = source
     path = Path(str(source))
-    if path.exists() and path.is_file():
-        text = path.read_text(encoding="utf-8")
+    try:
+        is_file = path.is_file()
+    except (OSError, ValueError):
+        is_file = False
+    if is_file:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"config: cannot read {str(source)!r}: {err}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except RecursionError:
+        raise ConfigError("document: nested too deeply") from None
     return config_from_dict(doc)
 
 

@@ -13,7 +13,10 @@ Six families are built here, all as exact :class:`~rootstack_gw.algebra.GradedSe
 Each closed-form family has a per-class ``<family>_slice(X, arrangement,
 [m,] beta, ctx)`` that returns one curve class's terms and leaves input
 validation to its caller; its capped builder validates and sums the slices
-over the classes in the cap.  The extended series use :func:`_extended_terms`.
+over the classes in the cap.  A slice is one dense chain (the target slice
+times the divisor weights, see :class:`~rootstack_gw.algebra._Chain`),
+turned into a series once, in its sector.  The extended series use
+:func:`_extended_terms`.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -33,19 +36,13 @@ from itertools import product
 from math import factorial, lcm, prod
 from typing import Iterator, NamedTuple
 
-from .algebra import (
-    CohClass,
-    GradedSeries,
-    SeriesContext,
-    TermKey,
-    invert_z_linear,
-    series_sum,
-)
+from .algebra import GradedSeries, SeriesContext, TermKey, _Chain, series_sum
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
     RootData,
     TargetSpace,
+    _j_chain,
     base_j_function,
     enumerate_curve_classes,
 )
@@ -53,6 +50,20 @@ from .targets import (
 
 class ExtendedDataTooSmall(ValueError):
     """The contact-order bound m misses a required tangency."""
+
+
+class ExtendedBudgetError(ValueError):
+    """An extended series would form more contact combinations than
+    :data:`MAX_CONTACT_COMBINATIONS`, so it is refused before any body."""
+
+
+# Most contact combinations an extended build may form, as counted by
+# _combination_count.  Every benchmark job counts at most 50,388.  On the
+# README job (line + conic, m 6) the infinite-order series counts 1,293,292
+# at cap 5 (11 s, 160 MB on a 2-vCPU Xeon) and 38,630,800 at cap 9, where
+# degree zero alone keeps 2,704,156 terms; the count is looser at finite
+# orders, whose cap-1 series counts 1,706,042 but keeps 39,602 terms.
+MAX_CONTACT_COMBINATIONS = 2_000_000
 
 
 class SectorFoldWarning(UserWarning):
@@ -69,23 +80,15 @@ class SectorFoldWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _linear(ctx: SeriesContext, cls: CohClass, zcoeff: Fraction | int) -> GradedSeries:
-    """The factor (cls + zcoeff * z)."""
-    return GradedSeries.from_class(ctx, cls) + GradedSeries.term(
-        ctx, zcoeff, zpow=1
-    )
-
-
 def ascending_product(
-    ctx: SeriesContext, cls: CohClass, lo: int, hi: int, skip: int | None = None
-) -> GradedSeries:
-    """prod_{lo <= a <= hi} (cls + a z), optionally omitting one integer step."""
-    out = GradedSeries.one(ctx)
+    chain: _Chain, coeffs: tuple[int, ...], lo: int, hi: int, skip: int | None = None
+) -> _Chain:
+    """``chain`` times prod_{lo <= a <= hi} (D + a z), optionally omitting one
+    integer step, where D is the class with coefficients ``coeffs``."""
     for a in range(lo, hi + 1):
-        if skip is not None and a == skip:
-            continue
-        out = out * _linear(ctx, cls, a)
-    return out
+        if a != skip:
+            chain = chain.times_linear(coeffs, a)
+    return chain
 
 
 def _upper_steps(d: int, r: int) -> list[int]:
@@ -103,13 +106,10 @@ def _lower_steps(m: int, r: int) -> list[int]:
 
 
 def _root_factor(
-    ctx: SeriesContext,
-    cls: CohClass,
-    d: int,
-    shift: int,
-    r: int,
-) -> GradedSeries:
-    """Hypergeometric weight of one divisor at finite root order.
+    chain: _Chain, coeffs: tuple[int, ...], d: int, shift: int, r: int
+) -> _Chain:
+    """``chain`` times the hypergeometric weight of one divisor, with class
+    coefficients ``coeffs``, at finite root order.
 
     ``d`` is the intersection number, ``shift`` the net tangency
     d - sum_j j k_{ij} (equal to d itself in the non-extended series).  The
@@ -117,18 +117,19 @@ def _root_factor(
     shift/r when the shift is positive, or multiplied by the nonpositive
     ladder down to shift/r when it is negative.
     """
-    out = ascending_product(ctx, cls, 1, d)
+    chain = ascending_product(chain, coeffs, 1, d)
     if shift > 0:
         for k in _upper_steps(shift, r):
-            out = out * invert_z_linear(ctx, Fraction(k), cls).scale(r)
+            chain = chain.over_linear(coeffs, k).scaled(r)
     elif shift < 0:
         for k in _lower_steps(shift, r):
-            out = out * _linear(ctx, cls, k).scale(Fraction(1, r))
-    return out
+            chain = chain.times_linear(coeffs, k).scaled(1, r)
+    return chain
 
 
-def _limit_factor(ctx: SeriesContext, cls: CohClass, d: int, shift: int) -> GradedSeries:
-    """Infinite-order limit of :func:`_root_factor`.
+def _limit_factor(chain: _Chain, coeffs: tuple[int, ...], d: int, shift: int) -> _Chain:
+    """``chain`` times the infinite-order limit of the weight of
+    :func:`_root_factor`.
 
     A positive shift cancels exactly the step a = shift of the ascending
     product; nonpositive shifts keep the full product.  The non-extended
@@ -136,7 +137,7 @@ def _limit_factor(ctx: SeriesContext, cls: CohClass, d: int, shift: int) -> Grad
     """
     if shift > d:
         raise ValueError("net tangency shift cannot exceed the intersection number")
-    return ascending_product(ctx, cls, 1, d, skip=shift if shift > 0 else None)
+    return ascending_product(chain, coeffs, 1, d, skip=shift if shift > 0 else None)
 
 
 def _finite_sector(shifts: tuple[int, ...], roots: tuple[int, ...]) -> tuple[int, ...]:
@@ -154,17 +155,12 @@ def _finite_sector(shifts: tuple[int, ...], roots: tuple[int, ...]) -> tuple[int
     return tuple(out)
 
 
-def _sector_unit(
-    ctx: SeriesContext,
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
-    sector: tuple[int, ...],
-) -> GradedSeries | None:
-    """Unit of the given sector, or None when its support has empty intersection."""
+def _sector_meets(
+    X: TargetSpace, arrangement: DivisorArrangement, sector: tuple[int, ...]
+) -> bool:
+    """Whether the support of the sector has nonempty intersection."""
     support = tuple(i for i, s in enumerate(sector) if s)
-    if support and not arrangement.intersection_nonempty(X, support):
-        return None
-    return GradedSeries.term(ctx, 1, sector=sector)
+    return not support or arrangement.intersection_nonempty(X, support)
 
 
 def _validated(
@@ -195,14 +191,13 @@ def root_slice(
     negated intersection numbers.
     """
     degs = arrangement.degrees(beta)
-    unit = _sector_unit(ctx, X, arrangement, _finite_sector(degs, ctx.roots))
-    if unit is None:
+    sector = _finite_sector(degs, ctx.roots)
+    if not _sector_meets(X, arrangement, sector):
         return GradedSeries.zero(ctx)
-    term = base_j_function(X, beta, ctx)
-    for i, d in enumerate(degs):
-        cls = arrangement.divisors[i].cls(X)
-        term = term * _root_factor(ctx, cls, d, d, ctx.roots[i])
-    return term * unit
+    chain = _j_chain(X, beta)
+    for divisor, d, r in zip(arrangement.divisors, degs, ctx.roots):
+        chain = _root_factor(chain, divisor.coeffs, d, d, r)
+    return chain.series(ctx, beta, sector)
 
 
 def i_root_nonextended(
@@ -257,6 +252,73 @@ def _contact_vectors(
         group.sort(key=lambda c: c.total)
         out[reduction] = (group, min(c.cost for c in group))
     return out
+
+
+def _combination_count(
+    costs: list[list[int]], budget: int, steps: int
+) -> tuple[int, int] | None:
+    """(count, steps taken): how many choices of one contact monomial per
+    divisor have summed cost at most ``budget``, where divisor i's order j
+    costs costs[i][j - 1] > 0 per unit.  That is the most combinations
+    :func:`_combinations` can form over all shift tuples of one class.
+
+    Monomials are counted by cost, never listed, since one divisor alone can
+    have millions within the budget.  Each loop step adds at least one
+    monomial or combination, or ends a row, so a count of C takes at most
+    3 n C steps; None means more than ``steps`` would be needed.
+    """
+    if budget < 0:
+        return 0, 0
+    taken = 0
+    joint = {0: 1}  # choices for the divisors so far, by summed cost
+    for divisor_costs in costs:
+        counts = {0: 1}  # this divisor's monomials by cost
+        for cost in divisor_costs:
+            grown = dict(counts)
+            for c, k in counts.items():
+                c += cost
+                while c <= budget:
+                    grown[c] = grown.get(c, 0) + k
+                    c += cost
+                    taken += 1
+            counts = grown
+            if taken > steps:
+                return None
+        ordered = sorted(counts.items())
+        pairs: dict[int, int] = {}
+        for a, ka in joint.items():
+            for c, k in ordered:
+                taken += 1
+                if a + c > budget:
+                    break
+                pairs[a + c] = pairs.get(a + c, 0) + ka * k
+            if taken > steps:
+                return None
+        joint = pairs
+    return sum(joint.values()), taken
+
+
+def _check_contact_budget(costs: list[list[int]], budgets: list[int]) -> None:
+    """Refuse, with the count, an extended build whose classes, at the given
+    broad budgets, would form more than :data:`MAX_CONTACT_COMBINATIONS`
+    contact combinations in total."""
+    estimate = 0
+    # a count up to the limit takes at most this many steps
+    steps = 3 * len(costs) * MAX_CONTACT_COMBINATIONS
+    limit = f"the limit of {MAX_CONTACT_COMBINATIONS:,}; lower the cap or m"
+    for budget in budgets:
+        counted = _combination_count(costs, budget, steps)
+        if counted is None:
+            raise ExtendedBudgetError(
+                f"the extended series would form more contact combinations than {limit}"
+            )
+        estimate += counted[0]
+        steps -= counted[1]
+    if estimate > MAX_CONTACT_COMBINATIONS:
+        raise ExtendedBudgetError(
+            f"the extended series would form up to {estimate:,} contact "
+            f"combinations, over {limit}"
+        )
 
 
 def _combinations(
@@ -316,6 +378,10 @@ def _extended_terms(
     total, and combined only while both bounds hold; every combination
     reached keeps at least its body's top term.  The contact monomial is
     attached by moving each body term to z-power zpow - |k|.
+
+    Before any of that, the combinations within the broad budget are counted
+    per class; past :data:`MAX_CONTACT_COMBINATIONS` in total the build is
+    refused with :class:`ExtendedBudgetError`.
     """
     floor = out_ctx.z_floor
     if floor is None:
@@ -326,13 +392,22 @@ def _extended_terms(
         )
     ctx = replace(out_ctx, z_floor=None)
     n = arrangement.n
-    classes = [d.cls(X) for d in arrangement.divisors]
+    coeffs = [d.coeffs for d in arrangement.divisors]
+    one = _Chain.z_power(X.factors, 0)
+    degree_zero = ctx.zero_key().beta
     # costs are the weights w_ij in units of 1/scale, so budgets stay integral
     if roots is None:
         scale, costs = 1, [[1] * m for _ in range(n)]
     else:
         scale = lcm(*roots)
         costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
+    budgets = {}
+    for beta in enumerate_curve_classes(X, cap):
+        top = 1 + arrangement.total_degree(beta) + n
+        if any(beta):
+            top -= ctx.beta_degree(beta)
+        budgets[beta] = (top - floor) * scale
+    _check_contact_budget(costs, list(budgets.values()))
     contact_cache: dict[tuple[int, int], dict[int, tuple[list[_Contact], int]]] = {}
     factor_cache: dict[tuple[int, int, int], GradedSeries] = {}
     support_ok: dict[tuple[int, ...], bool] = {}
@@ -342,19 +417,16 @@ def _extended_terms(
         # at infinite order every nonpositive shift keeps the full product
         key = (i, d, shift if roots is not None else max(shift, 0))
         if key not in factor_cache:
-            factor_cache[key] = (
-                _limit_factor(ctx, classes[i], d, shift)
+            chain = (
+                _limit_factor(one, coeffs[i], d, shift)
                 if roots is None
-                else _root_factor(ctx, classes[i], d, shift, roots[i])
+                else _root_factor(one, coeffs[i], d, shift, roots[i])
             )
+            factor_cache[key] = chain.series(ctx, degree_zero)
         return factor_cache[key]
 
-    for beta in enumerate_curve_classes(X, cap):
+    for beta, budget in budgets.items():
         degs = arrangement.degrees(beta)
-        top = 1 + sum(degs) + n
-        if any(beta):
-            top -= ctx.beta_degree(beta)
-        budget = (top - floor) * scale
         per_divisor = []
         for i in range(n):
             if (i, budget) not in contact_cache:
@@ -436,13 +508,13 @@ def infinity_slice(
     product of root orders of the finite-order picture.
     """
     degs = arrangement.degrees(beta)
-    unit = _sector_unit(ctx, X, arrangement, tuple(-d for d in degs))
-    if unit is None:
+    sector = tuple(-d for d in degs)
+    if not _sector_meets(X, arrangement, sector):
         return GradedSeries.zero(ctx)
-    term = base_j_function(X, beta, ctx)
-    for i, d in enumerate(degs):
-        term = term * _limit_factor(ctx, arrangement.divisors[i].cls(X), d, d)
-    return term * unit
+    chain = _j_chain(X, beta)
+    for divisor, d in zip(arrangement.divisors, degs):
+        chain = _limit_factor(chain, divisor.coeffs, d, d)
+    return chain.series(ctx, beta, sector)
 
 
 def i_infinity_nonextended(
@@ -511,14 +583,12 @@ def h0_body(
     slice times prod_i prod_{0<a<=d_i}(D_i + a z), no contact monomial yet.
 
     Each contact tiling moves the body whole (see :func:`h0_slice`), so one
-    tiling's coefficient can be read here without forming the others.  Pass
-    a context without a z floor: a floor would drop target-slice terms that
-    the ascending products raise back above it.
+    tiling's coefficient can be read here without forming the others.
     """
-    hyper = GradedSeries.one(ctx)
-    for i, d in enumerate(arrangement.degrees(beta)):
-        hyper = hyper * ascending_product(ctx, arrangement.divisors[i].cls(X), 1, d)
-    return base_j_function(X, beta, ctx) * hyper
+    chain = _j_chain(X, beta)
+    for divisor, d in zip(arrangement.divisors, arrangement.degrees(beta)):
+        chain = ascending_product(chain, divisor.coeffs, 1, d)
+    return chain.series(ctx, beta)
 
 
 def h0_slice(
@@ -608,13 +678,10 @@ def relative_slice(
     """
     divisor = arrangement.divisors[0]
     d = divisor.degree(beta)
-    unit = _sector_unit(ctx, X, arrangement, (-d,))
-    if unit is None:
+    if not _sector_meets(X, arrangement, (-d,)):
         return GradedSeries.zero(ctx)
-    term = base_j_function(X, beta, ctx) * ascending_product(
-        ctx, divisor.cls(X), 1, d - 1
-    )
-    return term * unit
+    chain = ascending_product(_j_chain(X, beta), divisor.coeffs, 1, d - 1)
+    return chain.series(ctx, beta, (-d,))
 
 
 def i_relative_smooth(
@@ -643,18 +710,13 @@ def local_slice(
     parameters carried symbolically.  No sectors appear; states live on the
     target itself.
     """
-    term = base_j_function(X, beta, ctx)
-    for i, d in enumerate(arrangement.degrees(beta)):
-        cls = arrangement.divisors[i].cls(X)
-        lam = tuple(1 if t == i else 0 for t in range(arrangement.n))
+    degs = arrangement.degrees(beta)
+    chain = _j_chain(X, beta).with_lam(degs)
+    for i, (divisor, d) in enumerate(zip(arrangement.divisors, degs)):
+        negated = tuple(-c for c in divisor.coeffs)
         for a in range(d):
-            factor = (
-                GradedSeries.from_class(ctx, -cls)
-                + GradedSeries.term(ctx, 1, lam=lam)
-                + GradedSeries.term(ctx, -a, zpow=1)
-            )
-            term = term * factor
-    return term
+            chain = chain.times_linear(negated, -a, lam=i)
+    return chain.series(ctx, beta)
 
 
 def i_local(

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .algebra import (
-    AmbientRing,
-    CohClass,
-    GradedSeries,
-    SeriesContext,
-    invert_z_linear,
-)
+from .algebra import AmbientRing, CohClass, GradedSeries, SeriesContext, _Chain
 
 
 class ConfigurationError(ValueError):
@@ -221,19 +214,22 @@ def check_coprime(orders: tuple[int, ...]) -> bool:
 
 
 # Bounded so a long run cannot grow it without limit; the largest benchmark
-# job (stabilization on the quadric at cap 12) holds 112 entries.
+# job (comparing periods on the quadric at cap 16) holds 45 entries.
 @functools.lru_cache(maxsize=1024)
-def _j_slice_cached(
-    X: TargetSpace, beta: tuple[int, ...], ctx: SeriesContext
-) -> GradedSeries:
-    out = GradedSeries.term(ctx, 1, beta=beta, zpow=1)
+def _j_chain(X: TargetSpace, beta: tuple[int, ...]) -> _Chain:
+    """The degree-beta slice of the target's one-point series as a dense
+    chain: z times prod_k prod_{0<a<=beta_k} (P_k + a z)^-(n_k + 1).
+
+    Keyed by target and class only, so every context and every builder
+    shares one build per class.
+    """
+    chain = _Chain.z_power(X.factors, 1)
     for k, b in enumerate(beta):
-        P = CohClass.generator(ctx.ring, k)
+        generator = tuple(int(i == k) for i in range(X.rank))
         for a in range(1, b + 1):
-            inv = invert_z_linear(ctx, Fraction(a), P)
             for _ in range(X.factors[k] + 1):
-                out = out * inv
-    return out
+                chain = chain.over_linear(generator, a)
+    return chain
 
 
 def base_j_function(
@@ -251,7 +247,7 @@ def base_j_function(
         raise ValueError("beta must be an effective curve class of the target")
     if ctx is None:
         ctx = X.context(divisors=0, beta_cap=None)
-    return _j_slice_cached(X, beta, ctx)
+    return _j_chain(X, beta).series(ctx, beta)
 
 
 @dataclass(frozen=True)

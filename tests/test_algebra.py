@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_series
+from oracle import hyper_slice
 from rootstack_gw.algebra import (
     AmbientRing,
     CohClass,
@@ -18,11 +19,13 @@ from rootstack_gw.algebra import (
     NotInvertibleError,
     SeriesContext,
     TermKey,
+    _Chain,
     exact_divide_linear,
     invert_z_linear,
     merge_xexp,
     series_sum,
 )
+from rootstack_gw.targets import TargetSpace, _j_chain
 
 
 def plane_ctx(divisors=0) -> SeriesContext:
@@ -474,3 +477,133 @@ def test_ring_operations_match_validated_references(data):
     ]
     for got in results:
         assert GradedSeries(got.ctx, dict(got.terms)) == got
+
+
+# ---------------------------------------------------------------------------
+# The dense kernel against the sparse path and the oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def chain_jobs(draw):
+    """A ring (P^2, P^3 or P^1 x P^1), a context with lam and sector slots
+    and optional cap and floor, a curve class, a sector, a starting z-power
+    and up to six factors of the three shapes the slice builders use."""
+    caps = draw(st.sampled_from([(2,), (3,), (1, 1)]))
+    n = draw(st.integers(1, 2))
+    cap, floor = draw(
+        st.tuples(
+            st.one_of(st.none(), st.integers(0, 8)),
+            st.one_of(st.none(), st.integers(-9, 2)),
+        )
+    )
+    ctx = SeriesContext(
+        ring=AmbientRing.for_product(caps),
+        divisors=n,
+        beta_weights=tuple(c + 1 for c in caps),
+        beta_cap=cap,
+        z_floor=floor,
+    )
+    beta = draw(st.tuples(*[st.integers(0, 2)] * len(caps)))
+    sector = draw(
+        st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-3, 3)] * n))
+    )
+    coeffs = st.tuples(*[st.integers(-3, 3)] * len(caps))
+    scale = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(1, 5)])
+    factor = st.one_of(
+        st.tuples(st.just("linear"), coeffs, st.integers(-4, 4), scale),
+        st.tuples(
+            st.just("inverse"),
+            coeffs,
+            st.integers(-4, 4).filter(bool),
+            scale,
+        ),
+        st.tuples(st.just("local"), coeffs, st.integers(0, n - 1), st.integers(0, 4)),
+    )
+    start = draw(st.integers(-1, 2))
+    return ctx, beta, sector, start, draw(st.lists(factor, max_size=6))
+
+
+def kernel_product(ctx, beta, sector, start, factors) -> GradedSeries:
+    lam_caps = [0] * ctx.divisors
+    for shape, _, slot, _ in factors:
+        if shape == "local":
+            lam_caps[slot] += 1
+    chain = _Chain.z_power(ctx.ring.caps, start)
+    if any(lam_caps):
+        chain = chain.with_lam(tuple(lam_caps))
+    for shape, coeffs, step, extra in factors:
+        if shape == "local":
+            negated = tuple(-c for c in coeffs)
+            chain = chain.times_linear(negated, -extra, lam=step)
+            continue
+        if shape == "linear":
+            chain = chain.times_linear(coeffs, step)
+        else:
+            chain = chain.over_linear(coeffs, step)
+        chain = chain.scaled(extra.numerator, extra.denominator)
+    return chain.series(ctx, beta, sector)
+
+
+def sparse_product(ctx, beta, sector, start, factors) -> GradedSeries:
+    """The same product by GradedSeries.__mul__ and invert_z_linear, formed
+    without a floor and truncated once at the end."""
+    full = replace(ctx, z_floor=None)
+    ring = ctx.ring
+    out = GradedSeries.term(full, 1, beta=beta, zpow=start)
+    for shape, coeffs, step, extra in factors:
+        cls = CohClass(
+            ring,
+            {tuple(int(i == k) for i in range(ring.rank)): c for k, c in enumerate(coeffs)},
+        )
+        if shape == "local":
+            lam = tuple(int(i == step) for i in range(ctx.divisors))
+            factor = (
+                GradedSeries.from_class(full, -cls)
+                + GradedSeries.term(full, 1, lam=lam)
+                + GradedSeries.term(full, -extra, zpow=1)
+            )
+        elif shape == "linear":
+            factor = GradedSeries.from_class(full, cls) + GradedSeries.term(
+                full, step, zpow=1
+            )
+            factor = factor.scale(extra)
+        else:
+            factor = invert_z_linear(full, step, cls).scale(extra)
+        out = out * factor
+    out = out * GradedSeries.term(full, 1, sector=sector)
+    return out.in_context(ctx)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_jobs())
+def test_kernel_matches_sparse_products(job):
+    got = kernel_product(*job)
+    want = sparse_product(*job)
+    assert got == want
+    assert got.terms == dict(want.terms)
+    # the converted series holds only valid, kept keys and nonzero values
+    assert GradedSeries(got.ctx, dict(got.terms)) == got
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 6), (2, 6), (3, 5)])
+def test_kernel_target_slice_matches_oracle(dim, degree):
+    X = TargetSpace((dim,))
+    ctx = X.context(divisors=1, beta_cap=None)
+    for d in range(degree + 1):
+        got = _j_chain(X, (d,)).series(ctx, (d,))
+        assert {(k.mono[0], k.zpow): c for k, c in got.terms.items()} == hyper_slice(
+            dim + 1, d, dim
+        )
+
+
+def test_kernel_refuses_a_mismatched_context():
+    chain = _Chain.z_power((2,), 1)
+    with pytest.raises(ContractError):
+        chain.series(SeriesContext(AmbientRing.for_product((1, 1)), 0, (2, 2)), (0, 0))
+    with pytest.raises(ContractError):
+        chain.series(plane_ctx(1), (0,), sector=(0, 0))
+    with pytest.raises(ContractError):
+        chain.with_lam((1,)).series(plane_ctx(2), (0,))
+    with pytest.raises(NotInvertibleError):
+        chain.over_linear((1,), 0)

@@ -4,10 +4,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootstack_gw import ifunctions
 from rootstack_gw.cli import run
-from rootstack_gw.config import ConfigError, config_from_dict, parse_config
+from rootstack_gw.config import ConfigError, JobConfig, config_from_dict, parse_config
+from rootstack_gw.targets import check_coprime
 
 PLANE_JOB = {
     "target": {"factors": [2]},
@@ -104,6 +107,111 @@ class TestConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError, match="unknown fields"):
             config_from_dict(dict(PLANE_JOB, extra=1))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def config_docs(draw):
+    """A job document near the schema: a well-formed one with a few of its
+    fields replaced by junk, removed, or pushed out of range (caps and m
+    outside 1..64, empty or non-coprime roots, coefficient lists of the
+    wrong length), or an unknown field added."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+    doc = {
+        "target": {"factors": draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))},
+        "divisors": [
+            {"name": f"D{i}", "coeffs": draw(coeffs.filter(any))} for i in range(n)
+        ],
+        "cap": draw(st.integers(1, 64)),
+    }
+    if draw(st.booleans()):
+        doc["roots"] = draw(st.sampled_from([[2, 3, 5], [7, 11, 13], [5, 7, 9]]))[:n]
+    if draw(st.booleans()):
+        doc["m"] = draw(st.integers(1, 64))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["junk", "drop", "range", "roots", "coeffs", "extra"]))
+        if kind == "junk":
+            path = draw(st.sampled_from(["target", "factors", "divisors", "divisor", "name", "roots", "cap", "m"]))
+            value = draw(json_values)
+            if path == "factors":
+                doc["target"] = {"factors": value}
+            elif path == "divisor":
+                doc["divisors"] = [value] + list(doc.get("divisors") or [])[1:]
+            elif path == "name":
+                doc["divisors"] = [{"name": value, "coeffs": [1] * rank}]
+            else:
+                doc[path] = value
+        elif kind == "drop":
+            doc.pop(draw(st.sampled_from(["target", "divisors", "cap", "roots", "m"])), None)
+        elif kind == "range":
+            field = draw(st.sampled_from(["cap", "m"]))
+            doc[field] = draw(st.sampled_from([-1, 0, 65, 10**30, True, 1.0]))
+        elif kind == "roots":
+            doc["roots"] = draw(st.sampled_from([[], [0] * n, [4, 6, 8][:n], [1] * (n + 1), [-3] * n]))
+        elif kind == "coeffs":
+            doc["divisors"] = [
+                {"name": f"D{i}", "coeffs": draw(st.lists(st.integers(-1, 3), max_size=4))}
+                for i in range(n)
+            ]
+        else:
+            doc[draw(st.text(max_size=5))] = draw(json_values)
+    return doc
+
+
+def assert_valid_job(job: JobConfig) -> None:
+    rank = job.target.rank
+    assert all(n >= 1 for n in job.target.factors)
+    assert 1 <= job.cap <= 64 and (job.m is None or 1 <= job.m <= 64)
+    for divisor in job.arrangement.divisors:
+        assert len(divisor.coeffs) == rank and any(divisor.coeffs)
+        assert all(c >= 0 for c in divisor.coeffs)
+    if job.roots is not None:
+        assert len(job.roots.orders) == job.arrangement.n
+        assert all(r >= 1 for r in job.roots.orders) and check_coprime(job.roots.orders)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(config_docs(), json_values))
+    def test_documents_give_a_job_or_config_error(self, doc):
+        outcomes = []
+        for parse in (lambda: config_from_dict(doc), lambda: parse_config(json.dumps(doc))):
+            try:
+                job = parse()
+            except ConfigError as err:
+                outcomes.append(str(err))
+            else:
+                assert_valid_job(job)
+                outcomes.append(job)
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=400))
+    def test_any_text_gives_a_job_or_config_error(self, text):
+        try:
+            assert_valid_job(parse_config(text))
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, "a\x00b", json.dumps(dict(PLANE_JOB, cap=1 + 10**300))]
+    )
+    def test_hostile_text_is_a_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
 
 
 class TestCommands:
@@ -317,6 +425,28 @@ class TestCommands:
         args = ["--command", "laurent-period", "--laurent", "2x+1/x", "--cap", "2"]
         assert run(args) == 1
         assert "cannot parse Laurent polynomial '2x+1/x'" in capsys.readouterr().err
+
+    def test_unbuildable_extended_series_refused_with_estimate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the README job at cap 9: degree zero alone keeps C(24,12) terms
+        def unreachable(*args):
+            raise AssertionError("contact monomials enumerated")
+
+        monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
+        config = write_job(tmp_path, dict(PLANE_JOB, roots=[7, 11], m=6))
+        for series, estimate in (
+            ("infinity-extended", "38,630,800"),
+            ("root-extended", "12,533,583,308"),
+        ):
+            args = ["--command", "ifunction", "--series", series, "--format", "records"]
+            assert run(["--config", config, *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: the extended series would form up to {estimate} contact "
+                "combinations, over the limit of 2,000,000; lower the cap or m\n"
+            )
 
     def test_relative_extended_h0_needs_one_divisor(self, plane_config, capsys):
         args = ["--command", "ifunction", "--series", "relative-extended-h0"]

@@ -22,7 +22,7 @@ from rootstack_gw import identities
 from rootstack_gw.algebra import exact_divide_linear
 from rootstack_gw.identities import local_point_invariant, parity_sign
 from rootstack_gw.ifunctions import h0_slice, infinity_slice, local_slice, relative_slice
-from rootstack_gw.targets import TargetSpace, _j_slice_cached, enumerate_curve_classes
+from rootstack_gw.targets import TargetSpace, _j_chain, enumerate_curve_classes
 
 
 class TestPushforward:
@@ -287,11 +287,11 @@ class TestLocalPointValues:
 
 class TestOneClassAtATime:
     def test_nonextended_check_builds_only_its_class(self, p1p1, two_diagonals):
-        _j_slice_cached.cache_clear()
+        _j_chain.cache_clear()
         report = check_identities(p1p1, two_diagonals, (2, 1))[0]
         assert report.ok
         # both sides share the one target slice of beta (2,1) at cap 6
-        assert _j_slice_cached.cache_info().currsize == 1
+        assert _j_chain.cache_info().currsize == 1
 
     def test_local_slice_built_once_per_class(self, p2, line_conic, monkeypatch):
         calls = []

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+from itertools import product
+
 import pytest
 
 from rootstack_gw import (
@@ -19,8 +21,13 @@ from rootstack_gw import (
     i_root_nonextended,
     enumerate_curve_classes,
 )
+from rootstack_gw import ifunctions
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.ifunctions import (
+    MAX_CONTACT_COMBINATIONS,
+    ExtendedBudgetError,
+    _combination_count,
+    _contact_vectors,
     ConfigurationError,
     ExtendedDataTooSmall,
     h0_slice,
@@ -397,3 +404,42 @@ class TestLocal:
         got = series.beta_slice((1,)).without_lambda()
         flat = {(k.zpow, k.mono): c for k, c in got.terms.items()}
         assert flat == {(-1, (2,)): F(-9), (0, (1,)): F(-6)}
+
+
+class TestContactBudget:
+    @pytest.mark.parametrize(
+        "costs, budget",
+        [
+            ([[1, 1]], 6),
+            ([[1, 1, 1], [1, 1, 1]], 4),
+            ([[10, 6], [12, 9]], 60),
+            ([[4, 3], [5, 4], [7, 6]], 30),
+            ([[1], [1]], -1),
+        ],
+    )
+    def test_count_matches_enumeration(self, costs, budget):
+        per_divisor = [
+            [c.cost for group, _ in _contact_vectors(i, divisor, budget).values() for c in group]
+            for i, divisor in enumerate(costs)
+        ]
+        want = sum(1 for choice in product(*per_divisor) if sum(choice) <= budget)
+        count, steps = _combination_count(costs, budget, 10**6)
+        assert count == want and steps <= 3 * len(costs) * max(count, 1)
+        assert _combination_count(costs, budget, steps - 1) is None or steps == 0
+
+    def test_count_gives_up_past_its_steps(self):
+        # m = 64 at root orders just above it: far too many monomials to count
+        r = (65, 67)
+        scale = r[0] * r[1]
+        costs = [[(ri - j) * (scale // ri) for j in range(1, 65)] for ri in r]
+        assert _combination_count(costs, 70 * scale, 3 * 2 * 1000) is None
+
+    def test_refused_before_any_body(self, p2, line_conic, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("contact monomials enumerated")
+
+        monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
+        with pytest.raises(ExtendedBudgetError, match="up to 1,293,292 contact"):
+            monkeypatch.setattr(ifunctions, "MAX_CONTACT_COMBINATIONS", 1_000_000)
+            i_infinity_extended(p2, line_conic, 6, 5, z_floor=-7)
+        assert MAX_CONTACT_COMBINATIONS == 2_000_000

@@ -24,6 +24,7 @@ from rootstack_gw import (
 )
 from rootstack_gw.algebra import ContractError
 from rootstack_gw.invariants import InvariantTable, TableEntry
+from rootstack_gw.targets import _j_chain
 
 
 class TestMirrorMap:
@@ -249,6 +250,15 @@ class TestStabilization:
         report = stabilization_check(p2, line_conic, roots, 9)
         assert report.ok
         assert len(report.cases) == 3 * 4
+
+    def test_each_target_slice_built_once(self, p1p1, two_diagonals):
+        # the limit and every order vector share one slice per class
+        roots = [RootData(r) for r in ((7, 11), (11, 13), (13, 17))]
+        _j_chain.cache_clear()
+        report = stabilization_check(p1p1, two_diagonals, roots, 12)
+        assert report.ok and len(report.cases) == 3 * 28
+        info = _j_chain.cache_info()
+        assert info.misses == info.currsize == 28
 
     def test_degree_zero_case_trivially_equal(self, p2, line_conic):
         report = stabilization_check(p2, line_conic, [RootData((7, 11))], 3)

@@ -24,7 +24,7 @@ from rootstack_gw import (
 )
 from rootstack_gw import ifunctions, invariants
 from rootstack_gw.ifunctions import h0_body
-from rootstack_gw.targets import enumerate_curve_classes
+from rootstack_gw.targets import _j_chain, enumerate_curve_classes
 
 
 class TestQuantumPeriod:
@@ -119,6 +119,14 @@ class TestClassicalPeriod:
 
 
 class TestComparison:
+    def test_each_target_slice_built_once(self, p1p1, two_diagonals):
+        # the quantum period and the class bodies share one slice per class
+        _j_chain.cache_clear()
+        compare_periods(p1p1, two_diagonals, 16)
+        info = _j_chain.cache_info()
+        assert info.misses == info.currsize == 45
+        assert len(enumerate_curve_classes(p1p1, 16)) == 45
+
     def test_plane(self, p2, line_conic):
         outcome = compare_periods(p2, line_conic, 9)
         assert outcome.ok and outcome.first_mismatch() is None

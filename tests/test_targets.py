@@ -16,7 +16,7 @@ from rootstack_gw import (
     enumerate_curve_classes,
     pairing,
 )
-from rootstack_gw.targets import _j_slice_cached
+from rootstack_gw.targets import _j_chain
 
 
 class TestCurveClasses:
@@ -106,10 +106,17 @@ class TestBaseJ:
         key, value = next(iter(j.terms.items()))
         with pytest.raises(TypeError):
             j.terms[key] = value + 1
+        # the shared cache entry is a tuple of tuples: no holder can change it
+        chain = _j_chain(p2, (1,))
+        with pytest.raises(TypeError):
+            chain.num[0] += 1
+        with pytest.raises(AttributeError):
+            chain.den = 1
+        assert _j_chain(p2, (1,)) is chain
         assert base_j_function(p2, (1,)).terms[key] == value
 
     def test_slice_cache_is_bounded(self):
-        assert _j_slice_cached.cache_info().maxsize == 1024
+        assert _j_chain.cache_info().maxsize == 1024
 
 
 class TestHypotheses:
