@@ -33,6 +33,10 @@ a product of linear factors) are instead built by the dense kernel
 manner of FLINT's ``fmpq_poly``.  A chain is reduced once, when
 :meth:`_Chain.series` turns it into a ``GradedSeries`` at the slice
 boundary; the cap, the z floor and the sector label apply there too.
+
+:func:`invert_z_linear` and :func:`exact_divide_linear` are sparse
+reference routines: no series builder calls them, since every slice and
+every extended body is a chain, and the tests use them to check the chains.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import DivisibilityError, GradedSeries, TermKey
+from .algebra import GradedSeries, TermKey
 from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
 from .identities import RefusedIdentityError, check_identities
 from .ifunctions import (
@@ -414,9 +414,6 @@ def run(argv: list[str] | None = None) -> int:
                 "compare-periods": cmd_compare_periods,
             }[args.command]
             status, lines = handler(job, args)
-    except DivisibilityError as err:
-        print(f"internal divisibility failure: {err}", file=sys.stderr)
-        return 3
     except (UnsupportedMirrorMapError, PeriodError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -9,15 +9,18 @@ The tangency side pushes its sector classes into the ambient ring by
 multiplying with the classes of the active divisors.  The local side starts
 from the equivariant series of the dual bundle sum, in which each divisor
 contributes a linear factor (lam_i - D_i) at step a = 0: that factor is the
-equivariant normal weight of the divisor.  The local side divides it out
-exactly and sets the equivariant parameters to zero.  The non-extended
-identity restores the divisor classes on that side, the extended identity
-applies one divisor derivative per divisor to it (a derivative multiplies
-each class slice by (D_i + d_i z)/z, which commutes with the division), and
-both apply the parity sign prod_i (-1)^(d_i - 1).  Carried out this way the
-stated sign is exact for any number of divisors; substituting the bare
-lam_i = 0 specialization without the normal-weight normalization would flip
-the comparison by (-1)^n.
+equivariant normal weight of the divisor.  The local side leaves that
+step-zero factor out and sets the equivariant parameters to zero, so it is
+one dense chain, the target slice times prod_i prod_{0<a<d_i}(-D_i - a z);
+that equals dividing the factor out of the equivariant slice exactly, as
+``test_dividing_commutes_with_the_derivatives`` checks on 37 classes.  The
+non-extended identity restores the divisor classes on that side, the
+extended identity applies one divisor derivative per divisor to it (a
+derivative multiplies each class slice by (D_i + d_i z)/z, which commutes
+with the division), and both apply the parity sign prod_i (-1)^(d_i - 1).
+Carried out this way the stated sign is exact for any number of divisors;
+substituting the bare lam_i = 0 specialization without the normal-weight
+normalization would flip the comparison by (-1)^n.
 """
 
 from __future__ import annotations
@@ -25,20 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    GradedSeries,
-    SeriesContext,
-    TermKey,
-    exact_divide_linear,
-    series_sum,
-)
-from .ifunctions import (
-    h0_body,
-    infinity_slice,
-    local_slice,
-    relative_slice,
-)
-from .targets import ConfigurationError, DivisorArrangement, TargetSpace
+from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
+from .ifunctions import h0_body, infinity_slice, relative_slice
+from .targets import ConfigurationError, DivisorArrangement, TargetSpace, _j_chain
 
 
 class RefusedIdentityError(ValueError):
@@ -141,11 +133,14 @@ def _local_side(
     ctx: SeriesContext,
 ) -> GradedSeries:
     """The class-beta local slice with each divisor's a = 0 equivariant
-    weight (lam_i - D_i) divided out exactly and the parameters dropped."""
-    series = local_slice(X, arrangement, beta, ctx)
-    for i, divisor in enumerate(arrangement.divisors):
-        series = exact_divide_linear(series, -divisor.cls(X), i)
-    return series.without_lambda()
+    weight (lam_i - D_i) divided out and the parameters set to zero: the
+    target slice times prod_i prod_{0<a<d_i}(-D_i - a z)."""
+    chain = _j_chain(X, beta)
+    for divisor, d in zip(arrangement.divisors, arrangement.degrees(beta)):
+        negated = tuple(-c for c in divisor.coeffs)
+        for a in range(1, d):
+            chain = chain.times_linear(negated, -a)
+    return chain.series(ctx, beta)
 
 
 def local_point_invariant(
@@ -158,8 +153,8 @@ def local_point_invariant(
 
     Reads the untwisted coefficient of z^-1 off the class-beta local side
     at cap deg(beta): the pairing of the local theory carries the inverse
-    of the equivariant normal weights that side divides out.  A class
-    missing some divisor has no such weight to divide out and is refused.
+    of the equivariant normal weights that side leaves out.  A class
+    missing some divisor has no such weight to leave out and is refused.
     """
     beta = tuple(beta)
     _positive_degrees(arrangement, beta)
@@ -192,8 +187,7 @@ def check_identities(
     the class body moved down by one z-power per divisor (that tiling has
     weight 1), against the divisor derivatives of the local side.  No
     mirror-map certificate runs here.  Both right sides carry the parity
-    sign.  An inexact division means a transcription error somewhere and
-    must never happen.
+    sign.
 
     Requires every intersection number positive and a nonempty common
     intersection of the divisors; outside those hypotheses nothing is

@@ -15,8 +15,9 @@ Each closed-form family has a per-class ``<family>_slice(X, arrangement,
 validation to its caller; its capped builder validates and sums the slices
 over the classes in the cap.  A slice is one dense chain (the target slice
 times the divisor weights, see :class:`~rootstack_gw.algebra._Chain`),
-turned into a series once, in its sector.  The extended series use
-:func:`_extended_terms`.
+turned into a series once, in its sector.  The extended series are built
+from the same chains: :func:`_extended_terms` turns one body chain per tuple
+of net shifts into a series and attaches the contact monomials to it.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -43,7 +44,6 @@ from .targets import (
     RootData,
     TargetSpace,
     _j_chain,
-    base_j_function,
     enumerate_curve_classes,
 )
 
@@ -140,6 +140,26 @@ def _limit_factor(chain: _Chain, coeffs: tuple[int, ...], d: int, shift: int) ->
     return ascending_product(chain, coeffs, 1, d, skip=shift if shift > 0 else None)
 
 
+def _body_chain(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    beta: tuple[int, ...],
+    shifts: tuple[int, ...],
+    roots: tuple[int, ...] | None,
+) -> _Chain:
+    """The class-beta body at the net shifts: the target slice times each
+    divisor's weight, :func:`_root_factor` at the root orders ``roots`` or
+    :func:`_limit_factor` at infinite order (``roots`` None)."""
+    chain = _j_chain(X, beta)
+    degs = arrangement.degrees(beta)
+    for i, (divisor, d, shift) in enumerate(zip(arrangement.divisors, degs, shifts)):
+        if roots is None:
+            chain = _limit_factor(chain, divisor.coeffs, d, shift)
+        else:
+            chain = _root_factor(chain, divisor.coeffs, d, shift, roots[i])
+    return chain
+
+
 def _finite_sector(shifts: tuple[int, ...], roots: tuple[int, ...]) -> tuple[int, ...]:
     """Residue labels (-shift_i) mod r_i, warning when a nonzero shift folds."""
     out = []
@@ -194,10 +214,7 @@ def root_slice(
     sector = _finite_sector(degs, ctx.roots)
     if not _sector_meets(X, arrangement, sector):
         return GradedSeries.zero(ctx)
-    chain = _j_chain(X, beta)
-    for divisor, d, r in zip(arrangement.divisors, degs, ctx.roots):
-        chain = _root_factor(chain, divisor.coeffs, d, d, r)
-    return chain.series(ctx, beta, sector)
+    return _body_chain(X, arrangement, beta, degs, ctx.roots).series(ctx, beta, sector)
 
 
 def i_root_nonextended(
@@ -361,8 +378,8 @@ def _extended_terms(
     """Shared double sum of the extended series, finite or infinite orders.
 
     A contact vector k multiplies the body of its net shifts d_i -
-    sum_j j k_ij (the j-slice times the divisor weights times the sector
-    unit) by prod x^k / (prod k! z^|k|).  Two exact bounds keep the sum
+    sum_j j k_ij (:func:`_body_chain`, in the sector of the negated shifts)
+    by prod x^k / (prod k! z^|k|).  Two exact bounds keep the sum
     finite:
 
     * the broad budget: the weighted total sum_ij w_ij k_ij, with w_ij =
@@ -392,9 +409,6 @@ def _extended_terms(
         )
     ctx = replace(out_ctx, z_floor=None)
     n = arrangement.n
-    coeffs = [d.coeffs for d in arrangement.divisors]
-    one = _Chain.z_power(X.factors, 0)
-    degree_zero = ctx.zero_key().beta
     # costs are the weights w_ij in units of 1/scale, so budgets stay integral
     if roots is None:
         scale, costs = 1, [[1] * m for _ in range(n)]
@@ -409,22 +423,7 @@ def _extended_terms(
         budgets[beta] = (top - floor) * scale
     _check_contact_budget(costs, list(budgets.values()))
     contact_cache: dict[tuple[int, int], dict[int, tuple[list[_Contact], int]]] = {}
-    factor_cache: dict[tuple[int, int, int], GradedSeries] = {}
-    support_ok: dict[tuple[int, ...], bool] = {}
     out: dict[TermKey, Fraction] = {}
-
-    def factor(i: int, d: int, shift: int) -> GradedSeries:
-        # at infinite order every nonpositive shift keeps the full product
-        key = (i, d, shift if roots is not None else max(shift, 0))
-        if key not in factor_cache:
-            chain = (
-                _limit_factor(one, coeffs[i], d, shift)
-                if roots is None
-                else _root_factor(one, coeffs[i], d, shift, roots[i])
-            )
-            factor_cache[key] = chain.series(ctx, degree_zero)
-        return factor_cache[key]
-
     for beta, budget in budgets.items():
         degs = arrangement.degrees(beta)
         per_divisor = []
@@ -434,7 +433,6 @@ def _extended_terms(
             per_divisor.append(
                 {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
             )
-        j_slice = base_j_function(X, beta, ctx)
         for shifts in product(*per_divisor):
             groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
             if sum(min_cost for _, min_cost in groups) > budget:
@@ -443,17 +441,10 @@ def _extended_terms(
                 sector = tuple(-s for s in shifts)
             else:
                 sector = _finite_sector(shifts, roots)
-            support = tuple(i for i, s in enumerate(sector) if s)
-            if support not in support_ok:
-                support_ok[support] = not support or arrangement.intersection_nonempty(
-                    X, support
-                )
-            if not support_ok[support]:
+            if not _sector_meets(X, arrangement, sector):
                 continue
-            body = j_slice
-            for i in range(n):
-                body = body * factor(i, degs[i], shifts[i])
-            body = body * GradedSeries.term(ctx, 1, sector=sector)
+            chain = _body_chain(X, arrangement, beta, shifts, roots)
+            body = chain.series(ctx, beta, sector)
             if body.is_zero:
                 continue
             body_terms = sorted(body.terms.items(), key=lambda kv: -kv[0].zpow)
@@ -511,10 +502,7 @@ def infinity_slice(
     sector = tuple(-d for d in degs)
     if not _sector_meets(X, arrangement, sector):
         return GradedSeries.zero(ctx)
-    chain = _j_chain(X, beta)
-    for divisor, d in zip(arrangement.divisors, degs):
-        chain = _limit_factor(chain, divisor.coeffs, d, d)
-    return chain.series(ctx, beta, sector)
+    return _body_chain(X, arrangement, beta, degs, None).series(ctx, beta, sector)
 
 
 def i_infinity_nonextended(

@@ -33,7 +33,7 @@ class TargetSpace:
     def rank(self) -> int:
         return len(self.factors)
 
-    @property
+    @functools.cached_property
     def ring(self) -> AmbientRing:
         return AmbientRing.for_product(self.factors)
 
@@ -48,12 +48,13 @@ class TargetSpace:
 
     def cls(self, coeffs: tuple[int, ...]) -> CohClass:
         """The class sum_k coeffs[k] * P_k."""
-        ring = self.ring
-        out = CohClass.zero(ring)
-        for k, c in enumerate(coeffs):
-            if c:
-                out = out + CohClass.generator(ring, k).scale(c)
-        return out
+        return CohClass(
+            self.ring,
+            {
+                tuple(int(i == k) for i in range(self.rank)): c
+                for k, c in enumerate(coeffs)
+            },
+        )
 
     def context(
         self,
@@ -177,6 +178,9 @@ class DivisorArrangement:
             out = out * self.divisors[i].cls(X)
         return out
 
+    # cached, since the answer is a bool that no caller can change; an
+    # arrangement of n divisors has 2^n supports
+    @functools.lru_cache(maxsize=1024)
     def intersection_nonempty(self, X: TargetSpace, support: tuple[int, ...]) -> bool:
         """Generic-position test: nonzero class product iff nonempty intersection."""
         return not self.intersection_class(X, support).is_zero

@@ -1,107 +1,126 @@
 """Independent mini-implementations used as oracles.
 
 Nothing here imports the package under test.  Series live in
-Q[P]/(P^(dim+1)) tensor Laurent z, stored as {(p_exp, z_exp): Fraction};
-inversion is degree-by-degree synthetic division in P, a different
-algorithm from the package's geometric expansion.
+Q[P_1..P_k]/(P_j^(n_j+1)) tensor Laurent z on prod_j P^(n_j), stored as
+{(P-exponents, z_exp): Fraction}; inversion is synthetic division by total
+degree in the P_j, a different algorithm from the package's geometric
+expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 
-def mul2(a: dict, b: dict, dim: int) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
+def mul(a: dict, b: dict, dims: tuple[int, ...]) -> dict:
+    out: dict[tuple, Fraction] = {}
     for (pa, za), ca in a.items():
         for (pb, zb), cb in b.items():
-            p = pa + pb
-            if p > dim:
+            p = tuple(x + y for x, y in zip(pa, pb))
+            if any(e > n for e, n in zip(p, dims)):
                 continue
             key = (p, za + zb)
             out[key] = out.get(key, Fraction(0)) + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
-def inverse(f: dict, dim: int) -> dict:
-    """Inverse of f whose P^0 part is a single z-monomial, by synthetic
-    inversion degree by degree in P."""
-    f_by_p: list[dict[int, Fraction]] = [dict() for _ in range(dim + 1)]
+def inverse(f: dict, dims: tuple[int, ...]) -> dict:
+    """Inverse of f whose P-degree-zero part is a single z-monomial, by
+    synthetic inversion total degree by total degree in the P_j."""
+    top = sum(dims)
+    f_by_deg: list[dict] = [dict() for _ in range(top + 1)]
     for (p, zp), c in f.items():
-        f_by_p[p][zp] = c
-    assert len(f_by_p[0]) == 1, "leading z-part must be a monomial"
-    ((zp0, c0),) = f_by_p[0].items()
-    g_by_p: list[dict[int, Fraction]] = [dict() for _ in range(dim + 1)]
-    g_by_p[0][-zp0] = 1 / c0
-    for p in range(1, dim + 1):
-        acc: dict[int, Fraction] = {}
-        for j in range(1, p + 1):
-            for z1, c1 in f_by_p[j].items():
-                for z2, c2 in g_by_p[p - j].items():
-                    acc[z1 + z2] = acc.get(z1 + z2, Fraction(0)) + c1 * c2
-        for zp, c in acc.items():
-            val = -c / c0
-            if val:
-                g_by_p[p][zp - zp0] = val
-    return {(p, zp): c for p in range(dim + 1) for zp, c in g_by_p[p].items()}
+        f_by_deg[sum(p)][(p, zp)] = c
+    assert len(f_by_deg[0]) == 1, "leading z-part must be a monomial"
+    (((p0, zp0), c0),) = f_by_deg[0].items()
+    g_by_deg: list[dict] = [{(p0, -zp0): 1 / c0}]
+    for t in range(1, top + 1):
+        acc: dict[tuple, Fraction] = {}
+        for j in range(1, t + 1):
+            for key, c in mul(f_by_deg[j], g_by_deg[t - j], dims).items():
+                acc[key] = acc.get(key, Fraction(0)) + c
+        g_by_deg.append({(p, zp - zp0): -c / c0 for (p, zp), c in acc.items() if c})
+    return {key: c for part in g_by_deg for key, c in part.items()}
 
 
-def linear(c: Fraction | int, a: Fraction | int) -> dict:
-    """The factor c P + a z."""
-    return {k: Fraction(v) for k, v in (((1, 0), c), ((0, 1), a)) if v}
+def linear(coeffs: tuple[int, ...], a: Fraction | int) -> dict:
+    """The factor sum_j coeffs[j] P_j + a z."""
+    zero = (0,) * len(coeffs)
+    out = {(zero, 1): Fraction(a)}
+    for j, c in enumerate(coeffs):
+        out[(zero[:j] + (1,) + zero[j + 1 :], 0)] = Fraction(c)
+    return {key: c for key, c in out.items() if c}
 
 
-def hyper_slice(n_exp: int, d: int, dim: int) -> dict:
-    """z / prod_{0<a<=d} (P + a z)^n_exp, exact, by synthetic inversion."""
-    f = {(0, 0): Fraction(1)}
-    for a in range(1, d + 1):
-        for _ in range(n_exp):
-            f = mul2(f, linear(1, a), dim)
-    return {(p, zp + 1): c for (p, zp), c in inverse(f, dim).items()}
+def target_slice(dims: tuple[int, ...], beta: tuple[int, ...]) -> dict:
+    """z / prod_j prod_{0<a<=beta_j} (P_j + a z)^(n_j + 1), exact, by
+    synthetic inversion."""
+    f = {((0,) * len(dims), 0): Fraction(1)}
+    for j, b in enumerate(beta):
+        generator = tuple(int(i == j) for i in range(len(dims)))
+        for a in range(1, b + 1):
+            for _ in range(dims[j] + 1):
+                f = mul(f, linear(generator, a), dims)
+    return {(p, zp + 1): c for (p, zp), c in inverse(f, dims).items()}
 
 
-def _divisor_weight(c: int, d: int, shift: int, r: int | None, dim: int) -> dict:
-    """Weight of a divisor c P meeting the class d times with net shift.
+def _divisor_weight(
+    coeffs: tuple[int, ...], d: int, shift: int, r: int | None, dims: tuple[int, ...]
+) -> dict:
+    """Weight of a divisor D = sum_j coeffs[j] P_j meeting the class d times
+    with net shift.
 
-    Infinite order: prod_{0<a<=d, a != shift} (cP + a z).  Order r: the full
-    product prod_{0<a<=d} (cP + a z), divided by (cP + k z)/r over the
+    Infinite order: prod_{0<a<=d, a != shift} (D + a z).  Order r: the full
+    product prod_{0<a<=d} (D + a z), divided by (D + k z)/r over the
     integers 0 < k <= shift congruent to the shift mod r, or multiplied by
-    (cP + k z)/r over shift < k <= 0 congruent to it.
+    (D + k z)/r over shift < k <= 0 congruent to it.
     """
-    out = {(0, 0): Fraction(1)}
+    out = {((0,) * len(dims), 0): Fraction(1)}
     for a in range(1, d + 1):
         if r is None and a == shift:
             continue
-        out = mul2(out, linear(c, a), dim)
+        out = mul(out, linear(coeffs, a), dims)
     if r is None:
         return out
     for k in range(1, shift + 1):
         if (k - shift) % r == 0:
-            step = {key: v * r for key, v in inverse(linear(c, k), dim).items()}
-            out = mul2(out, step, dim)
+            step = {key: v * r for key, v in inverse(linear(coeffs, k), dims).items()}
+            out = mul(out, step, dims)
     for k in range(shift + 1, 1):
         if (k - shift) % r == 0:
-            out = mul2(out, {key: v / r for key, v in linear(c, k).items()}, dim)
+            out = mul(out, {key: v / r for key, v in linear(coeffs, k).items()}, dims)
     return out
 
 
+def _meets(coeffs: list[tuple[int, ...]], dims: tuple[int, ...]) -> bool:
+    """Whether the product of the divisor classes is nonzero."""
+    out = {((0,) * len(dims), 0): Fraction(1)}
+    for c in coeffs:
+        out = mul(out, linear(c, 0), dims)
+    return bool(out)
+
+
 def extended_series(
-    dim: int,
-    coeffs: tuple[int, ...],
+    dims: tuple[int, ...],
+    coeffs: tuple[tuple[int, ...], ...],
     m: int,
     cap: int,
     floor: int,
     roots: tuple[int, ...] | None = None,
 ) -> dict:
-    """Complete extended series on P^dim with divisors D_i = coeffs[i] P.
+    """Complete extended series on prod_j P^dims[j] with divisors
+    D_i = sum_j coeffs[i][j] P_j, over the classes beta of anticanonical
+    degree sum_j (dims[j] + 1) beta_j at most the cap.
 
-    Keys (d, zpow, xexp, sector, P-exponent).  Every contact vector e_{ij}
+    Keys (beta, zpow, xexp, sector, P-exponents).  Every contact vector e_{ij}
     (order j <= m) under a generous total is expanded: the j-slice times the
     divisor weights of the net shifts d_i - sum_j j e_ij, times
     prod x^e / (prod e! z^sum e), in the sector of the negated shifts
-    (mod r_i at finite order).  Sectors whose support exceeds dim divisors
-    have empty intersection and vanish.  The floor is applied at the end.
+    (mod r_i at finite order).  Sectors whose divisor classes multiply to
+    zero have empty intersection and vanish.  The floor is applied at the
+    end.
 
     The total is generous: the j-slice has z-degree at most 1, divisor i at
     most d_i + sum_j j e_ij / r_i (the lower steps), so a term at or above
@@ -111,12 +130,15 @@ def extended_series(
     """
     n = len(coeffs)
     w_min = Fraction(1) if roots is None else min(Fraction(r - m, r) for r in roots)
+    weights = tuple(k + 1 for k in dims)
     out: dict[tuple, Fraction] = {}
-    for d in range(cap // (dim + 1) + 1):
-        degs = [c * d for c in coeffs]
+    for beta in product(*(range(cap // w + 1) for w in weights)):
+        if sum(w * b for w, b in zip(weights, beta)) > cap:
+            continue
+        degs = [sum(c * b for c, b in zip(ci, beta)) for ci in coeffs]
         bound = int((1 + sum(degs) + n - floor) / w_min)
-        j_slice = hyper_slice(dim + 1, d, dim)
-        bodies: dict[tuple[int, ...], dict | None] = {}
+        j_slice = target_slice(dims, beta)
+        bodies: dict[tuple[int, ...], tuple | None] = {}
         for exps in _vectors(n * m, bound):
             shifts = tuple(
                 degs[i] - sum((j + 1) * exps[i * m + j] for j in range(m))
@@ -127,15 +149,14 @@ def extended_series(
                     sector = tuple(-s for s in shifts)
                 else:
                     sector = tuple((-s) % r for s, r in zip(shifts, roots))
-                if sum(1 for s in sector if s) > dim:
+                if not _meets([c for c, s in zip(coeffs, sector) if s], dims):
                     bodies[shifts] = None
                 else:
                     body = j_slice
                     for i in range(n):
                         r = None if roots is None else roots[i]
-                        body = mul2(
-                            body, _divisor_weight(coeffs[i], degs[i], shifts[i], r, dim), dim
-                        )
+                        weight = _divisor_weight(coeffs[i], degs[i], shifts[i], r, dims)
+                        body = mul(body, weight, dims)
                     bodies[shifts] = (sector, body)
             if bodies[shifts] is None:
                 continue
@@ -152,7 +173,7 @@ def extended_series(
             total = sum(exps)
             for (p, zp), c in body.items():
                 if zp - total >= floor:
-                    out[(d, zp - total, xexp, sector, p)] = c * weight
+                    out[(beta, zp - total, xexp, sector, p)] = c * weight
     return out
 
 

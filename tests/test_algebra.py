@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_series
-from oracle import hyper_slice
+from oracle import target_slice
 from rootstack_gw.algebra import (
     AmbientRing,
     CohClass,
@@ -592,8 +592,8 @@ def test_kernel_target_slice_matches_oracle(dim, degree):
     ctx = X.context(divisors=1, beta_cap=None)
     for d in range(degree + 1):
         got = _j_chain(X, (d,)).series(ctx, (d,))
-        assert {(k.mono[0], k.zpow): c for k, c in got.terms.items()} == hyper_slice(
-            dim + 1, d, dim
+        assert {(k.mono, k.zpow): c for k, c in got.terms.items()} == target_slice(
+            (dim,), (d,)
         )
 
 

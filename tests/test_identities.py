@@ -18,7 +18,7 @@ from rootstack_gw import (
     stabilization_check,
 )
 from rootstack_gw.algebra import GradedSeries
-from rootstack_gw import identities
+from rootstack_gw import algebra, identities, ifunctions
 from rootstack_gw.algebra import exact_divide_linear
 from rootstack_gw.identities import local_point_invariant, parity_sign
 from rootstack_gw.ifunctions import h0_slice, infinity_slice, local_slice, relative_slice
@@ -293,14 +293,23 @@ class TestOneClassAtATime:
         # both sides share the one target slice of beta (2,1) at cap 6
         assert _j_chain.cache_info().currsize == 1
 
-    def test_local_slice_built_once_per_class(self, p2, line_conic, monkeypatch):
+    def test_local_side_built_once_per_class(self, p2, line_conic, monkeypatch):
+        # the local side is one chain: neither the equivariant slice nor the
+        # exact division takes part, under any name the check could reach
+        def unreachable(*args):
+            raise AssertionError("equivariant slice or exact division called")
+
+        for module in (ifunctions, algebra, identities):
+            for name in ("local_slice", "exact_divide_linear"):
+                monkeypatch.setattr(module, name, unreachable, raising=False)
         calls = []
+        local_side = identities._local_side
 
         def counted(X, arrangement, beta, ctx):
             calls.append(beta)
-            return local_slice(X, arrangement, beta, ctx)
+            return local_side(X, arrangement, beta, ctx)
 
-        monkeypatch.setattr(identities, "local_slice", counted)
+        monkeypatch.setattr(identities, "_local_side", counted)
         betas = enumerate_curve_classes(p2, 12)[1:]
         for beta in betas:
             assert all(r.ok for r in check_identities(p2, line_conic, beta))

@@ -312,13 +312,38 @@ class TestExtendedEdges:
         series = i_infinity_extended(p2, line_conic, 4, 6, z_floor=-4)
         assert len(series) == 4255
 
+    def test_bodies_take_no_sparse_products(self, p2, p1p1, line_conic, monkeypatch):
+        # every extended body is one dense chain, turned into a series once
+        def unreachable(self, other):
+            raise AssertionError("sparse series product formed")
+
+        monkeypatch.setattr(GradedSeries, "__mul__", unreachable)
+        monkeypatch.setattr(GradedSeries, "__rmul__", unreachable)
+        mixed = DivisorArrangement((Divisor("A", (1, 1)), Divisor("B", (1, 2))))
+        assert len(i_root_extended(p2, line_conic, RootData((3, 5)), 2, 6, z_floor=-3))
+        assert len(i_infinity_extended(p2, line_conic, 2, 6, z_floor=-3))
+        assert len(i_root_extended(p1p1, mixed, RootData((3, 5)), 2, 4, z_floor=-2))
+        assert len(i_infinity_extended(p1p1, mixed, 2, 4, z_floor=-2))
+
 
 def _flat(series) -> dict:
     assert not any(any(k.lam) for k in series.terms)
-    return {
-        (k.beta[0], k.zpow, k.xexp, k.sector, k.mono[0]): c
-        for k, c in series.terms.items()
-    }
+    return {(k.beta, k.zpow, k.xexp, k.sector, k.mono): c for k, c in series.terms.items()}
+
+
+def _oracle_check(X, coeffs, m, cap, floor, roots):
+    """Both extended builders at every cap up to ``cap`` against the oracle."""
+    arrangement = DivisorArrangement(
+        tuple(Divisor(f"D{i}", c) for i, c in enumerate(coeffs))
+    )
+    want = extended_series(X.factors, coeffs, m, cap, floor, roots)
+    for c in range(cap + 1):
+        if roots is None:
+            series = i_infinity_extended(X, arrangement, m, c, z_floor=floor)
+        else:
+            series = i_root_extended(X, arrangement, RootData(roots), m, c, z_floor=floor)
+        kept = {k: v for k, v in want.items() if X.anticanonical_degree(k[0]) <= c}
+        assert _flat(series) == kept, (coeffs, roots, m, c)
 
 
 class TestExtendedOracle:
@@ -332,22 +357,28 @@ class TestExtendedOracle:
             with pytest.raises(ConfigurationError, match="below every root order"):
                 i_root_extended(p2, line_conic, RootData(roots), m, 3, z_floor=floor)
             return
-        want = extended_series(2, (1, 2), m, 3, floor, roots)
-        for cap in range(4):
-            if roots is None:
-                series = i_infinity_extended(p2, line_conic, m, cap, z_floor=floor)
-            else:
-                series = i_root_extended(
-                    p2, line_conic, RootData(roots), m, cap, z_floor=floor
-                )
-            assert _flat(series) == {k: c for k, c in want.items() if 3 * k[0] <= cap}
+        _oracle_check(p2, ((1,), (2,)), m, 3, floor, roots)
+
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            (((1, 1), (1, 1)), (5, 7)),
+            (((0, 1),), (5,)),
+            (((1, 1), (1, 2)), (5, 7)),
+        ],
+        ids=["diagonals", "fibre", "mixed"],
+    )
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_product_target(self, p1p1, coeffs, roots, finite, m):
+        _oracle_check(p1p1, coeffs, m, 4, -2, roots if finite else None)
 
     def test_grid_reaches_zero_lower_step(self, p2, line_conic):
         # x_{11}^3 at degree 0 and order 3 leaves the line net shift -3, divisible
         # by its order; the lower ladder is the single step k = 0, the class P/3,
         # so the term is z * (P/3) * z^-3 / 3! in the folded untwisted sector
-        key = (0, -2, ((0, 1, 3),), (0, 0), 1)
-        assert extended_series(2, (1, 2), 1, 0, -3, (3, 5))[key] == F(1, 18)
+        key = ((0,), -2, ((0, 1, 3),), (0, 0), (1,))
+        assert extended_series((2,), ((1,), (2,)), 1, 0, -3, (3, 5))[key] == F(1, 18)
         with pytest.warns(SectorFoldWarning):
             series = i_root_extended(p2, line_conic, RootData((3, 5)), 1, 0, z_floor=-3)
         assert _flat(series)[key] == F(1, 18)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracle import hyper_slice
+from oracle import target_slice
 from rootstack_gw import (
     Divisor,
     DivisorArrangement,
@@ -84,14 +84,14 @@ class TestBaseJ:
         X = TargetSpace((dim,))
         for d in range(1, degree + 1):
             j = base_j_function(X, (d,))
-            got = {(k.mono[0], k.zpow): c for k, c in j.terms.items()}
-            assert got == hyper_slice(dim + 1, d, dim)
+            got = {(k.mono, k.zpow): c for k, c in j.terms.items()}
+            assert got == target_slice((dim,), (d,))
 
     def test_product_slice_restricts_to_factor(self, p1p1):
         # the (d, 0) slice carries only the first factor's expansion
         j = base_j_function(p1p1, (2, 0))
-        got = {(k.mono[0], k.zpow): c for k, c in j.terms.items() if k.mono[1] == 0}
-        assert got == hyper_slice(2, 2, 1)
+        got = {(k.mono, k.zpow): c for k, c in j.terms.items()}
+        assert got == target_slice((1, 1), (2, 0))
         assert all(k.mono[1] == 0 for k in j.terms)
 
     def test_product_point_coefficient(self, p1p1):
