@@ -2,49 +2,35 @@
 
 One job per invocation: parse a JSON config, run one command, emit a human
 table or machine-readable records, exit 0 only if every requested check
-passed bit-exactly.  Exit codes: 1 for configuration problems, 2 when a
-nontrivial mirror map blocks invariant extraction, 3 for an internal exact-
-division failure.
+passed bit-exactly.  Exit codes: 1 for configuration problems and failed
+comparisons, 2 when a nontrivial mirror map blocks invariant extraction
+(``UnsupportedMirrorMapError``) or the period pipeline (``PeriodError``, the
+two-positive-pairings condition fails).  An error sets its own status in
+``exit_status``; any other ``ValueError`` exits 1.
+
+Each command imports the modules it runs when it runs, so a job loads and
+compiles only those.
 """
 
 from __future__ import annotations
 
+# The package's modules come first: a child's peak resident set is the
+# compiler's high-water mark, which is lower when ``algebra`` is compiled
+# before the standard-library modules below are loaded.
+from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
+
 import argparse
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .algebra import GradedSeries, TermKey
-from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
-from .identities import RefusedIdentityError, check_identities
-from .ifunctions import (
-    i_infinity_extended,
-    i_infinity_extended_h0,
-    i_infinity_nonextended,
-    i_local,
-    i_relative_smooth,
-    i_root_extended,
-    i_root_nonextended,
-)
-from .invariants import (
-    InvariantTable,
-    UnsupportedMirrorMapError,
-    extract_invariants,
-    merge_tables,
-    mirror_map,
-    stabilization_check,
-)
-from .periods import (
-    LaurentPolynomial,
-    PeriodError,
-    classical_period_orbifold,
-    compare_periods,
-    laurent_classical_period,
-    quantum_period,
-    regularize,
-)
-from .targets import RootData, enumerate_curve_classes
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .algebra import GradedSeries, TermKey
+    from .invariants import InvariantTable
+    from .targets import RootData
 
 COMMANDS = (
     "ifunction",
@@ -169,6 +155,16 @@ def table_human(table: InvariantTable, ring) -> list[str]:
 
 
 def _build_series(job: JobConfig, name: str) -> GradedSeries:
+    from .ifunctions import (
+        i_infinity_extended,
+        i_infinity_extended_h0,
+        i_infinity_nonextended,
+        i_local,
+        i_relative_smooth,
+        i_root_extended,
+        i_root_nonextended,
+    )
+
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
     floor = -(cap + 2)
@@ -203,6 +199,13 @@ def cmd_ifunction(job: JobConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
+    from .ifunctions import (
+        i_infinity_extended,
+        i_infinity_extended_h0,
+        i_infinity_nonextended,
+    )
+    from .invariants import extract_invariants, merge_tables, mirror_map
+
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
     # mirror_map reads only the terms at z^0 and above, so floor 0 certifies
@@ -223,6 +226,8 @@ def _roots_from_args(job: JobConfig, args) -> list[RootData]:
 
 
 def cmd_stabilize(job: JobConfig, args) -> tuple[int, list[str]]:
+    from .invariants import stabilization_check
+
     roots_list = _roots_from_args(job, args)
     report = stabilization_check(job.target, job.arrangement, roots_list, job.cap)
     lines = []
@@ -247,6 +252,9 @@ def cmd_stabilize(job: JobConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_check_identity(job: JobConfig, args) -> tuple[int, list[str]]:
+    from .identities import RefusedIdentityError, check_identities
+    from .targets import enumerate_curve_classes
+
     X, arr, cap = job.target, job.arrangement, job.cap
     reports = []
     skipped = []
@@ -301,6 +309,8 @@ def _period_lines(seq, args) -> list[str]:
 
 
 def cmd_period(job: JobConfig, args) -> tuple[int, list[str]]:
+    from .periods import classical_period_orbifold, quantum_period, regularize
+
     quantum = quantum_period(job.target, job.cap)
     lines = _period_lines(quantum, args)
     lines += _period_lines(regularize(quantum), args)
@@ -322,6 +332,8 @@ def cmd_period(job: JobConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_compare_periods(job: JobConfig, args) -> tuple[int, list[str]]:
+    from .periods import compare_periods
+
     outcome = compare_periods(job.target, job.arrangement, job.cap)
     lines = []
     for m in range(outcome.regularized.cap + 1):
@@ -343,6 +355,8 @@ def cmd_compare_periods(job: JobConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_laurent_period(args) -> tuple[int, list[str]]:
+    from .periods import LaurentPolynomial, laurent_classical_period
+
     for flag in ("config", "roots", "series"):
         if getattr(args, flag) is not None:
             raise ConfigError(f"laurent-period reads no job; drop --{flag}")
@@ -414,12 +428,9 @@ def run(argv: list[str] | None = None) -> int:
                 "compare-periods": cmd_compare_periods,
             }[args.command]
             status, lines = handler(job, args)
-    except (UnsupportedMirrorMapError, PeriodError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return getattr(err, "exit_status", 1)
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -33,6 +33,8 @@ from .targets import (
 class UnsupportedMirrorMapError(ValueError):
     """The mirror map is nontrivial; resummation is out of scope here."""
 
+    exit_status = 2  # the command line's exit status for this refusal
+
 
 @dataclass(frozen=True)
 class MirrorMapReport:

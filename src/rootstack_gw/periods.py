@@ -13,11 +13,11 @@ independent cross-check oracle.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 
 from .algebra import rat
 from .invariants import contact_one_counts
@@ -30,11 +30,11 @@ from .targets import (
     enumerate_curve_classes,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class PeriodError(ValueError):
     """Hypotheses of the period pipeline fail."""
+
+    exit_status = 2  # the command line's exit status for this refusal
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,6 @@ def classical_period_orbifold(
         for combo in _compositions(d, arrangement.n):
             if combo not in seen:
                 skipped.append((d, combo))
-                logger.debug(
-                    "degree %d tuple %s matches no effective class; skipped", d, combo
-                )
     return ClassicalPeriod(
         sequence=PeriodSequence("classical", tuple(coeffs)),
         contributions=tuple(contributions),
@@ -291,11 +288,23 @@ class LaurentPolynomial:
 
 
 def laurent_classical_period(f: LaurentPolynomial, cap: int) -> PeriodSequence:
-    """Constant terms of the powers of f, by exact expansion."""
-    coeffs = [Fraction(0)] * (cap + 1)
-    coeffs[0] = Fraction(1)
-    power = None
+    """Constant terms of the powers of f, by exact expansion.
+
+    With L the lcm of f's coefficient denominators, the powers of L*f are
+    expanded with integer coefficients, one dict per power; the constant
+    term of f^d is that of (L*f)^d over L^d.
+    """
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    terms = [(key, c.numerator * (scale // c.denominator)) for key, c in f.terms]
+    zero = (0,) * len(f.variables)
+    coeffs = [Fraction(1)]
+    power = {zero: 1}
     for d in range(1, cap + 1):
-        power = f if power is None else power * f
-        coeffs[d] = power.constant_term()
+        nxt: dict[tuple[int, ...], int] = {}
+        for ka, ca in power.items():
+            for kb, cb in terms:
+                key = tuple(map(add, ka, kb))
+                nxt[key] = nxt.get(key, 0) + ca * cb
+        power = nxt
+        coeffs.append(Fraction(power.get(zero, 0), scale**d))
     return PeriodSequence("laurent", tuple(coeffs))

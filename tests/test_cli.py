@@ -149,7 +149,9 @@ def config_docs(draw):
             if path == "factors":
                 doc["target"] = {"factors": value}
             elif path == "divisor":
-                doc["divisors"] = [value] + list(doc.get("divisors") or [])[1:]
+                # an earlier mutation may have left junk such as a bool here
+                rest = doc.get("divisors")
+                doc["divisors"] = [value] + (rest[1:] if isinstance(rest, list) else [])
             elif path == "name":
                 doc["divisors"] = [{"name": value, "coeffs": [1] * rank}]
             else:
@@ -250,6 +252,14 @@ class TestCommands:
         assert status == 2
         err = capsys.readouterr().err
         assert "mirror map nontrivial" in err and "Birkhoff" in err
+
+    @pytest.mark.parametrize("command", ["period", "compare-periods"])
+    def test_period_refusal_is_status_two(self, cubic_config, capsys, command):
+        # the cubic fails the two-positive-pairings condition (PeriodError)
+        assert run(["--config", cubic_config, "--command", command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: two-positive-pairings condition fails")
+        assert "mirror map is not trivial" in captured.err and captured.out == ""
 
     def test_laurent_period_without_config(self, capsys):
         status = run(

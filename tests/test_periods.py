@@ -241,6 +241,35 @@ def test_parse_round_trips_canonical_rendering(f):
     assert LaurentPolynomial.parse(_render(f)) == f
 
 
+def _powers_by_mul(f: LaurentPolynomial, cap: int) -> tuple[F, ...]:
+    """Reference: constant terms of f, f*f, ... by ``LaurentPolynomial.__mul__``."""
+    coeffs, power = [F(1)], None
+    for _ in range(cap):
+        power = f if power is None else power * f
+        coeffs.append(power.constant_term())
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize(
+    "text, cap",
+    [
+        ("x/2 + 3*y - 1/(x*y)", 12),
+        ("x^2/3 - y/5 + 1/(x*y) + 7/4", 8),
+        ("2/3*x - 3/(4*x)", 10),
+        ("5/7", 4),
+    ],
+)
+def test_integer_powers_match_mul(text, cap):
+    f = LaurentPolynomial.parse(text)
+    assert laurent_classical_period(f, cap).coeffs == _powers_by_mul(f, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polynomials(), st.integers(1, 6))
+def test_integer_powers_match_mul_on_random_polynomials(f, cap):
+    assert laurent_classical_period(f, cap).coeffs == _powers_by_mul(f, cap)
+
+
 def test_quadric_laurent_matches_regularized(p1p1, two_diagonals):
     # three-way agreement on the quadric as well
     reg = regularize(quantum_period(p1p1, 8))
