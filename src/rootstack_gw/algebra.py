@@ -32,7 +32,12 @@ a product of linear factors) are instead built by the dense kernel
 :class:`_Chain`: integer numerators over one common denominator, in the
 manner of FLINT's ``fmpq_poly``.  A chain is reduced once, when
 :meth:`_Chain.series` turns it into a ``GradedSeries`` at the slice
-boundary; the cap, the z floor and the sector label apply there too.
+boundary; the cap, the z floor and the sector label apply there too.  The
+extended builder reads a body's cells unreduced (:meth:`_Chain.top_down`)
+and multiplies the common denominator by each contact monomial's integer
+weight prod k!, so each term's coefficient is reduced once, as one
+``Fraction``, and one reduction serves every term with the same numerator
+and denominator.
 
 :func:`invert_z_linear` and :func:`exact_divide_linear` are sparse
 reference routines: no series builder calls them, since every slice and
@@ -45,7 +50,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, gt, mul
+from operator import add, gt, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -848,6 +853,23 @@ class _Chain(NamedTuple):
     def scaled(self, p: int, q: int = 1) -> _Chain:
         """This chain times p / q, for nonzero integers p and q."""
         return _Chain(self.layout, self.degree, tuple(p * x for x in self.num), self.den * q)
+
+    def top_down(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """(z-power, monomial, numerator) of each nonzero cell of a chain
+        without lam slots, highest z-power first.
+
+        A cell's coefficient is its numerator over ``den``, not reduced: a
+        caller that scales the cells before they become series terms (the
+        extended builder's contact weights) reduces each product once.
+        """
+        degree = self.degree
+        cells = [
+            (degree - weight, mono, c)
+            for (mono, _, weight), c in zip(self.layout.cells, self.num)
+            if c
+        ]
+        cells.sort(key=itemgetter(0), reverse=True)
+        return cells
 
     def series(
         self,

@@ -64,26 +64,58 @@ def fmt_ints(values: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in values) if values else "-"
 
 
+def fmt_contact(triple: tuple[int, int, int]) -> str:
+    i, j, e = triple
+    return f"{i + 1}:{j}^{e}"
+
+
 def fmt_xexp(xexp: tuple[tuple[int, int, int], ...]) -> str:
-    if not xexp:
-        return "-"
-    return ",".join(f"{i + 1}:{j}^{e}" for i, j, e in xexp)
+    return ",".join(map(fmt_contact, xexp)) if xexp else "-"
 
 
-def series_records_key(key: TermKey) -> tuple[str, ...]:
-    return (
-        fmt_ints(key.beta),
-        str(key.zpow),
-        fmt_xexp(key.xexp),
-        fmt_ints(key.sector),
-        fmt_ints(key.mono),
-        fmt_ints(key.lam),
-    )
+class _Memo(dict):
+    """``fmt`` of each value, formatted on the first lookup and kept."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, value):
+        text = self[value] = self.fmt(value)
+        return text
+
+
+class _RecordFields:
+    """Record fields formatted once per distinct value.
+
+    The rows of one report repeat few curve classes, sectors, monomials and
+    contact triples, so each of those strings is kept for the report; a
+    row's whole line never is.  Coefficients are formatted row by row:
+    hashing a ``Fraction`` costs more than formatting it.
+    """
+
+    def __init__(self):
+        self.ints = _Memo(fmt_ints)
+        self.contacts = _Memo(fmt_contact)
+
+    def xexp(self, xexp: tuple[tuple[int, int, int], ...]) -> str:
+        contacts = self.contacts
+        return ",".join([contacts[t] for t in xexp]) if xexp else "-"
+
+    def key(self, key: TermKey) -> tuple[str, ...]:
+        ints = self.ints
+        beta, zpow, xexp, sector, mono, lam = key
+        return (
+            ints[beta], str(zpow), self.xexp(xexp), ints[sector], ints[mono], ints[lam]
+        )
 
 
 def series_records(series: GradedSeries) -> list[str]:
+    key_fields = _RecordFields().key
     return [
-        "\t".join(("term", *series_records_key(key), fmt_rat(c, records=True)))
+        "\t".join(("term", *key_fields(key), fmt_rat(c, records=True)))
         for key, c in series.ordered_terms()
     ]
 
@@ -113,23 +145,25 @@ def series_table(series: GradedSeries) -> list[str]:
 
 
 def table_records(table: InvariantTable) -> list[str]:
+    fields = _RecordFields()
+    ints = fields.ints
     rows = []
     for entry, value in table.ordered():
         rows.append(
             "\t".join(
                 (
                     "invariant",
-                    fmt_ints(entry.beta),
-                    fmt_xexp(entry.xexp),
-                    fmt_ints(entry.insertion),
+                    ints[entry.beta],
+                    fields.xexp(entry.xexp),
+                    ints[entry.insertion],
                     str(entry.psi),
-                    fmt_ints(entry.sector),
+                    ints[entry.sector],
                     fmt_rat(value, records=True),
                 )
             )
         )
     for key in sorted(table.flagged):
-        rows.append("flagged\t" + "\t".join(series_records_key(key)))
+        rows.append("flagged\t" + "\t".join(fields.key(key)))
     return rows
 
 

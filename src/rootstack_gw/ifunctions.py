@@ -16,8 +16,9 @@ validation to its caller; its capped builder validates and sums the slices
 over the classes in the cap.  A slice is one dense chain (the target slice
 times the divisor weights, see :class:`~rootstack_gw.algebra._Chain`),
 turned into a series once, in its sector.  The extended series are built
-from the same chains: :func:`_extended_terms` turns one body chain per tuple
-of net shifts into a series and attaches the contact monomials to it.
+from the same chains: :func:`_extended_terms` builds one body chain per tuple
+of net shifts that can reach the z floor and attaches the contact monomials
+to its cells.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -30,6 +31,7 @@ intersection is zero.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -60,9 +62,11 @@ class ExtendedBudgetError(ValueError):
 # Most contact combinations an extended build may form, as counted by
 # _combination_count.  Every benchmark job counts at most 50,388.  On the
 # README job (line + conic, m 6) the infinite-order series counts 1,293,292
-# at cap 5 (11 s, 160 MB on a 2-vCPU Xeon) and 38,630,800 at cap 9, where
-# degree zero alone keeps 2,704,156 terms; the count is looser at finite
-# orders, whose cap-1 series counts 1,706,042 but keeps 39,602 terms.
+# at cap 5 and writes its 312,458 records in 4.9 s at a peak of 144 MB (a
+# `--format records` child on a 2-vCPU Xeon, CPython 3.11), and counts
+# 38,630,800 at cap 9, where degree zero alone keeps 2,704,156 terms; the
+# count is looser at finite orders, whose cap-1 series counts 1,706,042 but
+# keeps 39,602 terms (1.0 s).
 MAX_CONTACT_COMBINATIONS = 2_000_000
 
 
@@ -160,6 +164,34 @@ def _body_chain(
     return chain
 
 
+def _weight_degree(d: int, shift: int, r: int | None) -> int:
+    """The z-degree one divisor's weight adds to a body at the net shift, at
+    root order r (None at infinite order): the ascending product's d steps,
+    less the cancelled step or the upper ladder, plus the lower ladder.
+
+    A body's top z-power is exactly the target slice's 1 - deg(beta) plus
+    these at infinite order, and at most that at finite order, where a lower
+    step k = 0 contributes a factor D without z.
+    """
+    if r is None:
+        return d - 1 if shift > 0 else d
+    if shift > 0:
+        return d - len(_upper_steps(shift, r))
+    if shift < 0:
+        return d + len(_lower_steps(shift, r))
+    return d
+
+
+def _outside_stacklevel() -> int:
+    """The ``warnings`` stacklevel that points a warning issued by the
+    calling function at the nearest frame outside this module: the line
+    that called the public builder, at whatever depth the warning arose."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _finite_sector(shifts: tuple[int, ...], roots: tuple[int, ...]) -> tuple[int, ...]:
     """Residue labels (-shift_i) mod r_i, warning when a nonzero shift folds."""
     out = []
@@ -169,7 +201,7 @@ def _finite_sector(shifts: tuple[int, ...], roots: tuple[int, ...]) -> tuple[int
             warnings.warn(
                 f"tangency shift {shift} folds into the untwisted sector at root order {r}",
                 SectorFoldWarning,
-                stacklevel=3,
+                stacklevel=_outside_stacklevel(),
             )
         out.append(s)
     return tuple(out)
@@ -233,7 +265,7 @@ class _Contact(NamedTuple):
 
     total: int  # sum_j e_j: the z-power the monomial divides out
     cost: int  # its share of the broad budget, sum_j costs[j - 1] e_j
-    weight: Fraction  # 1 / prod_j e_j!
+    weight: int  # prod_j e_j!, the monomial's coefficient is 1 / weight
     xexp: tuple[tuple[int, int, int], ...]
 
 
@@ -252,7 +284,7 @@ def _contact_vectors(
         # one call per monomial: record it, then extend it by one more
         # order j >= j0 with a positive exponent
         groups.setdefault(reduction, []).append(
-            _Contact(total, budget - left, Fraction(1, denom), xexp)
+            _Contact(total, budget - left, denom, xexp)
         )
         for j in range(j0, len(costs) + 1):
             cost = costs[j - 1]
@@ -340,9 +372,10 @@ def _check_contact_budget(costs: list[list[int]], budgets: list[int]) -> None:
 
 def _combinations(
     groups: list[tuple[list[_Contact], int]], max_total: int, max_cost: int
-) -> Iterator[tuple[int, Fraction, tuple[tuple[int, int, int], ...]]]:
+) -> Iterator[tuple[int, int, tuple[tuple[int, int, int], ...]]]:
     """(total, weight, xexp) of each choice of one contact monomial per group
-    whose summed total and cost stay within the limits."""
+    whose summed total and cost stay within the limits; the weight is the
+    product of the monomials' integer weights."""
     n = len(groups)
     rest_total = [0] * (n + 1)
     rest_cost = [0] * (n + 1)
@@ -351,7 +384,7 @@ def _combinations(
         rest_total[i] = rest_total[i + 1] + contacts[0].total
         rest_cost[i] = rest_cost[i + 1] + min_cost
 
-    def rec(i: int, total: int, cost: int, weight: Fraction, xexp: tuple):
+    def rec(i: int, total: int, cost: int, weight: int, xexp: tuple):
         if i == n:
             yield total, weight, xexp
             return
@@ -364,7 +397,7 @@ def _combinations(
                 i + 1, total + c.total, cost + c.cost, weight * c.weight, xexp + c.xexp
             )
 
-    yield from rec(0, 0, 0, Fraction(1), ())
+    yield from rec(0, 0, 0, 1, ())
 
 
 def _extended_terms(
@@ -385,16 +418,23 @@ def _extended_terms(
     * the broad budget: the weighted total sum_ij w_ij k_ij, with w_ij =
       (r_i - j)/r_i (1 at infinite order), is at most the class's degree
       bound 1 + sum_i d_i + n - deg(beta) minus the z floor.  It decides
-      which shift tuples get a body.  For finite orders every contact order
-      must stay below each root order so the weights are positive.
+      which shift tuples are considered.  For finite orders every contact
+      order must stay below each root order so the weights are positive.
     * the top-z bound: a vector whose total |k| exceeds the highest z-power
       of its body minus the floor has no term at or above the floor.
 
     Divisor i's weight depends only on its own net shift, so each divisor's
     contact monomials are enumerated once, grouped by shift and sorted by
-    total, and combined only while both bounds hold; every combination
+    total.  The top-z bound is applied before a body is built: the body's
+    z-degree, the target slice's 1 - deg(beta) plus each divisor's
+    :func:`_weight_degree`, is its top z-power at infinite order and at
+    least that at finite order, so a shift tuple whose smallest contact
+    totals already sum past that degree minus the floor gets no body.  The
+    rest are combined only while both bounds hold; every combination
     reached keeps at least its body's top term.  The contact monomial is
-    attached by moving each body term to z-power zpow - |k|.
+    attached by moving each body term to z-power zpow - |k|, its
+    coefficient the body cell's integer numerator over the chain's
+    denominator times prod k!, reduced once per distinct pair.
 
     Before any of that, the combinations within the broad budget are counted
     per class; past :data:`MAX_CONTACT_COMBINATIONS` in total the build is
@@ -407,7 +447,6 @@ def _extended_terms(
         raise ConfigurationError(
             "contact orders up to m must stay below every root order"
         )
-    ctx = replace(out_ctx, z_floor=None)
     n = arrangement.n
     # costs are the weights w_ij in units of 1/scale, so budgets stay integral
     if roots is None:
@@ -417,22 +456,34 @@ def _extended_terms(
         costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
     budgets = {}
     for beta in enumerate_curve_classes(X, cap):
-        top = 1 + arrangement.total_degree(beta) + n
-        if any(beta):
-            top -= ctx.beta_degree(beta)
+        top = 1 + arrangement.total_degree(beta) + n - out_ctx.beta_degree(beta)
         budgets[beta] = (top - floor) * scale
     _check_contact_budget(costs, list(budgets.values()))
     contact_cache: dict[tuple[int, int], dict[int, tuple[list[_Contact], int]]] = {}
+    meets: dict[tuple[bool, ...], bool] = {}  # by the sector's support
+    reduced: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator)
+    no_lam = (0,) * n
     out: dict[TermKey, Fraction] = {}
     for beta, budget in budgets.items():
         degs = arrangement.degrees(beta)
         per_divisor = []
+        # per divisor and shift: its weight's z-degree less the group's
+        # smallest contact total
+        slack = []
         for i in range(n):
             if (i, budget) not in contact_cache:
                 contact_cache[(i, budget)] = _contact_vectors(i, costs[i], budget)
-            per_divisor.append(
-                {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
+            by_shift = {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
+            r = None if roots is None else roots[i]
+            per_divisor.append(by_shift)
+            slack.append(
+                {
+                    s: _weight_degree(degs[i], s, r) - contacts[0].total
+                    for s, (contacts, _) in by_shift.items()
+                }
             )
+        # the target slice's top z-power less the floor
+        reach = 1 - out_ctx.beta_degree(beta) - floor
         for shifts in product(*per_divisor):
             groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
             if sum(min_cost for _, min_cost in groups) > budget:
@@ -441,21 +492,30 @@ def _extended_terms(
                 sector = tuple(-s for s in shifts)
             else:
                 sector = _finite_sector(shifts, roots)
-            if not _sector_meets(X, arrangement, sector):
+            support = tuple(map(bool, sector))
+            if support not in meets:
+                meets[support] = _sector_meets(X, arrangement, sector)
+            if not meets[support]:
+                continue
+            if reach + sum(slack[i][s] for i, s in enumerate(shifts)) < 0:
                 continue
             chain = _body_chain(X, arrangement, beta, shifts, roots)
-            body = chain.series(ctx, beta, sector)
-            if body.is_zero:
+            cells = chain.top_down()
+            if not cells:
                 continue
-            body_terms = sorted(body.terms.items(), key=lambda kv: -kv[0].zpow)
-            max_total = body_terms[0][0].zpow - floor
+            den, max_total = chain.den, cells[0][0] - floor
             for total, weight, xexp in _combinations(groups, max_total, budget):
-                for key, c in body_terms:
-                    zpow = key.zpow - total
+                denom = den * weight
+                for zpow, mono, c in cells:
+                    zpow -= total
                     if zpow < floor:
                         break
-                    out[key._replace(zpow=zpow, xexp=xexp)] = c * weight
-    # body keys are valid in ctx and stop at the floor; weights are nonzero
+                    q = reduced.get((c, denom))
+                    if q is None:
+                        q = reduced[(c, denom)] = Fraction(c, denom)
+                    out[TermKey(beta, zpow, xexp, sector, mono, no_lam)] = q
+    # the classes are within the cap, the keys stop at the floor and every
+    # numerator is nonzero
     return GradedSeries._trusted(out_ctx, out)
 
 

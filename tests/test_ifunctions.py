@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import warnings
+from collections import Counter
 from fractions import Fraction as F
-
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -11,6 +13,7 @@ from rootstack_gw import (
     DivisorArrangement,
     RootData,
     SectorFoldWarning,
+    TargetSpace,
     base_j_function,
     i_infinity_extended,
     i_infinity_extended_h0,
@@ -26,8 +29,10 @@ from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.ifunctions import (
     MAX_CONTACT_COMBINATIONS,
     ExtendedBudgetError,
+    _body_chain,
     _combination_count,
     _contact_vectors,
+    _weight_degree,
     ConfigurationError,
     ExtendedDataTooSmall,
     h0_slice,
@@ -304,6 +309,17 @@ class TestExtendedEdges:
         with pytest.warns(SectorFoldWarning):
             i_root_extended(p2, line_conic, RootData((3, 5)), 2, 9)
 
+    @pytest.mark.parametrize("extended", [False, True], ids=["root", "root-extended"])
+    def test_fold_warning_points_at_the_caller(self, p2, line_conic, extended):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if extended:
+                i_root_extended(p2, line_conic, RootData((3, 5)), 2, 9)
+            else:
+                i_root_nonextended(p2, line_conic, RootData((3, 5)), 9)
+        folds = [w for w in caught if issubclass(w.category, SectorFoldWarning)]
+        assert folds and {w.filename for w in folds} == {__file__}
+
     def test_missing_floor_rejected(self, p2, line_conic):
         with pytest.raises(ConfigurationError, match="finite z floor"):
             i_infinity_extended(p2, line_conic, 2, 3, z_floor=None)
@@ -372,6 +388,12 @@ class TestExtendedOracle:
     @pytest.mark.parametrize("m", [1, 2])
     def test_product_target(self, p1p1, coeffs, roots, finite, m):
         _oracle_check(p1p1, coeffs, m, 4, -2, roots if finite else None)
+
+    @pytest.mark.parametrize("roots", [None, (5, 7), (3, 5)])
+    @pytest.mark.parametrize("m, cap", [(1, 8), (2, 4)])
+    def test_projective_three(self, roots, m, cap):
+        # two quadrics in P^3: the classes up to the cap meet each in 2d points
+        _oracle_check(TargetSpace((3,)), ((2,), (2,)), m, cap, -2, roots)
 
     def test_grid_reaches_zero_lower_step(self, p2, line_conic):
         # x_{11}^3 at degree 0 and order 3 leaves the line net shift -3, divisible
@@ -474,3 +496,142 @@ class TestContactBudget:
             monkeypatch.setattr(ifunctions, "MAX_CONTACT_COMBINATIONS", 1_000_000)
             i_infinity_extended(p2, line_conic, 6, 5, z_floor=-7)
         assert MAX_CONTACT_COMBINATIONS == 2_000_000
+
+
+def _budget_tuples(X, arrangement, m, cap, floor, roots):
+    """(beta, broad budget, costs, shifts) of every shift tuple within the
+    broad budget, as the extended builder defines it."""
+    n = arrangement.n
+    if roots is None:
+        scale, costs = 1, [[1] * m for _ in range(n)]
+    else:
+        scale = lcm(*roots)
+        costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
+    for beta in enumerate_curve_classes(X, cap):
+        top = 1 + arrangement.total_degree(beta) + n - X.anticanonical_degree(beta)
+        budget = (top - floor) * scale
+        degs = arrangement.degrees(beta)
+        per_divisor = [
+            {degs[i] - red: g for red, g in _contact_vectors(i, costs[i], budget).items()}
+            for i in range(n)
+        ]
+        for shifts in product(*per_divisor):
+            if sum(per_divisor[i][s][1] for i, s in enumerate(shifts)) <= budget:
+                yield beta, budget, costs, shifts
+
+
+# small jobs on P^2, P^1 x P^1 and P^3: target, divisor classes, finite orders
+BOUND_JOBS = [
+    ((2,), ((1,), (2,)), (7, 11)),
+    ((1, 1), ((1, 1), (1, 1)), (5, 7)),
+    ((3,), ((2,), (2,)), (5, 7)),
+]
+BOUND_IDS = ["line-conic", "diagonals", "two-quadrics"]
+
+
+def _job(factors, coeffs):
+    X = TargetSpace(factors)
+    divisors = tuple(Divisor(f"D{i}", c) for i, c in enumerate(coeffs))
+    return X, DivisorArrangement(divisors)
+
+
+def _build(X, arrangement, m, cap, floor, roots):
+    if roots is None:
+        return i_infinity_extended(X, arrangement, m, cap, z_floor=floor)
+    return i_root_extended(X, arrangement, RootData(roots), m, cap, z_floor=floor)
+
+
+class TestTopZBound:
+    """The closed-form body degree that lets the extended builder skip a
+    shift tuple before building its body."""
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
+    @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)
+    def test_degree_bounds_the_top_z_power(self, factors, coeffs, orders, finite):
+        X, arrangement = _job(factors, coeffs)
+        roots = orders if finite else None
+        ctx = X.context(arrangement.n, 6)
+        checked = 0
+        for beta, _, _, shifts in _budget_tuples(X, arrangement, 3, 6, -2, roots):
+            degree = 1 - X.anticanonical_degree(beta) + sum(
+                _weight_degree(d, s, None if roots is None else roots[i])
+                for i, (d, s) in enumerate(zip(arrangement.degrees(beta), shifts))
+            )
+            body = _body_chain(X, arrangement, beta, shifts, roots).series(ctx, beta)
+            if roots is None:
+                assert max(k.zpow for k in body.terms) == degree, (beta, shifts)
+            elif not body.is_zero:
+                assert max(k.zpow for k in body.terms) <= degree, (beta, shifts)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("floor", [0, -1, -3])
+    @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)
+    def test_infinite_order_builds_only_bodies_that_yield(
+        self, factors, coeffs, orders, floor, monkeypatch
+    ):
+        X, arrangement = _job(factors, coeffs)
+        built = []
+
+        def counting(X, arrangement, beta, shifts, roots):
+            built.append((beta, tuple(-s for s in shifts)))
+            return _body_chain(X, arrangement, beta, shifts, roots)
+
+        monkeypatch.setattr(ifunctions, "_body_chain", counting)
+        series = i_infinity_extended(X, arrangement, 3, 6, z_floor=floor)
+        # at infinite order the sector is the negated shift tuple
+        yielding = {(k.beta, k.sector) for k in series.terms}
+        assert built and sorted(built) == sorted(yielding)
+
+    def test_floor_zero_certificate_builds_only_bodies_at_z0(
+        self, p1p1, two_diagonals, monkeypatch
+    ):
+        # the invariants command's certificate on the diagonals at cap 8
+        # (m 4): 9 of the 1,095 shift tuples in the broad budget reach z^0
+        built = []
+
+        def counting(*args):
+            built.append(args[2:4])
+            return _body_chain(*args)
+
+        monkeypatch.setattr(ifunctions, "_body_chain", counting)
+        series = i_infinity_extended(p1p1, two_diagonals, 4, 8, z_floor=0)
+        assert len(built) == len(series) == 9
+        tuples = _budget_tuples(p1p1, two_diagonals, 4, 8, 0, None)
+        assert sum(1 for _ in tuples) == 1095
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
+    @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)
+    def test_count_bounds_the_combinations_formed(
+        self, factors, coeffs, orders, finite, monkeypatch
+    ):
+        # the up-front count is an upper bound on the combinations each class
+        # actually forms; each one formed keeps a term of its own contact
+        # monomial, so they also number the distinct (class, monomial) pairs
+        X, arrangement = _job(factors, coeffs)
+        roots = orders if finite else None
+        current = []
+        formed = Counter()
+        real_combinations = ifunctions._combinations
+
+        def body(X, arrangement, beta, shifts, roots):
+            current[:] = [beta]
+            return _body_chain(X, arrangement, beta, shifts, roots)
+
+        def combinations(*args):
+            for item in real_combinations(*args):
+                formed[current[0]] += 1
+                yield item
+
+        monkeypatch.setattr(ifunctions, "_body_chain", body)
+        monkeypatch.setattr(ifunctions, "_combinations", combinations)
+        series = _build(X, arrangement, 3, 6, -2, roots)
+        tuples = _budget_tuples(X, arrangement, 3, 6, -2, roots)
+        counts = {
+            beta: _combination_count(costs, budget, 10**7)[0]
+            for beta, budget, costs, _ in tuples
+        }
+        assert len(formed) > 1
+        for beta, n in formed.items():
+            assert n <= counts[beta], beta
+        assert sum(formed.values()) == len({(k.beta, k.xexp) for k in series.terms})
