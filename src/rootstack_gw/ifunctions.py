@@ -60,13 +60,14 @@ class ExtendedBudgetError(ValueError):
 
 
 # Most contact combinations an extended build may form, as counted by
-# _combination_count.  Every benchmark job counts at most 50,388.  On the
-# README job (line + conic, m 6) the infinite-order series counts 1,293,292
-# at cap 5 and writes its 312,458 records in 4.9 s at a peak of 144 MB (a
-# `--format records` child on a 2-vCPU Xeon, CPython 3.11), and counts
-# 38,630,800 at cap 9, where degree zero alone keeps 2,704,156 terms; the
-# count is looser at finite orders, whose cap-1 series counts 1,706,042 but
-# keeps 39,602 terms (1.0 s).
+# _combination_count.  Every benchmark job counts at most 6,188.  On the
+# README job (line + conic, roots 7, 11, m 6) the infinite-order series
+# counts 251,940 at cap 5 and writes its 312,458 records in 4.2 s at a peak
+# of 143 MB, and 1,939,938 at cap 7, writing 2,721,572 records in 36 s at
+# 1.1 GB (`--format records` children on a 2-vCPU Xeon, CPython 3.11); it
+# counts 10,816,624 at cap 9, where degree zero alone keeps 2,704,156 terms.
+# The finite-order series counts 418,390 at cap 2 and writes its 221,078
+# records in 3.2 s at 128 MB.
 MAX_CONTACT_COMBINATIONS = 2_000_000
 
 
@@ -264,28 +265,26 @@ class _Contact(NamedTuple):
     """One divisor's contact monomial prod_j x_{ij}^{e_j}."""
 
     total: int  # sum_j e_j: the z-power the monomial divides out
-    cost: int  # its share of the broad budget, sum_j costs[j - 1] e_j
     weight: int  # prod_j e_j!, the monomial's coefficient is 1 / weight
     xexp: tuple[tuple[int, int, int], ...]
 
 
 def _contact_vectors(
     i: int, costs: list[int], budget: int
-) -> dict[int, tuple[list[_Contact], int]]:
+) -> dict[int, list[_Contact]]:
     """Contact monomials of divisor i whose cost stays within the budget,
     where order j costs costs[j - 1] > 0 per unit.
 
     Grouped by the reduction sum_j j e_j they take off the intersection
-    number; each group is sorted by total and paired with its smallest cost.
+    number, each group sorted by total.  Within a group the cost is the
+    total less a constant, so the first monomial is also the cheapest.
     """
     groups: dict[int, list[_Contact]] = {}
 
     def rec(j0: int, left: int, reduction: int, total: int, denom: int, xexp: tuple):
         # one call per monomial: record it, then extend it by one more
         # order j >= j0 with a positive exponent
-        groups.setdefault(reduction, []).append(
-            _Contact(total, budget - left, denom, xexp)
-        )
+        groups.setdefault(reduction, []).append(_Contact(total, denom, xexp))
         for j in range(j0, len(costs) + 1):
             cost = costs[j - 1]
             e, weight = 1, denom
@@ -296,11 +295,9 @@ def _contact_vectors(
                 e += 1
 
     rec(1, budget, 0, 0, 1, ())
-    out = {}
-    for reduction, group in groups.items():
+    for group in groups.values():
         group.sort(key=lambda c: c.total)
-        out[reduction] = (group, min(c.cost for c in group))
-    return out
+    return groups
 
 
 def _combination_count(
@@ -349,7 +346,7 @@ def _combination_count(
 
 def _check_contact_budget(costs: list[list[int]], budgets: list[int]) -> None:
     """Refuse, with the count, an extended build whose classes, at the given
-    broad budgets, would form more than :data:`MAX_CONTACT_COMBINATIONS`
+    contact budgets, would form more than :data:`MAX_CONTACT_COMBINATIONS`
     contact combinations in total."""
     estimate = 0
     # a count up to the limit takes at most this many steps
@@ -371,33 +368,27 @@ def _check_contact_budget(costs: list[list[int]], budgets: list[int]) -> None:
 
 
 def _combinations(
-    groups: list[tuple[list[_Contact], int]], max_total: int, max_cost: int
+    groups: list[list[_Contact]], max_total: int
 ) -> Iterator[tuple[int, int, tuple[tuple[int, int, int], ...]]]:
     """(total, weight, xexp) of each choice of one contact monomial per group
-    whose summed total and cost stay within the limits; the weight is the
-    product of the monomials' integer weights."""
+    whose summed total is at most ``max_total``; the weight is the product
+    of the monomials' integer weights.  Every choice that passes also stays
+    within the contact budget of :func:`_extended_terms`."""
     n = len(groups)
     rest_total = [0] * (n + 1)
-    rest_cost = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        contacts, min_cost = groups[i]
-        rest_total[i] = rest_total[i + 1] + contacts[0].total
-        rest_cost[i] = rest_cost[i + 1] + min_cost
+        rest_total[i] = rest_total[i + 1] + groups[i][0].total
 
-    def rec(i: int, total: int, cost: int, weight: int, xexp: tuple):
+    def rec(i: int, total: int, weight: int, xexp: tuple):
         if i == n:
             yield total, weight, xexp
             return
-        for c in groups[i][0]:
+        for c in groups[i]:
             if total + c.total + rest_total[i + 1] > max_total:
                 break
-            if cost + c.cost + rest_cost[i + 1] > max_cost:
-                continue
-            yield from rec(
-                i + 1, total + c.total, cost + c.cost, weight * c.weight, xexp + c.xexp
-            )
+            yield from rec(i + 1, total + c.total, weight * c.weight, xexp + c.xexp)
 
-    yield from rec(0, 0, 0, 1, ())
+    yield from rec(0, 0, 1, ())
 
 
 def _extended_terms(
@@ -410,34 +401,37 @@ def _extended_terms(
 ) -> GradedSeries:
     """Shared double sum of the extended series, finite or infinite orders.
 
-    A contact vector k multiplies the body of its net shifts d_i -
+    A contact vector k multiplies the body of its net shifts s_i = d_i -
     sum_j j k_ij (:func:`_body_chain`, in the sector of the negated shifts)
-    by prod x^k / (prod k! z^|k|).  Two exact bounds keep the sum
-    finite:
+    by prod x^k / (prod k! z^|k|).  One exact bound keeps the sum finite: a
+    vector whose total |k| exceeds the highest z-power of its body minus
+    the floor has no term at or above the floor.  The body's z-degree, the
+    target slice's 1 - deg(beta) plus each divisor's :func:`_weight_degree`,
+    is its top z-power at infinite order and at least that at finite order.
 
-    * the broad budget: the weighted total sum_ij w_ij k_ij, with w_ij =
-      (r_i - j)/r_i (1 at infinite order), is at most the class's degree
-      bound 1 + sum_i d_i + n - deg(beta) minus the z floor.  It decides
-      which shift tuples are considered.  For finite orders every contact
-      order must stay below each root order so the weights are positive.
-    * the top-z bound: a vector whose total |k| exceeds the highest z-power
-      of its body minus the floor has no term at or above the floor.
+    The contact budget is that bound spread over the monomials.  Contact
+    order j of divisor i weighs w_ij = (r_i - j)/r_i (1 at infinite order;
+    every contact order must stay below each root order so the weights are
+    positive), and a monomial costs sum_j w_ij k_ij = T_i - (d_i - s_i)/r_i,
+    with T_i = sum_j k_ij.  Since _weight_degree(d, s, r) <= d - s/r (at
+    most d at infinite order), T_i less its weight degree is at least the
+    cost less d_i w_i1, so a vector that reaches the floor costs at most
+    1 - deg(beta) - floor + sum_i d_i w_i1 in total.
 
-    Divisor i's weight depends only on its own net shift, so each divisor's
-    contact monomials are enumerated once, grouped by shift and sorted by
-    total.  The top-z bound is applied before a body is built: the body's
-    z-degree, the target slice's 1 - deg(beta) plus each divisor's
-    :func:`_weight_degree`, is its top z-power at infinite order and at
-    least that at finite order, so a shift tuple whose smallest contact
-    totals already sum past that degree minus the floor gets no body.  The
-    rest are combined only while both bounds hold; every combination
-    reached keeps at least its body's top term.  The contact monomial is
+    Each divisor's monomials within that budget are enumerated once per
+    budget, grouped by shift and sorted by total.  A shift tuple whose
+    groups' smallest totals already sum past its body degree minus the floor
+    is skipped before its sector is labelled or its body built, so
+    :class:`SectorFoldWarning` names only shifts that can reach the floor.
+    The rest are combined while the totals stay within the built body's top
+    z-power minus the floor; every combination reached keeps at least its
+    body's top term and stays within the budget.  The contact monomial is
     attached by moving each body term to z-power zpow - |k|, its
     coefficient the body cell's integer numerator over the chain's
     denominator times prod k!, reduced once per distinct pair.
 
-    Before any of that, the combinations within the broad budget are counted
-    per class; past :data:`MAX_CONTACT_COMBINATIONS` in total the build is
+    Before any of that, the combinations within the budget are counted per
+    class; past :data:`MAX_CONTACT_COMBINATIONS` in total the build is
     refused with :class:`ExtendedBudgetError`.
     """
     floor = out_ctx.z_floor
@@ -448,23 +442,28 @@ def _extended_terms(
             "contact orders up to m must stay below every root order"
         )
     n = arrangement.n
-    # costs are the weights w_ij in units of 1/scale, so budgets stay integral
+    # costs are the weights w_ij in units of 1/scale, so budgets stay
+    # integral; costs[i][0] is w_i1
     if roots is None:
         scale, costs = 1, [[1] * m for _ in range(n)]
     else:
         scale = lcm(*roots)
         costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
-    budgets = {}
+    budgets = {}  # by class: (reach, budget)
     for beta in enumerate_curve_classes(X, cap):
-        top = 1 + arrangement.total_degree(beta) + n - out_ctx.beta_degree(beta)
-        budgets[beta] = (top - floor) * scale
-    _check_contact_budget(costs, list(budgets.values()))
-    contact_cache: dict[tuple[int, int], dict[int, tuple[list[_Contact], int]]] = {}
+        # the target slice's top z-power less the floor
+        reach = 1 - out_ctx.beta_degree(beta) - floor
+        degs = arrangement.degrees(beta)
+        # a divisor's cost exceeds T_i less its weight degree by at most d_i w_i1
+        spread = sum(d * c[0] for d, c in zip(degs, costs))
+        budgets[beta] = reach, reach * scale + spread
+    _check_contact_budget(costs, [budget for _, budget in budgets.values()])
+    contact_cache: dict[tuple[int, int], dict[int, list[_Contact]]] = {}
     meets: dict[tuple[bool, ...], bool] = {}  # by the sector's support
     reduced: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator)
     no_lam = (0,) * n
     out: dict[TermKey, Fraction] = {}
-    for beta, budget in budgets.items():
+    for beta, (reach, budget) in budgets.items():
         degs = arrangement.degrees(beta)
         per_divisor = []
         # per divisor and shift: its weight's z-degree less the group's
@@ -478,15 +477,12 @@ def _extended_terms(
             per_divisor.append(by_shift)
             slack.append(
                 {
-                    s: _weight_degree(degs[i], s, r) - contacts[0].total
-                    for s, (contacts, _) in by_shift.items()
+                    s: _weight_degree(degs[i], s, r) - group[0].total
+                    for s, group in by_shift.items()
                 }
             )
-        # the target slice's top z-power less the floor
-        reach = 1 - out_ctx.beta_degree(beta) - floor
         for shifts in product(*per_divisor):
-            groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
-            if sum(min_cost for _, min_cost in groups) > budget:
+            if reach + sum(slack[i][s] for i, s in enumerate(shifts)) < 0:
                 continue
             if roots is None:
                 sector = tuple(-s for s in shifts)
@@ -497,14 +493,13 @@ def _extended_terms(
                 meets[support] = _sector_meets(X, arrangement, sector)
             if not meets[support]:
                 continue
-            if reach + sum(slack[i][s] for i, s in enumerate(shifts)) < 0:
-                continue
             chain = _body_chain(X, arrangement, beta, shifts, roots)
             cells = chain.top_down()
             if not cells:
                 continue
+            groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
             den, max_total = chain.den, cells[0][0] - floor
-            for total, weight, xexp in _combinations(groups, max_total, budget):
+            for total, weight, xexp in _combinations(groups, max_total):
                 denom = den * weight
                 for zpow, mono, c in cells:
                     zpow -= total

@@ -169,7 +169,7 @@ def merge_tables(first: InvariantTable, second: InvariantTable) -> InvariantTabl
 def extract_invariants(
     series: GradedSeries,
     X: TargetSpace,
-    arrangement: DivisorArrangement | None = None,
+    arrangement: DivisorArrangement,
 ) -> InvariantTable:
     """Read one-point invariants off a series with trivial mirror map.
 
@@ -205,7 +205,7 @@ def extract_invariants(
                 weight,
             )
             continue
-        if ctx.roots is not None or key.xexp or arrangement is None:
+        if ctx.roots is not None or key.xexp:
             table.flagged.append(key)
             continue
         support = tuple(i for i, s in enumerate(key.sector) if s)

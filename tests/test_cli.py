@@ -446,8 +446,8 @@ class TestCommands:
         monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
         config = write_job(tmp_path, dict(PLANE_JOB, roots=[7, 11], m=6))
         for series, estimate in (
-            ("infinity-extended", "38,630,800"),
-            ("root-extended", "12,533,583,308"),
+            ("infinity-extended", "10,816,624"),
+            ("root-extended", "2,019,185,735"),
         ):
             args = ["--command", "ifunction", "--series", series, "--format", "records"]
             assert run(["--config", config, *args]) == 1

@@ -320,6 +320,35 @@ class TestExtendedEdges:
         folds = [w for w in caught if issubclass(w.category, SectorFoldWarning)]
         assert folds and {w.filename for w in folds} == {__file__}
 
+    def test_fold_warnings_name_only_shifts_that_reach_the_floor(
+        self, p2, line_conic, monkeypatch
+    ):
+        # the README job at m 2, cap 4 and the command line's floor -6: the
+        # shift tuples that cannot reach the floor are skipped before their
+        # sector is labelled, so (every sector meeting here) each folded
+        # shift of a body built is warned about once, and nothing else is
+        built = []
+
+        def counting(X, arrangement, beta, shifts, roots):
+            built.append(shifts)
+            return _body_chain(X, arrangement, beta, shifts, roots)
+
+        monkeypatch.setattr(ifunctions, "_body_chain", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            i_root_extended(p2, line_conic, RootData((7, 11)), 2, 4, z_floor=-6)
+        warned = [str(w.message) for w in caught if w.category is SectorFoldWarning]
+        fold = "tangency shift {} folds into the untwisted sector at root order {}"
+        want = {fold.format(-7, 7), fold.format(-14, 7), fold.format(-11, 11)}
+        assert set(warned) == want
+        folded = [
+            fold.format(s, r)
+            for shifts in built
+            for s, r in zip(shifts, (7, 11))
+            if s and s % r == 0
+        ]
+        assert sorted(folded) == sorted(warned)
+
     def test_missing_floor_rejected(self, p2, line_conic):
         with pytest.raises(ConfigurationError, match="finite z floor"):
             i_infinity_extended(p2, line_conic, 2, 3, z_floor=None)
@@ -472,7 +501,11 @@ class TestContactBudget:
     )
     def test_count_matches_enumeration(self, costs, budget):
         per_divisor = [
-            [c.cost for group, _ in _contact_vectors(i, divisor, budget).values() for c in group]
+            [
+                sum(divisor[j - 1] * e for _, j, e in c.xexp)
+                for group in _contact_vectors(i, divisor, budget).values()
+                for c in group
+            ]
             for i, divisor in enumerate(costs)
         ]
         want = sum(1 for choice in product(*per_divisor) if sum(choice) <= budget)
@@ -492,32 +525,48 @@ class TestContactBudget:
             raise AssertionError("contact monomials enumerated")
 
         monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
-        with pytest.raises(ExtendedBudgetError, match="up to 1,293,292 contact"):
-            monkeypatch.setattr(ifunctions, "MAX_CONTACT_COMBINATIONS", 1_000_000)
+        with pytest.raises(ExtendedBudgetError, match="up to 251,940 contact"):
+            monkeypatch.setattr(ifunctions, "MAX_CONTACT_COMBINATIONS", 200_000)
             i_infinity_extended(p2, line_conic, 6, 5, z_floor=-7)
         assert MAX_CONTACT_COMBINATIONS == 2_000_000
 
+    def test_readme_finite_job_at_cap_two_passes_the_count(
+        self, p2, line_conic, monkeypatch
+    ):
+        # roots 7, 11, m 6 and the command line's floor -(cap + 2): the count
+        # admits the job, so the build goes on to enumerate contact monomials
+        class Counted(Exception):
+            pass
+
+        def counted(*args):
+            raise Counted
+
+        monkeypatch.setattr(ifunctions, "_contact_vectors", counted)
+        with pytest.raises(Counted):
+            i_root_extended(p2, line_conic, RootData((7, 11)), 6, 2, z_floor=-4)
+
 
 def _budget_tuples(X, arrangement, m, cap, floor, roots):
-    """(beta, broad budget, costs, shifts) of every shift tuple within the
-    broad budget, as the extended builder defines it."""
-    n = arrangement.n
+    """(beta, shifts) of every shift tuple with a contact monomial per
+    divisor within the contact budget, as the extended builder defines it:
+    1 - deg(beta) - floor plus sum_i d_i (r_i - 1) / r_i (d_i at infinite
+    order), in units of 1 / lcm(roots)."""
     if roots is None:
-        scale, costs = 1, [[1] * m for _ in range(n)]
+        scale, costs = 1, [[1] * m for _ in arrangement.divisors]
     else:
         scale = lcm(*roots)
         costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
     for beta in enumerate_curve_classes(X, cap):
-        top = 1 + arrangement.total_degree(beta) + n - X.anticanonical_degree(beta)
-        budget = (top - floor) * scale
         degs = arrangement.degrees(beta)
+        budget = (1 - X.anticanonical_degree(beta) - floor) * scale
+        for i, d in enumerate(degs):
+            budget += d if roots is None else d * (roots[i] - 1) * (scale // roots[i])
         per_divisor = [
-            {degs[i] - red: g for red, g in _contact_vectors(i, costs[i], budget).items()}
-            for i in range(n)
+            {degs[i] - red for red in _contact_vectors(i, costs[i], budget)}
+            for i in range(len(degs))
         ]
         for shifts in product(*per_divisor):
-            if sum(per_divisor[i][s][1] for i, s in enumerate(shifts)) <= budget:
-                yield beta, budget, costs, shifts
+            yield beta, shifts
 
 
 # small jobs on P^2, P^1 x P^1 and P^3: target, divisor classes, finite orders
@@ -552,7 +601,7 @@ class TestTopZBound:
         roots = orders if finite else None
         ctx = X.context(arrangement.n, 6)
         checked = 0
-        for beta, _, _, shifts in _budget_tuples(X, arrangement, 3, 6, -2, roots):
+        for beta, shifts in _budget_tuples(X, arrangement, 3, 6, -2, roots):
             degree = 1 - X.anticanonical_degree(beta) + sum(
                 _weight_degree(d, s, None if roots is None else roots[i])
                 for i, (d, s) in enumerate(zip(arrangement.degrees(beta), shifts))
@@ -587,7 +636,7 @@ class TestTopZBound:
         self, p1p1, two_diagonals, monkeypatch
     ):
         # the invariants command's certificate on the diagonals at cap 8
-        # (m 4): 9 of the 1,095 shift tuples in the broad budget reach z^0
+        # (m 4): 9 of the 375 shift tuples in the contact budget reach z^0
         built = []
 
         def counting(*args):
@@ -598,7 +647,7 @@ class TestTopZBound:
         series = i_infinity_extended(p1p1, two_diagonals, 4, 8, z_floor=0)
         assert len(built) == len(series) == 9
         tuples = _budget_tuples(p1p1, two_diagonals, 4, 8, 0, None)
-        assert sum(1 for _ in tuples) == 1095
+        assert sum(1 for _ in tuples) == 375
 
     @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
     @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)
@@ -610,28 +659,55 @@ class TestTopZBound:
         # monomial, so they also number the distinct (class, monomial) pairs
         X, arrangement = _job(factors, coeffs)
         roots = orders if finite else None
-        current = []
-        formed = Counter()
-        real_combinations = ifunctions._combinations
-
-        def body(X, arrangement, beta, shifts, roots):
-            current[:] = [beta]
-            return _body_chain(X, arrangement, beta, shifts, roots)
-
-        def combinations(*args):
-            for item in real_combinations(*args):
-                formed[current[0]] += 1
-                yield item
-
-        monkeypatch.setattr(ifunctions, "_body_chain", body)
-        monkeypatch.setattr(ifunctions, "_combinations", combinations)
-        series = _build(X, arrangement, 3, 6, -2, roots)
-        tuples = _budget_tuples(X, arrangement, 3, 6, -2, roots)
-        counts = {
-            beta: _combination_count(costs, budget, 10**7)[0]
-            for beta, budget, costs, _ in tuples
-        }
+        series, formed, counted = _formed_and_counted(
+            X, arrangement, 3, 6, -2, roots, monkeypatch
+        )
         assert len(formed) > 1
         for beta, n in formed.items():
-            assert n <= counts[beta], beta
+            assert n <= counted[beta], beta
         assert sum(formed.values()) == len({(k.beta, k.xexp) for k in series.terms})
+
+    @pytest.mark.parametrize("m, cap, floor", [(3, 6, -2), (2, 4, -6), (3, 5, 0)])
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
+    @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)
+    def test_count_within_a_factor_of_the_combinations_formed(
+        self, factors, coeffs, orders, finite, m, cap, floor, monkeypatch
+    ):
+        X, arrangement = _job(factors, coeffs)
+        roots = orders if finite else None
+        _, formed, counted = _formed_and_counted(
+            X, arrangement, m, cap, floor, roots, monkeypatch
+        )
+        assert 0 < sum(counted.values()) <= 8 * sum(formed.values())
+
+
+def _formed_and_counted(X, arrangement, m, cap, floor, roots, monkeypatch):
+    """(series, formed, counted): the extended series, the contact
+    combinations its builder forms per class, and the builder's up-front
+    count per class."""
+    current = []
+    formed = Counter()
+    counted = {}
+    real_combinations = ifunctions._combinations
+    real_check = ifunctions._check_contact_budget
+
+    def body(X, arrangement, beta, shifts, roots):
+        current[:] = [beta]
+        return _body_chain(X, arrangement, beta, shifts, roots)
+
+    def combinations(*args):
+        for item in real_combinations(*args):
+            formed[current[0]] += 1
+            yield item
+
+    def check(costs, budgets):
+        # the budgets come in the order of the classes
+        for beta, budget in zip(enumerate_curve_classes(X, cap), budgets):
+            counted[beta] = _combination_count(costs, budget, 10**7)[0]
+        real_check(costs, budgets)
+
+    monkeypatch.setattr(ifunctions, "_body_chain", body)
+    monkeypatch.setattr(ifunctions, "_combinations", combinations)
+    monkeypatch.setattr(ifunctions, "_check_contact_budget", check)
+    series = _build(X, arrangement, m, cap, floor, roots)
+    return series, formed, counted
