@@ -21,7 +21,6 @@ from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -438,11 +437,11 @@ def _load_job(args) -> JobConfig:
         raise ConfigError(f"config: no such file {args.config!r}")
     job = parse_config(args.config)
     if args.cap is not None:
-        job = replace(job, cap=check_cap(args.cap))
+        job = job._replace(cap=check_cap(args.cap))
     if args.roots and args.command != "stabilize":
         if len(args.roots) > 1:
             raise ConfigError("roots: only stabilize takes more than one --roots")
-        job = replace(job, roots=parse_roots(args.roots[0], job.arrangement))
+        job = job._replace(roots=parse_roots(args.roots[0], job.arrangement))
     return job
 
 

@@ -18,9 +18,9 @@ distinct names, admissible root orders) belong to ``targets``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
+from .algebra import Record
 from .targets import Divisor, DivisorArrangement, RootData, TargetSpace
 
 MAX_CAP = 64
@@ -30,8 +30,7 @@ class ConfigError(ValueError):
     """Malformed or invalid job configuration."""
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(Record):
     target: TargetSpace
     arrangement: DivisorArrangement
     roots: RootData | None

@@ -25,10 +25,9 @@ normalization would flip the comparison by (-1)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
+from .algebra import GradedSeries, Record, SeriesContext, TermKey, series_sum
 from .ifunctions import h0_body, infinity_slice, relative_slice
 from .targets import ConfigurationError, DivisorArrangement, TargetSpace, _j_chain
 
@@ -37,8 +36,7 @@ class RefusedIdentityError(ValueError):
     """The hypotheses of the identity fail, so nothing is asserted."""
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """One verified (or failed) identity at a fixed curve class."""
 
     name: str

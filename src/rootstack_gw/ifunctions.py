@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
@@ -655,7 +654,7 @@ def h0_slice(
         raise ExtendedDataTooSmall(
             f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
         )
-    body = h0_body(X, arrangement, beta, replace(ctx, z_floor=None))
+    body = h0_body(X, arrangement, beta, ctx._replace(z_floor=None))
     return attach_tilings(body, degs, m, ctx)
 
 

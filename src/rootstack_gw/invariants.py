@@ -14,11 +14,12 @@ no resummation is ever attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .algebra import CohClass, ContractError, GradedSeries, TermKey, series_sum
+from .algebra import CohClass, ContractError, GradedSeries, Record, TermKey, series_sum
 from .ifunctions import attach_tilings, h0_body, infinity_slice, root_slice
 from .targets import (
     ConfigurationError,
@@ -36,8 +37,7 @@ class UnsupportedMirrorMapError(ValueError):
     exit_status = 2  # the command line's exit status for this refusal
 
 
-@dataclass(frozen=True)
-class MirrorMapReport:
+class MirrorMapReport(Record):
     """Split of a series by z-degree around the dilaton term."""
 
     dilaton_ok: bool
@@ -118,8 +118,7 @@ def mirror_map(series: GradedSeries) -> MirrorMapReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     beta: tuple[int, ...]
     xexp: tuple[tuple[int, int, int], ...]
     insertion: tuple[int, ...]
@@ -127,12 +126,20 @@ class TableEntry:
     sector: tuple[int, ...]
 
 
-@dataclass
-class InvariantTable:
-    """Extracted one-point invariants, exact values, immutable once built."""
+class InvariantTable(Record):
+    """Extracted one-point invariants, exact values, immutable once built.
 
-    entries: dict[TableEntry, Fraction] = field(default_factory=dict)
-    flagged: list[TermKey] = field(default_factory=list)
+    ``entries`` is kept as a read-only view of a private copy and
+    ``flagged`` as a tuple, so no holder of a table can change it.
+    """
+
+    entries: MappingProxyType[TableEntry, Fraction] = MappingProxyType({})
+    flagged: tuple[TermKey, ...] = ()
+
+    def __post_init__(self):
+        # a Record refuses assignment, so the converted values bypass it
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "flagged", tuple(self.flagged))
 
     def value(
         self,
@@ -183,17 +190,18 @@ def extract_invariants(
     mirror_map(series).require_trivial()
     ctx = series.ctx
     ring = ctx.ring
-    table = InvariantTable()
+    entries: dict[TableEntry, Fraction] = {}
+    flagged: list[TermKey] = []
 
     def add(entry: TableEntry, value: Fraction) -> None:
         if value:
-            table.entries[entry] = table.entries.get(entry, Fraction(0)) + value
+            entries[entry] = entries.get(entry, Fraction(0)) + value
 
     for key, c in series.terms.items():
         if key.zpow >= 0:
             continue
         if any(key.lam):
-            table.flagged.append(key)
+            flagged.append(key)
             continue
         psi = -key.zpow - 1
         weight = c
@@ -206,20 +214,20 @@ def extract_invariants(
             )
             continue
         if ctx.roots is not None or key.xexp:
-            table.flagged.append(key)
+            flagged.append(key)
             continue
         support = tuple(i for i, s in enumerate(key.sector) if s)
         inserted = CohClass(ring, {key.mono: Fraction(1)})
         paired = arrangement.intersection_class(X, support) * inserted
         if paired.is_zero:
-            table.flagged.append(key)
+            flagged.append(key)
             continue
         for mono, coeff in paired.items():
             add(
                 TableEntry(key.beta, (), ring.dual_mono(mono), psi, key.sector),
                 weight * coeff,
             )
-    return table
+    return InvariantTable(entries, flagged)
 
 
 def contact_one_counts(
@@ -285,8 +293,7 @@ def n_orb(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizationCase:
+class StabilizationCase(Record):
     roots: tuple[int, ...]
     beta: tuple[int, ...]
     ok: bool
@@ -297,8 +304,7 @@ class StabilizationCase:
         return self.rescaled.first_mismatch(self.limit)
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(Record):
     cases: tuple[StabilizationCase, ...]
 
     @property

@@ -14,12 +14,11 @@ independent cross-check oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add
 
-from .algebra import rat
+from .algebra import Record, rat
 from .invariants import contact_one_counts
 from .targets import (
     ConfigurationError,
@@ -37,8 +36,7 @@ class PeriodError(ValueError):
     exit_status = 2  # the command line's exit status for this refusal
 
 
-@dataclass(frozen=True)
-class PeriodSequence:
+class PeriodSequence(Record):
     """Coefficients c_0 .. c_cap of a period series, exact rationals."""
 
     kind: str
@@ -91,8 +89,7 @@ def regularize(period: PeriodSequence) -> PeriodSequence:
     )
 
 
-@dataclass(frozen=True)
-class ClassicalPeriod:
+class ClassicalPeriod(Record):
     """Classical period plus its mixed-grading breakdown.
 
     ``contributions`` keeps each class's contact tuple and count before the
@@ -169,8 +166,7 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class PeriodComparison:
+class PeriodComparison(Record):
     regularized: PeriodSequence
     classical: PeriodSequence
     skipped_tuples: tuple[tuple[int, tuple[int, ...]], ...]
@@ -214,8 +210,7 @@ _LAURENT_TERM = r"[nv](?:\*[nv]|/(?:[nv]|\([nv](?:\*[nv])*\)))*"
 _LAURENT_SHAPE = re.compile(rf"[+-]?{_LAURENT_TERM}(?:[+-]{_LAURENT_TERM})*")
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(Record):
     """Finitely supported map from integer exponent vectors to rationals."""
 
     variables: tuple[str, ...]

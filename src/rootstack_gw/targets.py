@@ -9,18 +9,16 @@ is available in closed hypergeometric form degree by degree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 
-from .algebra import AmbientRing, CohClass, GradedSeries, SeriesContext, _Chain
+from .algebra import AmbientRing, CohClass, GradedSeries, Record, SeriesContext, _Chain
 
 
 class ConfigurationError(ValueError):
     """Inputs violate a hypothesis of the construction."""
 
 
-@dataclass(frozen=True)
-class TargetSpace:
+class TargetSpace(Record):
     """A product of projective spaces prod_k P^{n_k}."""
 
     factors: tuple[int, ...]
@@ -102,8 +100,7 @@ def enumerate_curve_classes(X: TargetSpace, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Record):
     """A nef divisor class with a display name."""
 
     name: str
@@ -126,8 +123,7 @@ class Divisor:
             raise ConfigurationError(f"divisor {self.name!r} is trivial")
 
 
-@dataclass(frozen=True)
-class DivisorArrangement:
+class DivisorArrangement(Record):
     """The components D_1, ..., D_n of a simple normal-crossing divisor.
 
     Components are assumed pairwise distinct irreducible representatives in
@@ -186,8 +182,7 @@ class DivisorArrangement:
         return not self.intersection_class(X, support).is_zero
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(Record):
     """Root orders r_1, ..., r_n, pairwise coprime."""
 
     orders: tuple[int, ...]
@@ -254,8 +249,7 @@ def base_j_function(
     return _j_chain(X, beta).series(ctx, beta)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Record):
     """Outcome of the two-positive-pairings condition scan."""
 
     holds: bool

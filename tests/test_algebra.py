@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -352,10 +351,10 @@ class TestPublicConstructorsValidate:
         ctx = plane_ctx(divisors=1)
         s = GradedSeries.term(ctx, 1, zpow=1)
         with pytest.raises(ContractError):
-            s.in_context(replace(ctx, **change))
+            s.in_context(ctx._replace(**change))
 
     def test_from_class_at_positive_floor_is_empty(self):
-        ctx = replace(plane_ctx(), z_floor=1)
+        ctx = plane_ctx()._replace(z_floor=1)
         assert GradedSeries.from_class(ctx, P(ctx)).is_zero
 
 
@@ -447,7 +446,7 @@ def test_ring_operations_match_validated_references(data):
     q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
     p = data.draw(st.integers(-3, 3))
     cap, floor = data.draw(truncations())
-    other = replace(ctx, beta_cap=cap, z_floor=floor)
+    other = ctx._replace(beta_cap=cap, z_floor=floor)
 
     def shift(key):
         return key._replace(zpow=key.zpow + p)
@@ -548,7 +547,7 @@ def kernel_product(ctx, beta, sector, start, factors) -> GradedSeries:
 def sparse_product(ctx, beta, sector, start, factors) -> GradedSeries:
     """The same product by GradedSeries.__mul__ and invert_z_linear, formed
     without a floor and truncated once at the end."""
-    full = replace(ctx, z_floor=None)
+    full = ctx._replace(z_floor=None)
     ring = ctx.ring
     out = GradedSeries.term(full, 1, beta=beta, zpow=start)
     for shape, coeffs, step, extra in factors:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import rootstack_gw
+from rootstack_gw.cli import COMMANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,6 +158,36 @@ def test_command_loads_only_what_it_runs(tmp_path, command, never):
     ran = {name.split(".")[1] for name in package_modules(loaded) if "." in name}
     assert not ran & never
     assert (tmp_path / "out.txt").read_text(encoding="utf-8").count("ok") >= 1
+
+
+LINE_CONIC_JOB = {
+    "target": {"factors": [2]},
+    "divisors": [{"name": "L", "coeffs": [1]}, {"name": "C", "coeffs": [2]}],
+    "roots": [7, 11],
+    "cap": 3,
+    "m": 3,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, command):
+    if command == "laurent-period":
+        argv = ["--laurent", "x+1/x", "--cap", "4"]
+    else:
+        config = tmp_path / "line_conic.json"
+        config.write_text(json.dumps(LINE_CONIC_JOB), encoding="utf-8")
+        argv = ["--config", str(config)]
+        if command == "ifunction":
+            argv += ["--series", "root"]
+    code = (
+        "from rootstack_gw.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "assert status == 0, status\n"
+    )
+    out = tmp_path / "out.txt"
+    loaded = fresh_modules(code, "--command", command, *argv, "--out", str(out))
+    assert out.read_text(encoding="utf-8")
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_package_never_imports_logging():
