@@ -57,7 +57,6 @@ _EXPORTS = {
         "TableEntry",
         "UnsupportedMirrorMapError",
         "extract_invariants",
-        "merge_tables",
         "mirror_map",
         "n_orb",
         "stabilization_check",

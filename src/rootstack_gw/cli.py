@@ -48,7 +48,6 @@ SERIES_CHOICES = (
     "infinity-extended",
     "infinity-extended-h0",
     "relative",
-    "relative-extended-h0",
     "local",
 )
 
@@ -213,10 +212,6 @@ def _build_series(job: JobConfig, name: str) -> GradedSeries:
         return i_infinity_extended_h0(X, arr, m, cap)
     if name == "relative":
         return i_relative_smooth(X, arr, cap)
-    if name == "relative-extended-h0":
-        if arr.n != 1:
-            raise ConfigError("relative series needs exactly one divisor")
-        return i_infinity_extended_h0(X, arr, m, cap)
     if name == "local":
         return i_local(X, arr, cap)
     raise ConfigError(f"unknown series {name!r}")
@@ -232,21 +227,10 @@ def cmd_ifunction(job: JobConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
-    from .ifunctions import (
-        i_infinity_extended,
-        i_infinity_extended_h0,
-        i_infinity_nonextended,
-    )
-    from .invariants import extract_invariants, merge_tables, mirror_map
+    from .invariants import _table_by_class
 
-    X, arr, cap = job.target, job.arrangement, job.cap
-    m = job.contact_bound()
-    # mirror_map reads only the terms at z^0 and above, so floor 0 certifies
-    mirror_map(i_infinity_extended(X, arr, m, cap, z_floor=0)).require_trivial()
-    table = merge_tables(
-        extract_invariants(i_infinity_extended_h0(X, arr, m, cap), X, arr),
-        extract_invariants(i_infinity_nonextended(X, arr, cap), X, arr),
-    )
+    X = job.target
+    table = _table_by_class(X, job.arrangement, job.contact_bound(), job.cap)
     if args.format == "records":
         return 0, table_records(table)
     return 0, ["# extracted one-point invariants"] + table_human(table, X.ring)

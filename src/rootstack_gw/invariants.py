@@ -17,10 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .algebra import CohClass, ContractError, GradedSeries, Record, TermKey, series_sum
-from .ifunctions import attach_tilings, h0_body, infinity_slice, root_slice
+from .ifunctions import (
+    attach_tilings, h0_body, h0_slice, i_infinity_extended, infinity_slice, root_slice
+)
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -145,11 +147,11 @@ class InvariantTable(Record):
         self,
         beta: tuple[int, ...],
         xexp: tuple[tuple[int, int, int], ...] = (),
-        insertion: tuple[int, ...] = (),
+        *,
+        insertion: tuple[int, ...],
         psi: int = 0,
-        sector: tuple[int, ...] | None = None,
+        sector: tuple[int, ...],
     ) -> Fraction:
-        sector = sector if sector is not None else tuple()
         key = TableEntry(tuple(beta), tuple(xexp), tuple(insertion), psi, tuple(sector))
         return self.entries.get(key, Fraction(0))
 
@@ -158,19 +160,6 @@ class InvariantTable(Record):
             self.entries.items(),
             key=lambda kv: (kv[0].beta, kv[0].xexp, kv[0].psi, kv[0].insertion, kv[0].sector),
         )
-
-
-def merge_tables(first: InvariantTable, second: InvariantTable) -> InvariantTable:
-    """A new table holding both; an entry present in both must agree in value."""
-    for entry, value in second.entries.items():
-        if first.entries.get(entry, value) != value:
-            raise ValueError(
-                f"conflicting values {first.entries[entry]} and {value} for {entry}"
-            )
-    return InvariantTable(
-        entries={**first.entries, **second.entries},
-        flagged=first.flagged + second.flagged,
-    )
 
 
 def extract_invariants(
@@ -188,7 +177,14 @@ def extract_invariants(
     flagged for manual review rather than guessed at.
     """
     mirror_map(series).require_trivial()
-    ctx = series.ctx
+    return _read_invariants(series.ctx, series.terms.items(), X, arrangement)
+
+
+def _read_invariants(
+    ctx, terms: Iterable[tuple[TermKey, Fraction]], X: TargetSpace, arrangement
+) -> InvariantTable:
+    """The reading of :func:`extract_invariants`, without its mirror-map
+    check, over the terms of one or more series in the context ``ctx``."""
     ring = ctx.ring
     entries: dict[TableEntry, Fraction] = {}
     flagged: list[TermKey] = []
@@ -197,7 +193,7 @@ def extract_invariants(
         if value:
             entries[entry] = entries.get(entry, Fraction(0)) + value
 
-    for key, c in series.terms.items():
+    for key, c in terms:
         if key.zpow >= 0:
             continue
         if any(key.lam):
@@ -228,6 +224,26 @@ def extract_invariants(
                 weight * coeff,
             )
     return InvariantTable(entries, flagged)
+
+
+def _table_by_class(
+    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
+) -> InvariantTable:
+    """The table :func:`extract_invariants` reads off the untwisted extended
+    and the non-extended limit series, read class by class.  Both are slices
+    of the extended limit series, its zero-shift and its contact-free terms,
+    so its certificate at z floor 0 covers both.  A class that meets no
+    divisor has a non-extended slice equal to its h0 slice's empty tiling."""
+    mirror_map(i_infinity_extended(X, arrangement, m, cap, z_floor=0)).require_trivial()
+    ctx = X.context(arrangement.n, cap)
+
+    def terms():
+        for beta in enumerate_curve_classes(X, cap):
+            yield from h0_slice(X, arrangement, m, beta, ctx).terms.items()
+            if any(d > 0 for d in arrangement.degrees(beta)):
+                yield from infinity_slice(X, arrangement, beta, ctx).terms.items()
+
+    return _read_invariants(ctx, terms(), X, arrangement)
 
 
 def contact_one_counts(

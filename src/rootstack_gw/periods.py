@@ -202,12 +202,11 @@ def compare_periods(
 
 
 # Laurent polynomial text is read as tokens: an integer ("n" in the shape
-# string), a variable with its optional exponent ("v"), or one symbol.
-_LAURENT_TOKEN = re.compile(
-    r"\s*(?:(\d+)|([a-zA-Z]\w*)(?:\s*\^\s*(-?)\s*(\d+))?|(\S))"
-)
+# string), a variable with its optional exponent ("v"), or one symbol.  The
+# patterns stay strings until a parse: ``re`` compiles and caches them then.
+_LAURENT_TOKEN = r"\s*(?:(\d+)|([a-zA-Z]\w*)(?:\s*\^\s*(-?)\s*(\d+))?|(\S))"
 _LAURENT_TERM = r"[nv](?:\*[nv]|/(?:[nv]|\([nv](?:\*[nv])*\)))*"
-_LAURENT_SHAPE = re.compile(rf"[+-]?{_LAURENT_TERM}(?:[+-]{_LAURENT_TERM})*")
+_LAURENT_SHAPE = rf"[+-]?{_LAURENT_TERM}(?:[+-]{_LAURENT_TERM})*"
 
 
 class LaurentPolynomial(Record):
@@ -236,9 +235,9 @@ class LaurentPolynomial(Record):
         or ``^-int``, and a divisor may also be a parenthesized product of
         factors.  Anything else raises ValueError.
         """
-        tokens = _LAURENT_TOKEN.findall(text)
+        tokens = re.findall(_LAURENT_TOKEN, text)
         shape = "".join("n" if t[0] else "v" if t[1] else t[4] for t in tokens)
-        if not _LAURENT_SHAPE.fullmatch(shape):
+        if not re.fullmatch(_LAURENT_SHAPE, shape):
             raise ValueError(f"cannot parse Laurent polynomial {text!r}")
         raw: list[tuple[Fraction, dict[str, int]]] = []
         orientation, group = 1, False

@@ -458,21 +458,6 @@ class TestCommands:
                 "combinations, over the limit of 2,000,000; lower the cap or m\n"
             )
 
-    def test_relative_extended_h0_needs_one_divisor(self, plane_config, capsys):
-        args = ["--command", "ifunction", "--series", "relative-extended-h0"]
-        assert run(["--config", plane_config, *args, "--cap", "3"]) == 1
-        assert "exactly one divisor" in capsys.readouterr().err
-
-    def test_relative_extended_h0_is_untwisted_limit(self, tmp_path, capsys):
-        conic = dict(CUBIC_JOB, divisors=[{"name": "C", "coeffs": [2]}])
-        config = write_job(tmp_path, conic)
-        outputs = []
-        for series in ("relative-extended-h0", "infinity-extended-h0"):
-            args = ["--command", "ifunction", "--series", series, "--format", "records"]
-            assert run(["--config", config, *args]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] and outputs[0].startswith("term\t")
-
 
 class TestRecords:
     def test_fibre_identity_records(self, tmp_path, capsys):
@@ -493,8 +478,8 @@ class TestRecords:
         ]
 
     def test_invariants_with_overlapping_blocks(self, tmp_path, capsys):
-        # the contact block and the tangency block share four entries of equal
-        # value, e.g. beta (1,0), insertion (1,1), psi 0 is 1 in both
+        # beta (1,0) and (2,0) meet no divisor, so their tangency block is
+        # their contact block's empty tiling and is read once
         config = write_job(tmp_path, FIBRE_JOB)
         args = ["--command", "invariants", "--format", "records"]
         assert run(["--config", config, *args]) == 0

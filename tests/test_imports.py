@@ -62,7 +62,6 @@ EXPORTS = {
         "TableEntry",
         "UnsupportedMirrorMapError",
         "extract_invariants",
-        "merge_tables",
         "mirror_map",
         "n_orb",
         "stabilization_check",

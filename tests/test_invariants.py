@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 from math import factorial
 
@@ -9,6 +10,7 @@ from rootstack_gw import (
     Divisor,
     DivisorArrangement,
     RootData,
+    TargetSpace,
     UnsupportedMirrorMapError,
     check_assumption,
     enumerate_curve_classes,
@@ -17,13 +19,14 @@ from rootstack_gw import (
     i_infinity_extended_h0,
     i_infinity_nonextended,
     i_root_nonextended,
-    merge_tables,
     mirror_map,
     n_orb,
     stabilization_check,
 )
+from rootstack_gw import ifunctions, invariants
 from rootstack_gw.algebra import ContractError
-from rootstack_gw.invariants import InvariantTable, TableEntry
+from rootstack_gw.cli import run
+from rootstack_gw.invariants import _table_by_class
 from rootstack_gw.targets import _j_chain
 
 
@@ -90,6 +93,17 @@ class TestExtraction:
         got = table.value((1,), xexp=(), insertion=(0,), psi=0, sector=(-1, -2))
         assert got == 2
 
+    def test_value_needs_insertion_and_sector(self, p2, line_conic):
+        # every entry has both, so a default for either would only ever read 0
+        h0 = i_infinity_extended_h0(p2, line_conic, 6, 9)
+        table = extract_invariants(h0, p2, line_conic)
+        contacts = ((0, 1, 1), (1, 2, 1))
+        assert table.value((1,), contacts, insertion=(2,), sector=(0, 0)) == 2
+        with pytest.raises(TypeError):
+            table.value((1,), contacts, insertion=(2,))
+        with pytest.raises(TypeError):
+            table.value((1,), contacts, sector=(0, 0))
+
     def test_reinsertion_reproduces_series(self, p2, line_conic):
         h0 = i_infinity_extended_h0(p2, line_conic, 6, 9)
         table = extract_invariants(h0, p2, line_conic)
@@ -120,30 +134,80 @@ class TestExtraction:
                     continue
                 e = d1 + d2
                 a = table.value(
-                    (d1, d2), ((0, e, 1), (1, e, 1)), (1, 1), 0, (0, 0)
+                    (d1, d2), ((0, e, 1), (1, e, 1)), insertion=(1, 1), sector=(0, 0)
                 )
                 b = table.value(
-                    (d2, d1), ((0, e, 1), (1, e, 1)), (1, 1), 0, (0, 0)
+                    (d2, d1), ((0, e, 1), (1, e, 1)), insertion=(1, 1), sector=(0, 0)
                 )
                 assert a == b
 
 
-class TestMergeTables:
-    ENTRY = TableEntry((1, 0), (), (1, 1), 0, (0,))
+P1P1 = TargetSpace((1, 1))
+FIBRE = Divisor("F", (0, 1))
+# name -> target, divisors, m (None: the largest intersection number), cap
+# and the number of flagged terms
+BY_CLASS_JOBS = {
+    "line-conic": (
+        TargetSpace((2,)), (Divisor("L", (1,)), Divisor("C", (2,))), 6, 9, 5
+    ),
+    "diagonals": (P1P1, (Divisor("L1", (1, 1)), Divisor("L2", (1, 1))), None, 8, 32),
+    "conic": (TargetSpace((2,)), (Divisor("C", (2,)),), None, 18, 5),
+    "two-quadrics": (
+        TargetSpace((3,)), (Divisor("Q1", (2,)), Divisor("Q2", (2,))), None, 8, 4
+    ),
+    # the classes (k,0) meet no divisor
+    "fibre": (P1P1, (FIBRE,), None, 8, 16),
+    "fibre-diagonal": (P1P1, (FIBRE, Divisor("D", (1, 1))), None, 8, 30),
+}
 
-    def test_equal_overlap_kept_and_inputs_untouched(self):
-        first = InvariantTable({self.ENTRY: F(1)}, [])
-        other = TableEntry((0, 1), (), (1, 0), 0, (-1,))
-        second = InvariantTable({self.ENTRY: F(1), other: F(1)}, [])
-        merged = merge_tables(first, second)
-        assert merged.entries == {self.ENTRY: F(1), other: F(1)}
-        assert first.entries == {self.ENTRY: F(1)}
 
-    def test_conflicting_value_raises(self):
-        first = InvariantTable({self.ENTRY: F(1)}, [])
-        second = InvariantTable({self.ENTRY: F(2)}, [])
-        with pytest.raises(ValueError, match="conflicting values 1 and 2"):
-            merge_tables(first, second)
+class TestTableByClass:
+    @pytest.mark.parametrize("name", BY_CLASS_JOBS)
+    def test_equals_both_whole_series_tables(self, name):
+        X, divisors, m, cap, flagged = BY_CLASS_JOBS[name]
+        arrangement = DivisorArrangement(divisors)
+        m = m or max(1, *arrangement.max_degrees(X, cap))
+        contact = extract_invariants(
+            i_infinity_extended_h0(X, arrangement, m, cap), X, arrangement
+        )
+        tangency = extract_invariants(
+            i_infinity_nonextended(X, arrangement, cap), X, arrangement
+        )
+        # the two blocks may share an entry only with one value
+        for entry in contact.entries.keys() & tangency.entries.keys():
+            assert contact.entries[entry] == tangency.entries[entry], entry
+        table = _table_by_class(X, arrangement, m, cap)
+        assert table.entries == dict(contact.entries) | dict(tangency.entries)
+        assert sorted(table.flagged) == sorted(contact.flagged + tangency.flagged)
+        assert table.entries and len(table.flagged) == flagged
+
+    def test_one_certificate_and_no_whole_series(self, tmp_path, monkeypatch, capsys):
+        certified = []
+        real = invariants.mirror_map
+
+        def counted(series):
+            certified.append(series)
+            return real(series)
+
+        def whole_series(*args):
+            raise AssertionError("a whole-cap series was built")
+
+        monkeypatch.setattr(invariants, "mirror_map", counted)
+        for module in (ifunctions, invariants):
+            for name in ("i_infinity_extended_h0", "i_infinity_nonextended"):
+                monkeypatch.setattr(module, name, whole_series, raising=False)
+        job = {
+            "target": {"factors": [2]},
+            "divisors": [{"name": "L", "coeffs": [1]}, {"name": "C", "coeffs": [2]}],
+            "cap": 9,
+            "m": 6,
+        }
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps(job), encoding="utf-8")
+        args = ["--command", "invariants", "--format", "records"]
+        assert run(["--config", str(config), *args]) == 0
+        assert capsys.readouterr().out.startswith("invariant\t")
+        assert len(certified) == 1
 
 
 class TestContactOneCounts:
