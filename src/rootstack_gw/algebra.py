@@ -380,6 +380,18 @@ class SeriesContext(Record):
         )
 
 
+def _class_order(key: TermKey) -> tuple:
+    """Print order within one curve class: z descending, then the remaining keys."""
+    return (-key.zpow, key.mono, key.xexp, key.sector, key.lam)
+
+
+def print_key(item: tuple[TermKey, Fraction]) -> tuple:
+    """Fixed print order of a series' (key, coefficient) items: beta lex,
+    then :func:`_class_order`."""
+    key = item[0]
+    return key.beta, _class_order(key)
+
+
 _UNSET = object()
 
 
@@ -482,18 +494,21 @@ class GradedSeries:
         return len(self.terms)
 
     def ordered_terms(self) -> list[tuple[TermKey, Fraction]]:
-        """Fixed print order: beta lex, z descending, then remaining keys."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (
-                kv[0].beta,
-                -kv[0].zpow,
-                kv[0].mono,
-                kv[0].xexp,
-                kv[0].sector,
-                kv[0].lam,
-            ),
-        )
+        """The terms in print order (see :func:`print_key`)."""
+        return list(self.iter_ordered_terms())
+
+    def iter_ordered_terms(self) -> Iterator[tuple[TermKey, Fraction]]:
+        """The terms in print order, sorted one curve class at a time, so
+        only the class being walked is ever held sorted."""
+        classes: dict[tuple[int, ...], list[TermKey]] = {}
+        for key in self.terms:
+            classes.setdefault(key.beta, []).append(key)
+        terms = self.terms
+        for beta in sorted(classes):
+            keys = classes.pop(beta)
+            keys.sort(key=_class_order)
+            for key in keys:
+                yield key, terms[key]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -697,8 +712,10 @@ class GradedSeries:
     def __repr__(self) -> str:
         if self.is_zero:
             return "GradedSeries(0)"
+        from heapq import nsmallest
+
         bits = []
-        for key, c in self.ordered_terms()[:8]:
+        for key, c in nsmallest(8, self.terms.items(), key=print_key):
             bits.append(f"{c}*{key}")
         more = "" if len(self.terms) <= 8 else f" ... ({len(self.terms)} terms)"
         return "GradedSeries(" + "; ".join(bits) + more + ")"

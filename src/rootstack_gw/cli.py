@@ -21,8 +21,9 @@ from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
 
 import argparse
 import sys
+from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,6 +41,11 @@ COMMANDS = (
     "compare-periods",
     "laurent-period",
 )
+
+# Lines joined into one ``write``: a write per line costs measurable time
+# on a report of thousands of lines, and a few hundred already make that
+# cost vanish while the joined text stays small.
+WRITE_BATCH = 512
 
 SERIES_CHOICES = (
     "root",
@@ -110,12 +116,10 @@ class _RecordFields:
         )
 
 
-def series_records(series: GradedSeries) -> list[str]:
+def series_records(series: GradedSeries) -> Iterator[str]:
     key_fields = _RecordFields().key
-    return [
-        "\t".join(("term", *key_fields(key), fmt_rat(c, records=True)))
-        for key, c in series.ordered_terms()
-    ]
+    for key, c in series.iter_ordered_terms():
+        yield "\t".join(("term", *key_fields(key), fmt_rat(c, records=True)))
 
 
 def _term_human(key: TermKey, c: Fraction, ring) -> str:
@@ -137,18 +141,22 @@ def _term_human(key: TermKey, c: Fraction, ring) -> str:
     return " ".join(bits)
 
 
-def series_table(series: GradedSeries) -> list[str]:
+def series_table(series: GradedSeries) -> Iterator[str]:
     ring = series.ctx.ring
-    return [_term_human(key, c, ring) for key, c in series.ordered_terms()]
+    for key, c in series.iter_ordered_terms():
+        yield _term_human(key, c, ring)
 
 
-def table_records(table: InvariantTable) -> list[str]:
+def table_records(tables: Iterable[InvariantTable]) -> Iterator[str]:
+    """Rows of invariant tables whose classes ascend from one table to the
+    next (as :func:`invariants._table_by_class` gives them); the flagged
+    keys of all of them follow, sorted, at the end."""
     fields = _RecordFields()
     ints = fields.ints
-    rows = []
-    for entry, value in table.ordered():
-        rows.append(
-            "\t".join(
+    flagged = []
+    for table in tables:
+        for entry, value in table.ordered():
+            yield "\t".join(
                 (
                     "invariant",
                     ints[entry.beta],
@@ -159,30 +167,32 @@ def table_records(table: InvariantTable) -> list[str]:
                     fmt_rat(value, records=True),
                 )
             )
-        )
-    for key in sorted(table.flagged):
-        rows.append("flagged\t" + "\t".join(fields.key(key)))
-    return rows
+        flagged += table.flagged
+    for key in sorted(flagged):
+        yield "flagged\t" + "\t".join(fields.key(key))
 
 
-def table_human(table: InvariantTable, ring) -> list[str]:
-    rows = []
-    for entry, value in table.ordered():
-        parts = [f"beta=({fmt_ints(entry.beta)})"]
-        if entry.xexp:
-            parts.append("contacts " + fmt_xexp(entry.xexp))
-        parts.append(f"insert {ring.render_mono(entry.insertion)}")
-        parts.append(f"psi^{entry.psi}")
-        if any(entry.sector):
-            parts.append(f"sector ({fmt_ints(entry.sector)})")
-        rows.append("  ".join(parts) + f"  = {fmt_rat(value, records=False)}")
-    if table.flagged:
-        rows.append(f"# {len(table.flagged)} term(s) flagged for manual review")
-    return rows
+def table_human(tables: Iterable[InvariantTable], ring) -> Iterator[str]:
+    flagged = 0
+    for table in tables:
+        for entry, value in table.ordered():
+            parts = [f"beta=({fmt_ints(entry.beta)})"]
+            if entry.xexp:
+                parts.append("contacts " + fmt_xexp(entry.xexp))
+            parts.append(f"insert {ring.render_mono(entry.insertion)}")
+            parts.append(f"psi^{entry.psi}")
+            if any(entry.sector):
+                parts.append(f"sector ({fmt_ints(entry.sector)})")
+            yield "  ".join(parts) + f"  = {fmt_rat(value, records=False)}"
+        flagged += len(table.flagged)
+    if flagged:
+        yield f"# {flagged} term(s) flagged for manual review"
 
 
 # ---------------------------------------------------------------------------
-# Command implementations; each returns (exit_status, lines)
+# Command implementations.  Each makes every check that can refuse, then
+# returns (exit_status, lines); the lines are produced as they are written
+# and never raise a ValueError.
 # ---------------------------------------------------------------------------
 
 
@@ -217,23 +227,24 @@ def _build_series(job: JobConfig, name: str) -> GradedSeries:
     raise ConfigError(f"unknown series {name!r}")
 
 
-def cmd_ifunction(job: JobConfig, args) -> tuple[int, list[str]]:
+def cmd_ifunction(job: JobConfig, args) -> tuple[int, Iterable[str]]:
     name = args.series or ("root" if job.roots is not None else "infinity")
     series = _build_series(job, name)
     if args.format == "records":
         return 0, series_records(series)
-    header = [f"# series {name}: {len(series)} terms"]
-    return 0, header + series_table(series)
+    header = f"# series {name}: {len(series)} terms"
+    return 0, chain((header,), series_table(series))
 
 
-def cmd_invariants(job: JobConfig, args) -> tuple[int, list[str]]:
+def cmd_invariants(job: JobConfig, args) -> tuple[int, Iterable[str]]:
     from .invariants import _table_by_class
 
     X = job.target
-    table = _table_by_class(X, job.arrangement, job.contact_bound(), job.cap)
+    tables = _table_by_class(X, job.arrangement, job.contact_bound(), job.cap)
     if args.format == "records":
-        return 0, table_records(table)
-    return 0, ["# extracted one-point invariants"] + table_human(table, X.ring)
+        return 0, table_records(tables)
+    header = "# extracted one-point invariants"
+    return 0, chain((header,), table_human(tables, X.ring))
 
 
 def _roots_from_args(job: JobConfig, args) -> list[RootData]:
@@ -448,17 +459,30 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return getattr(err, "exit_status", 1)
-    text = "\n".join(lines) + "\n"
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                write_lines(out, lines)
         except OSError as err:
             reason = err.strerror or err
             print(f"error: cannot write {args.out!r}: {reason}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(text)
+        write_lines(sys.stdout, lines)
     return status
+
+
+def write_lines(stream, lines: Iterable[str]) -> None:
+    """Write each line with its newline, :data:`WRITE_BATCH` lines per
+    ``write``, so no report is ever held whole; an empty report is one
+    newline."""
+    lines = iter(lines)
+    batch = list(islice(lines, WRITE_BATCH))
+    if not batch:
+        stream.write("\n")
+    while batch:
+        stream.write("\n".join(batch) + "\n")
+        batch = list(islice(lines, WRITE_BATCH))
 
 
 def main() -> None:

@@ -61,12 +61,12 @@ class ExtendedBudgetError(ValueError):
 # Most contact combinations an extended build may form, as counted by
 # _combination_count.  Every benchmark job counts at most 6,188.  On the
 # README job (line + conic, roots 7, 11, m 6) the infinite-order series
-# counts 251,940 at cap 5 and writes its 312,458 records in 4.2 s at a peak
-# of 143 MB, and 1,939,938 at cap 7, writing 2,721,572 records in 36 s at
-# 1.1 GB (`--format records` children on a 2-vCPU Xeon, CPython 3.11); it
+# counts 251,940 at cap 5 and writes its 312,458 records in 3.3 s at a peak
+# of 103 MB, and 1,939,938 at cap 7, writing 2,721,572 records in 26 s at
+# 706 MB (`--format records` children on a 2-vCPU Xeon, CPython 3.11); it
 # counts 10,816,624 at cap 9, where degree zero alone keeps 2,704,156 terms.
 # The finite-order series counts 418,390 at cap 2 and writes its 221,078
-# records in 3.2 s at 128 MB.
+# records in 3.5 s at 90 MB.
 MAX_CONTACT_COMBINATIONS = 2_000_000
 
 
@@ -649,13 +649,22 @@ def h0_slice(
     ExtendedDataTooSmall when m misses an intersection number, since the
     maximal-tangency directions would otherwise be silently missing.
     """
+    degs = check_contact_bound(arrangement, m, beta)
+    body = h0_body(X, arrangement, beta, ctx._replace(z_floor=None))
+    return attach_tilings(body, degs, m, ctx)
+
+
+def check_contact_bound(
+    arrangement: DivisorArrangement, m: int, beta: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The intersection numbers of beta; raises ExtendedDataTooSmall when the
+    contact bound m misses one of them."""
     degs = arrangement.degrees(beta)
     if max(degs, default=0) > m:
         raise ExtendedDataTooSmall(
             f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
         )
-    body = h0_body(X, arrangement, beta, ctx._replace(z_floor=None))
-    return attach_tilings(body, degs, m, ctx)
+    return degs
 
 
 def attach_tilings(

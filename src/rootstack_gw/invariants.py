@@ -17,11 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import CohClass, ContractError, GradedSeries, Record, TermKey, series_sum
+from .algebra import (
+    CohClass, ContractError, GradedSeries, Record, TermKey, print_key, series_sum
+)
 from .ifunctions import (
-    attach_tilings, h0_body, h0_slice, i_infinity_extended, infinity_slice, root_slice
+    attach_tilings, check_contact_bound, h0_body, h0_slice, i_infinity_extended,
+    infinity_slice, root_slice,
 )
 from .targets import (
     ConfigurationError,
@@ -58,12 +61,14 @@ class MirrorMapReport(Record):
     def explain(self) -> str:
         if self.trivial:
             return "mirror map is trivial"
+        from heapq import nsmallest
+
         bits = []
         if not self.dilaton_ok:
             bits.append("dilaton term z is missing or has coefficient != 1")
-        for key, c in self.z_zero_extra.ordered_terms()[:3]:
+        for key, c in nsmallest(3, self.z_zero_extra.terms.items(), key=print_key):
             bits.append(f"z^0 term {c} at {key}")
-        for key, c in self.z_positive_extra.ordered_terms()[:3]:
+        for key, c in nsmallest(3, self.z_positive_extra.terms.items(), key=print_key):
             bits.append(f"positive-z term {c} at {key}")
         return "mirror map nontrivial: " + "; ".join(bits)
 
@@ -228,22 +233,29 @@ def _read_invariants(
 
 def _table_by_class(
     X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> InvariantTable:
+) -> Iterator[InvariantTable]:
     """The table :func:`extract_invariants` reads off the untwisted extended
-    and the non-extended limit series, read class by class.  Both are slices
-    of the extended limit series, its zero-shift and its contact-free terms,
-    so its certificate at z floor 0 covers both.  A class that meets no
-    divisor has a non-extended slice equal to its h0 slice's empty tiling."""
+    and the non-extended limit series, one table per curve class in lex
+    order.  Both are slices of the extended limit series, its zero-shift and
+    its contact-free terms, so its certificate at z floor 0 covers both.  A
+    class that meets no divisor has a non-extended slice equal to its h0
+    slice's empty tiling.
+
+    Every refusal comes before the first class is read: the certificate,
+    then m against every class's intersection numbers, so a reader of the
+    returned iterator never meets an error."""
     mirror_map(i_infinity_extended(X, arrangement, m, cap, z_floor=0)).require_trivial()
     ctx = X.context(arrangement.n, cap)
+    betas = enumerate_curve_classes(X, cap)
+    for beta in betas:
+        check_contact_bound(arrangement, m, beta)
 
-    def terms():
-        for beta in enumerate_curve_classes(X, cap):
-            yield from h0_slice(X, arrangement, m, beta, ctx).terms.items()
-            if any(d > 0 for d in arrangement.degrees(beta)):
-                yield from infinity_slice(X, arrangement, beta, ctx).terms.items()
+    def terms(beta):
+        yield from h0_slice(X, arrangement, m, beta, ctx).terms.items()
+        if any(d > 0 for d in arrangement.degrees(beta)):
+            yield from infinity_slice(X, arrangement, beta, ctx).terms.items()
 
-    return _read_invariants(ctx, terms(), X, arrangement)
+    return (_read_invariants(ctx, terms(beta), X, arrangement) for beta in betas)
 
 
 def contact_one_counts(

@@ -22,6 +22,7 @@ from rootstack_gw.algebra import (
     exact_divide_linear,
     invert_z_linear,
     merge_xexp,
+    print_key,
     series_sum,
 )
 from rootstack_gw.targets import TargetSpace, _j_chain
@@ -272,6 +273,31 @@ class TestStructure:
         rebuilt = GradedSeries(ctx, dict(items))
         assert rebuilt == s
         assert rebuilt.ordered_terms() == s.ordered_terms()
+
+    def test_print_order_walks_one_class_at_a_time(self):
+        # the per-class walk gives the order of one sort of the whole series
+        ring = AmbientRing.for_product((1, 1))
+        ctx = SeriesContext(ring=ring, divisors=2, beta_weights=(2, 2))
+        rng = random.Random(11)
+        for _ in range(20):
+            s = random_series(rng, ctx, max_terms=30)
+            whole = sorted(s.terms.items(), key=print_key)
+            assert s.ordered_terms() == whole
+            assert list(s.iter_ordered_terms()) == whole
+            betas = [key.beta for key, _ in whole]
+            assert betas == sorted(betas)
+
+    def test_repr_shows_the_first_eight_in_print_order(self):
+        ring = AmbientRing.for_product((1, 1))
+        ctx = SeriesContext(ring=ring, divisors=2, beta_weights=(2, 2))
+        rng = random.Random(12)
+        s = random_series(rng, ctx, max_terms=30)
+        assert len(s) > 8
+        shown = "; ".join(f"{c}*{key}" for key, c in s.ordered_terms()[:8])
+        assert repr(s) == f"GradedSeries({shown} ... ({len(s)} terms))"
+        small = GradedSeries(ctx, dict(s.ordered_terms()[:3]))
+        shown = "; ".join(f"{c}*{key}" for key, c in small.ordered_terms())
+        assert repr(small) == f"GradedSeries({shown})"
 
     def test_no_stored_zeros_and_caps_respected(self):
         ctx = plane_ctx()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstack_gw import ifunctions
-from rootstack_gw.cli import run
+from rootstack_gw.cli import WRITE_BATCH, run, write_lines
 from rootstack_gw.config import ConfigError, JobConfig, config_from_dict, parse_config
 from rootstack_gw.targets import check_coprime
 
@@ -559,3 +561,116 @@ class TestRecords:
             seen[(beta, int(zpow), xexp, sector, mono, lam)] = F(int(num), int(den))
         # the bare degree-one part of the local series: -2 P^2 z^-1
         assert seen[("1", -1, "-", "0,0", "2", "0,0")] == -2
+
+
+DIAGONALS_JOB = {
+    "target": {"factors": [1, 1]},
+    "divisors": [
+        {"name": "L1", "coeffs": [1, 1]},
+        {"name": "L2", "coeffs": [1, 1]},
+    ],
+    "cap": 12,
+}
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestWriter:
+    @pytest.mark.parametrize(
+        "doc, argv, status, message",
+        [
+            # line + conic: classes 0 and 1 fit m = 3, class 2 does not
+            (
+                dict(PLANE_JOB, roots=[7, 11], m=3),
+                ["--command", "invariants"],
+                1,
+                "error: contact bound m=3 misses tangency 4 needed at beta=(2,)\n",
+            ),
+            (CUBIC_JOB, ["--command", "invariants"], 2, "error: mirror map nontrivial: "),
+            (
+                dict(PLANE_JOB, m=6),
+                ["--command", "ifunction", "--series", "infinity-extended"],
+                1,
+                "error: the extended series would form up to 10,816,624 contact ",
+            ),
+        ],
+        ids=["m-miss", "mirror-map", "budget"],
+    )
+    def test_refusal_writes_nothing(self, tmp_path, capsys, doc, argv, status, message):
+        config = write_job(tmp_path, doc)
+        target = tmp_path / "report.txt"
+        for sink in ([], ["--out", str(target)]):
+            assert run(["--config", config, *argv, "--format", "records", *sink]) == status
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(message)
+            assert not target.exists()
+
+    def test_empty_report_is_one_newline(self, tmp_path, capsys):
+        # at cap 1 the fibre job's only class is 0, which check-identity skips
+        config = write_job(tmp_path, dict(FIBRE_JOB, cap=1))
+        target = tmp_path / "report.txt"
+        args = ["--config", config, "--command", "check-identity"]
+        assert run(args) == 0
+        assert capsys.readouterr().out == "\n"
+        assert run([*args, "--out", str(target)]) == 0
+        assert target.read_bytes() == b"\n"
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, WRITE_BATCH - 1, WRITE_BATCH, WRITE_BATCH + 1, 3 * WRITE_BATCH]
+    )
+    def test_batches(self, count):
+        lines = [f"row {i}" for i in range(count)]
+        stream = _CountingStream()
+        write_lines(stream, iter(lines))
+        assert stream.getvalue() == "\n".join(lines) + "\n"
+        assert stream.writes == max(1, -(-count // WRITE_BATCH))
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (
+                dict(PLANE_JOB, cap=3, m=3),
+                ["--command", "ifunction", "--series", "infinity-extended"],
+            ),
+            (DIAGONALS_JOB, ["--command", "invariants"]),
+        ],
+        ids=["infinity-extended", "invariants"],
+    )
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    def test_out_file_equals_stdout(self, tmp_path, capsys, doc, argv, fmt):
+        config = write_job(tmp_path, doc)
+        target = tmp_path / "report.txt"
+        args = ["--config", config, *argv, "--format", fmt]
+        assert run(args) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") > 3 * WRITE_BATCH
+        assert run([*args, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_peak_memory_follows_the_largest_class(self, tmp_path):
+        # written whole, the report is held several times over (the table,
+        # a sorted copy, the rows, the text and its encoding): over 8 times
+        # its size on this job; written class by class, under 2
+        config = write_job(tmp_path, dict(DIAGONALS_JOB, cap=14))
+        target = tmp_path / "report.txt"
+        args = ["--config", config, "--command", "invariants", "--format", "records"]
+        # a first run loads the modules the command imports
+        assert run([*args, "--cap", "2", "--out", str(target)]) == 0
+        tracemalloc.start()
+        try:
+            assert run([*args, "--out", str(target)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 500_000
+        assert peak < 4 * size, (peak, size)

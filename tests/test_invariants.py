@@ -9,6 +9,7 @@ import pytest
 from rootstack_gw import (
     Divisor,
     DivisorArrangement,
+    ExtendedDataTooSmall,
     RootData,
     TargetSpace,
     UnsupportedMirrorMapError,
@@ -24,7 +25,7 @@ from rootstack_gw import (
     stabilization_check,
 )
 from rootstack_gw import ifunctions, invariants
-from rootstack_gw.algebra import ContractError
+from rootstack_gw.algebra import ContractError, GradedSeries, print_key
 from rootstack_gw.cli import run
 from rootstack_gw.invariants import _table_by_class
 from rootstack_gw.targets import _j_chain
@@ -51,6 +52,32 @@ class TestMirrorMap:
             (k.beta, k.sector): c for k, c in report.z_zero_extra.terms.items()
         }
         assert flat[((1,), (-3,))] == 2
+
+    def test_explain_names_the_first_terms_in_print_order(self, p2):
+        ctx = p2.context(1, 9)
+        zero = ctx.zero_key()
+        keys = [
+            zero._replace(beta=(b,), zpow=z, mono=(k,))
+            for b in (2, 1)
+            for z in (2, 1, 0)
+            for k in (2, 1, 0)
+        ]
+        terms = {key: F(i + 1) for i, key in enumerate(keys)}
+        report = mirror_map(GradedSeries(ctx, terms))
+        assert len(report.z_zero_extra) == 6 and len(report.z_positive_extra) == 12
+        bits = ["dilaton term z is missing or has coefficient != 1"]
+        for label, part in (
+            ("z^0", report.z_zero_extra),
+            ("positive-z", report.z_positive_extra),
+        ):
+            for key, c in sorted(part.terms.items(), key=print_key)[:3]:
+                bits.append(f"{label} term {c} at {key}")
+        text = report.explain()
+        assert text == "mirror map nontrivial: " + "; ".join(bits)
+        assert (
+            "; positive-z term 12 at TermKey(beta=(1,), zpow=2, xexp=(), "
+            "sector=(0,), mono=(0,), lam=(0,)); "
+        ) in text
 
     def test_cap_below_first_degree_is_trivial(self, p2, cubic_only):
         series = i_infinity_nonextended(p2, cubic_only, 2)
@@ -176,10 +203,30 @@ class TestTableByClass:
         # the two blocks may share an entry only with one value
         for entry in contact.entries.keys() & tangency.entries.keys():
             assert contact.entries[entry] == tangency.entries[entry], entry
-        table = _table_by_class(X, arrangement, m, cap)
-        assert table.entries == dict(contact.entries) | dict(tangency.entries)
-        assert sorted(table.flagged) == sorted(contact.flagged + tangency.flagged)
-        assert table.entries and len(table.flagged) == flagged
+        # the per-class tables come in lex order of their classes, each
+        # holding one class; merged, they are the two whole-series tables
+        entries, flagged_keys = {}, []
+        tables = _table_by_class(X, arrangement, m, cap)
+        for beta, table in zip(enumerate_curve_classes(X, cap), tables, strict=True):
+            assert {entry.beta for entry in table.entries} <= {beta}
+            assert {key.beta for key in table.flagged} <= {beta}
+            entries.update(table.entries)
+            flagged_keys += table.flagged
+        assert entries == dict(contact.entries) | dict(tangency.entries)
+        assert sorted(flagged_keys) == sorted(contact.flagged + tangency.flagged)
+        assert entries and len(flagged_keys) == flagged
+
+    def test_m_refused_before_any_class_is_read(self, p2, line_conic, monkeypatch):
+        # classes 0 and 1 fit m = 3; the refusal names (2,), the first that
+        # does not, and comes before the iterator reads any class
+        def unread(*args):
+            raise AssertionError("a class was read")
+
+        monkeypatch.setattr(invariants, "h0_slice", unread)
+        monkeypatch.setattr(invariants, "infinity_slice", unread)
+        message = r"^contact bound m=3 misses tangency 4 needed at beta=\(2,\)$"
+        with pytest.raises(ExtendedDataTooSmall, match=message):
+            _table_by_class(p2, line_conic, 3, 9)
 
     def test_one_certificate_and_no_whole_series(self, tmp_path, monkeypatch, capsys):
         certified = []
