@@ -380,16 +380,23 @@ class SeriesContext(Record):
         )
 
 
-def _class_order(key: TermKey) -> tuple:
-    """Print order within one curve class: z descending, then the remaining keys."""
-    return (-key.zpow, key.mono, key.xexp, key.sector, key.lam)
+def print_row(key: TermKey, c: Fraction) -> tuple:
+    """A term as its print row (-zpow, mono, xexp, sector, lam, c).
+
+    The keys of one curve class are unique, so its rows sort natively into
+    print order, z descending and then the other key fields, and the
+    coefficient is never compared.  The extended builders yield their rows
+    in this form directly.
+    """
+    _, zpow, xexp, sector, mono, lam = key
+    return -zpow, mono, xexp, sector, lam, c
 
 
 def print_key(item: tuple[TermKey, Fraction]) -> tuple:
     """Fixed print order of a series' (key, coefficient) items: beta lex,
-    then :func:`_class_order`."""
-    key = item[0]
-    return key.beta, _class_order(key)
+    then :func:`print_row`."""
+    key, c = item
+    return key.beta, print_row(key, c)
 
 
 _UNSET = object()
@@ -495,20 +502,20 @@ class GradedSeries:
 
     def ordered_terms(self) -> list[tuple[TermKey, Fraction]]:
         """The terms in print order (see :func:`print_key`)."""
-        return list(self.iter_ordered_terms())
+        return sorted(self.terms.items(), key=print_key)
 
-    def iter_ordered_terms(self) -> Iterator[tuple[TermKey, Fraction]]:
-        """The terms in print order, sorted one curve class at a time, so
-        only the class being walked is ever held sorted."""
+    def class_rows(self) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+        """(beta, rows) of each curve class in lex order, the class's terms
+        as :func:`print_row` rows sorted into print order.  Only the class
+        being walked is ever held as rows."""
         classes: dict[tuple[int, ...], list[TermKey]] = {}
         for key in self.terms:
             classes.setdefault(key.beta, []).append(key)
         terms = self.terms
         for beta in sorted(classes):
-            keys = classes.pop(beta)
-            keys.sort(key=_class_order)
-            for key in keys:
-                yield key, terms[key]
+            rows = [print_row(key, terms[key]) for key in classes.pop(beta)]
+            rows.sort()
+            yield beta, rows
 
     def __eq__(self, other: object) -> bool:
         return (

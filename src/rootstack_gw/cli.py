@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .algebra import GradedSeries, TermKey
-    from .invariants import InvariantTable
+    from .algebra import TermKey
     from .targets import RootData
 
 COMMANDS = (
@@ -102,11 +101,10 @@ class _RecordFields:
 
     def __init__(self):
         self.ints = _Memo(fmt_ints)
-        self.contacts = _Memo(fmt_contact)
+        self.contact = _Memo(fmt_contact).__getitem__
 
     def xexp(self, xexp: tuple[tuple[int, int, int], ...]) -> str:
-        contacts = self.contacts
-        return ",".join([contacts[t] for t in xexp]) if xexp else "-"
+        return ",".join(map(self.contact, xexp)) if xexp else "-"
 
     def key(self, key: TermKey) -> tuple[str, ...]:
         ints = self.ints
@@ -116,75 +114,88 @@ class _RecordFields:
         )
 
 
-def series_records(series: GradedSeries) -> Iterator[str]:
-    key_fields = _RecordFields().key
-    for key, c in series.iter_ordered_terms():
-        yield "\t".join(("term", *key_fields(key), fmt_rat(c, records=True)))
-
-
-def _term_human(key: TermKey, c: Fraction, ring) -> str:
-    bits = [fmt_rat(c, records=False)]
-    if any(key.beta):
-        bits.append("Q^(" + fmt_ints(key.beta) + ")")
-    if key.zpow:
-        bits.append(f"z^{key.zpow}")
-    for i, j, e in key.xexp:
-        bits.append(f"x[{i + 1},{j}]" + (f"^{e}" if e > 1 else ""))
-    for i, l in enumerate(key.lam):
-        if l:
-            bits.append(f"lam{i + 1}" + (f"^{l}" if l > 1 else ""))
-    mono = ring.render_mono(key.mono)
-    if mono != "1":
-        bits.append(mono)
-    if any(key.sector):
-        bits.append("[" + fmt_ints(key.sector) + "]")
-    return " ".join(bits)
-
-
-def series_table(series: GradedSeries) -> Iterator[str]:
-    ring = series.ctx.ring
-    for key, c in series.iter_ordered_terms():
-        yield _term_human(key, c, ring)
-
-
-def table_records(tables: Iterable[InvariantTable]) -> Iterator[str]:
-    """Rows of invariant tables whose classes ascend from one table to the
-    next (as :func:`invariants._table_by_class` gives them); the flagged
-    keys of all of them follow, sorted, at the end."""
+def series_records(classes: Iterable[tuple[tuple[int, ...], list[tuple]]]) -> Iterator[str]:
+    """Records of a series given as (beta, rows) per class, as
+    :meth:`GradedSeries.class_rows` and :func:`ifunctions.extended_rows`
+    give them."""
     fields = _RecordFields()
-    ints = fields.ints
-    flagged = []
-    for table in tables:
-        for entry, value in table.ordered():
-            yield "\t".join(
-                (
-                    "invariant",
-                    ints[entry.beta],
-                    fields.xexp(entry.xexp),
-                    ints[entry.insertion],
-                    str(entry.psi),
-                    ints[entry.sector],
-                    fmt_rat(value, records=True),
-                )
+    ints, xexps = fields.ints, fields.xexp
+    for beta, rows in classes:
+        head = "term\t" + ints[beta] + "\t"
+        for negz, mono, xexp, sector, lam, c in rows:
+            yield (
+                f"{head}{-negz}\t{xexps(xexp)}\t{ints[sector]}\t{ints[mono]}\t"
+                f"{ints[lam]}\t{c.numerator}/{c.denominator}"
             )
-        flagged += table.flagged
+
+
+def series_table(
+    classes: Iterable[tuple[tuple[int, ...], list[tuple]]], ring, name: str
+) -> Iterator[str]:
+    """The human table of the same classes; the term count, known only at
+    the end, follows on a trailing line."""
+    count = 0
+    for beta, rows in classes:
+        head = "Q^(" + fmt_ints(beta) + ")" if any(beta) else None
+        for negz, mono, xexp, sector, lam, c in rows:
+            bits = [fmt_rat(c, records=False)]
+            if head:
+                bits.append(head)
+            if negz:
+                bits.append(f"z^{-negz}")
+            for i, j, e in xexp:
+                bits.append(f"x[{i + 1},{j}]" + (f"^{e}" if e > 1 else ""))
+            for i, l in enumerate(lam):
+                if l:
+                    bits.append(f"lam{i + 1}" + (f"^{l}" if l > 1 else ""))
+            text = ring.render_mono(mono)
+            if text != "1":
+                bits.append(text)
+            if any(sector):
+                bits.append("[" + fmt_ints(sector) + "]")
+            yield " ".join(bits)
+        count += len(rows)
+    yield f"# series {name}: {count} terms"
+
+
+def invariant_records(classes) -> Iterator[str]:
+    """Records of the (beta, rows, flagged) classes of
+    :func:`invariants.invariant_rows`, their values formatted by
+    ``fmt_rat(value, records=True)``; the flagged keys of all of them
+    follow, sorted, at the end."""
+    fields = _RecordFields()
+    ints, xexps = fields.ints, fields.xexp
+    flagged = []
+    for beta, rows, flags in classes:
+        head = "invariant\t" + ints[beta] + "\t"
+        last = None
+        for xexp, psi, insertion, sector, value in rows:
+            # the rows of one contact monomial come together
+            if xexp is not last:
+                last, lead = xexp, head + xexps(xexp) + "\t"
+            yield f"{lead}{ints[insertion]}\t{psi}\t{ints[sector]}\t{value}"
+        flagged += flags
     for key in sorted(flagged):
         yield "flagged\t" + "\t".join(fields.key(key))
 
 
-def table_human(tables: Iterable[InvariantTable], ring) -> Iterator[str]:
+def invariant_table(classes, ring) -> Iterator[str]:
+    """The human table of the same classes, values formatted by
+    ``fmt_rat(value, records=False)``, with the flagged count last."""
+    inserts = _Memo(ring.render_mono)
     flagged = 0
-    for table in tables:
-        for entry, value in table.ordered():
-            parts = [f"beta=({fmt_ints(entry.beta)})"]
-            if entry.xexp:
-                parts.append("contacts " + fmt_xexp(entry.xexp))
-            parts.append(f"insert {ring.render_mono(entry.insertion)}")
-            parts.append(f"psi^{entry.psi}")
-            if any(entry.sector):
-                parts.append(f"sector ({fmt_ints(entry.sector)})")
-            yield "  ".join(parts) + f"  = {fmt_rat(value, records=False)}"
-        flagged += len(table.flagged)
+    for beta, rows, flags in classes:
+        head = f"beta=({fmt_ints(beta)})"
+        for xexp, psi, insertion, sector, value in rows:
+            parts = [head]
+            if xexp:
+                parts.append("contacts " + fmt_xexp(xexp))
+            parts.append(f"insert {inserts[insertion]}")
+            parts.append(f"psi^{psi}")
+            if any(sector):
+                parts.append(f"sector ({fmt_ints(sector)})")
+            yield "  ".join(parts) + f"  = {value}"
+        flagged += len(flags)
     if flagged:
         yield f"# {flagged} term(s) flagged for manual review"
 
@@ -196,55 +207,61 @@ def table_human(tables: Iterable[InvariantTable], ring) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-def _build_series(job: JobConfig, name: str) -> GradedSeries:
+def _series_classes(job: JobConfig, name: str):
+    """The series ``name`` as (beta, rows) per class, every refusal made.
+    The extended series come straight from their builder, one class at a
+    time; the other families are built whole, then walked by class."""
     from .ifunctions import (
-        i_infinity_extended,
+        extended_rows,
         i_infinity_extended_h0,
         i_infinity_nonextended,
         i_local,
         i_relative_smooth,
-        i_root_extended,
         i_root_nonextended,
     )
 
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
     floor = -(cap + 2)
-    if name == "root":
-        return i_root_nonextended(X, arr, job.require_roots(), cap)
     if name == "root-extended":
-        return i_root_extended(X, arr, job.require_roots(), m, cap, z_floor=floor)
-    if name == "infinity":
-        return i_infinity_nonextended(X, arr, cap)
+        return extended_rows(X, arr, m, cap, floor, job.require_roots())[1]
     if name == "infinity-extended":
-        return i_infinity_extended(X, arr, m, cap, z_floor=floor)
-    if name == "infinity-extended-h0":
-        return i_infinity_extended_h0(X, arr, m, cap)
-    if name == "relative":
-        return i_relative_smooth(X, arr, cap)
-    if name == "local":
-        return i_local(X, arr, cap)
-    raise ConfigError(f"unknown series {name!r}")
+        return extended_rows(X, arr, m, cap, floor)[1]
+    if name == "root":
+        series = i_root_nonextended(X, arr, job.require_roots(), cap)
+    elif name == "infinity":
+        series = i_infinity_nonextended(X, arr, cap)
+    elif name == "infinity-extended-h0":
+        series = i_infinity_extended_h0(X, arr, m, cap)
+    elif name == "relative":
+        series = i_relative_smooth(X, arr, cap)
+    elif name == "local":
+        series = i_local(X, arr, cap)
+    else:
+        raise ConfigError(f"unknown series {name!r}")
+    return series.class_rows()
 
 
 def cmd_ifunction(job: JobConfig, args) -> tuple[int, Iterable[str]]:
     name = args.series or ("root" if job.roots is not None else "infinity")
-    series = _build_series(job, name)
+    classes = _series_classes(job, name)
     if args.format == "records":
-        return 0, series_records(series)
-    header = f"# series {name}: {len(series)} terms"
-    return 0, chain((header,), series_table(series))
+        return 0, series_records(classes)
+    return 0, series_table(classes, job.target.ring, name)
 
 
 def cmd_invariants(job: JobConfig, args) -> tuple[int, Iterable[str]]:
-    from .invariants import _table_by_class
+    from .invariants import invariant_rows
 
     X = job.target
-    tables = _table_by_class(X, job.arrangement, job.contact_bound(), job.cap)
-    if args.format == "records":
-        return 0, table_records(tables)
+    records = args.format == "records"
+    classes = invariant_rows(
+        X, job.arrangement, job.contact_bound(), job.cap, lambda q: fmt_rat(q, records)
+    )
+    if records:
+        return 0, invariant_records(classes)
     header = "# extracted one-point invariants"
-    return 0, chain((header,), table_human(tables, X.ring))
+    return 0, chain((header,), invariant_table(classes, X.ring))
 
 
 def _roots_from_args(job: JobConfig, args) -> list[RootData]:

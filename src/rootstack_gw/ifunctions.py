@@ -16,9 +16,9 @@ validation to its caller; its capped builder validates and sums the slices
 over the classes in the cap.  A slice is one dense chain (the target slice
 times the divisor weights, see :class:`~rootstack_gw.algebra._Chain`),
 turned into a series once, in its sector.  The extended series are built
-from the same chains: :func:`_extended_terms` builds one body chain per tuple
+from the same chains: :func:`extended_rows` builds one body chain per tuple
 of net shifts that can reach the z floor and attaches the contact monomials
-to its cells.
+to its cells, one curve class at a time.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -36,7 +36,7 @@ import warnings
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import GradedSeries, SeriesContext, TermKey, _Chain, series_sum
 from .targets import (
@@ -59,14 +59,17 @@ class ExtendedBudgetError(ValueError):
 
 
 # Most contact combinations an extended build may form, as counted by
-# _combination_count.  Every benchmark job counts at most 6,188.  On the
-# README job (line + conic, roots 7, 11, m 6) the infinite-order series
-# counts 251,940 at cap 5 and writes its 312,458 records in 3.3 s at a peak
-# of 103 MB, and 1,939,938 at cap 7, writing 2,721,572 records in 26 s at
-# 706 MB (`--format records` children on a 2-vCPU Xeon, CPython 3.11); it
-# counts 10,816,624 at cap 9, where degree zero alone keeps 2,704,156 terms.
-# The finite-order series counts 418,390 at cap 2 and writes its 221,078
-# records in 3.5 s at 90 MB.
+# _combination_count.  Every benchmark job counts at most 6,188.  A
+# `--format records` child holds one class at a time, so its peak follows
+# the largest class (2-vCPU Xeon, CPython 3.11).  On the README job (line +
+# conic, roots 7, 11, m 6) the infinite-order series counts 251,940 at cap
+# 5 and writes its 312,458 records in 3.0 s at a peak of 69 MB, and
+# 1,939,938 at cap 7, writing 2,721,572 records in 24 s at 337 MB; it
+# counts 10,816,624 at cap 9, where degree zero alone keeps 2,704,156
+# terms.  The finite-order series counts 418,390 at cap 2 and writes its
+# 221,078 records in 2.8 s at 64 MB.  On P^1 x P^1 with both diagonals the
+# infinite-order series counts 1,889,550 at cap 9 and writes 3,929,548
+# records in 44 s at 102 MB.
 MAX_CONTACT_COMBINATIONS = 2_000_000
 
 
@@ -372,7 +375,7 @@ def _combinations(
     """(total, weight, xexp) of each choice of one contact monomial per group
     whose summed total is at most ``max_total``; the weight is the product
     of the monomials' integer weights.  Every choice that passes also stays
-    within the contact budget of :func:`_extended_terms`."""
+    within the contact budget of :func:`extended_rows`."""
     n = len(groups)
     rest_total = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -390,15 +393,19 @@ def _combinations(
     yield from rec(0, 0, 1, ())
 
 
-def _extended_terms(
+def extended_rows(
     X: TargetSpace,
     arrangement: DivisorArrangement,
-    out_ctx: SeriesContext,
     m: int,
     cap: int,
-    roots: tuple[int, ...] | None,
-) -> GradedSeries:
-    """Shared double sum of the extended series, finite or infinite orders.
+    z_floor: int | None = -1,
+    roots: RootData | None = None,
+) -> tuple[SeriesContext, Iterator[tuple[tuple[int, ...], list[tuple]]]]:
+    """(ctx, classes): the extended series of the root stack at the orders
+    ``roots``, or its infinite-order limit (``roots`` None), with contact
+    orders 1..m, as (beta, rows) per curve class in lex order, the class's
+    terms as :func:`~rootstack_gw.algebra.print_row` rows in print order.
+    Every refusal comes first, so the iterator never raises.
 
     A contact vector k multiplies the body of its net shifts s_i = d_i -
     sum_j j k_ij (:func:`_body_chain`, in the sector of the negated shifts)
@@ -415,7 +422,10 @@ def _extended_terms(
     with T_i = sum_j k_ij.  Since _weight_degree(d, s, r) <= d - s/r (at
     most d at infinite order), T_i less its weight degree is at least the
     cost less d_i w_i1, so a vector that reaches the floor costs at most
-    1 - deg(beta) - floor + sum_i d_i w_i1 in total.
+    1 - deg(beta) - floor + sum_i d_i w_i1 in total.  The combinations
+    within the budget are counted per class before anything is built; past
+    :data:`MAX_CONTACT_COMBINATIONS` in total the build is refused with
+    :class:`ExtendedBudgetError`.
 
     Each divisor's monomials within that budget are enumerated once per
     budget, grouped by shift and sorted by total.  A shift tuple whose
@@ -427,19 +437,20 @@ def _extended_terms(
     body's top term and stays within the budget.  The contact monomial is
     attached by moving each body term to z-power zpow - |k|, its
     coefficient the body cell's integer numerator over the chain's
-    denominator times prod k!, reduced once per distinct pair.
-
-    Before any of that, the combinations within the budget are counted per
-    class; past :data:`MAX_CONTACT_COMBINATIONS` in total the build is
-    refused with :class:`ExtendedBudgetError`.
+    denominator times prod k!, reduced once per distinct pair in the class.
     """
-    floor = out_ctx.z_floor
+    _validated(X, arrangement, roots)
+    if m < 1:
+        raise ConfigurationError("at least one contact order is required")
+    floor = z_floor
     if floor is None:
         raise ConfigurationError("extended series need a finite z floor to truncate")
+    roots = None if roots is None else roots.orders  # from here on, the orders
     if roots is not None and any(m >= r for r in roots):
         raise ConfigurationError(
             "contact orders up to m must stay below every root order"
         )
+    ctx = X.context(arrangement.n, cap, z_floor=floor, roots=roots)
     n = arrangement.n
     # costs are the weights w_ij in units of 1/scale, so budgets stay
     # integral; costs[i][0] is w_i1
@@ -451,66 +462,82 @@ def _extended_terms(
     budgets = {}  # by class: (reach, budget)
     for beta in enumerate_curve_classes(X, cap):
         # the target slice's top z-power less the floor
-        reach = 1 - out_ctx.beta_degree(beta) - floor
+        reach = 1 - ctx.beta_degree(beta) - floor
         degs = arrangement.degrees(beta)
         # a divisor's cost exceeds T_i less its weight degree by at most d_i w_i1
         spread = sum(d * c[0] for d, c in zip(degs, costs))
         budgets[beta] = reach, reach * scale + spread
     _check_contact_budget(costs, [budget for _, budget in budgets.values()])
-    contact_cache: dict[tuple[int, int], dict[int, list[_Contact]]] = {}
-    meets: dict[tuple[bool, ...], bool] = {}  # by the sector's support
-    reduced: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator)
-    no_lam = (0,) * n
+
+    def classes():
+        contact_cache: dict[tuple[int, int], dict[int, list[_Contact]]] = {}
+        meets: dict[tuple[bool, ...], bool] = {}  # by the sector's support
+        no_lam = (0,) * n
+        for beta, (reach, budget) in budgets.items():
+            degs = arrangement.degrees(beta)
+            per_divisor = []
+            # per divisor and shift: its weight's z-degree less the group's
+            # smallest contact total
+            slack = []
+            for i in range(n):
+                if (i, budget) not in contact_cache:
+                    contact_cache[(i, budget)] = _contact_vectors(i, costs[i], budget)
+                by_shift = {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
+                r = None if roots is None else roots[i]
+                per_divisor.append(by_shift)
+                slack.append(
+                    {
+                        s: _weight_degree(degs[i], s, r) - group[0].total
+                        for s, group in by_shift.items()
+                    }
+                )
+            reduced: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator)
+            rows = []
+            for shifts in product(*per_divisor):
+                if reach + sum(slack[i][s] for i, s in enumerate(shifts)) < 0:
+                    continue
+                if roots is None:
+                    sector = tuple(-s for s in shifts)
+                else:
+                    sector = _finite_sector(shifts, roots)
+                support = tuple(map(bool, sector))
+                if support not in meets:
+                    meets[support] = _sector_meets(X, arrangement, sector)
+                if not meets[support]:
+                    continue
+                chain = _body_chain(X, arrangement, beta, shifts, roots)
+                cells = chain.top_down()
+                if not cells:
+                    continue
+                groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
+                den, max_total = chain.den, cells[0][0] - floor
+                for total, weight, xexp in _combinations(groups, max_total):
+                    denom = den * weight
+                    for zpow, mono, c in cells:
+                        # the moved term's z-power is zpow - total
+                        negz = total - zpow
+                        if negz > -floor:
+                            break
+                        q = reduced.get((c, denom))
+                        if q is None:
+                            q = reduced[(c, denom)] = Fraction(c, denom)
+                        rows.append((negz, mono, xexp, sector, no_lam, q))
+            rows.sort()
+            yield beta, rows
+
+    return ctx, classes()
+
+
+def _rows_series(
+    ctx: SeriesContext, classes: Iterable[tuple[tuple[int, ...], list[tuple]]]
+) -> GradedSeries:
+    """The series of ``classes``, rows as :func:`extended_rows` gives them:
+    within the cap, at or above the floor, every coefficient nonzero."""
     out: dict[TermKey, Fraction] = {}
-    for beta, (reach, budget) in budgets.items():
-        degs = arrangement.degrees(beta)
-        per_divisor = []
-        # per divisor and shift: its weight's z-degree less the group's
-        # smallest contact total
-        slack = []
-        for i in range(n):
-            if (i, budget) not in contact_cache:
-                contact_cache[(i, budget)] = _contact_vectors(i, costs[i], budget)
-            by_shift = {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
-            r = None if roots is None else roots[i]
-            per_divisor.append(by_shift)
-            slack.append(
-                {
-                    s: _weight_degree(degs[i], s, r) - group[0].total
-                    for s, group in by_shift.items()
-                }
-            )
-        for shifts in product(*per_divisor):
-            if reach + sum(slack[i][s] for i, s in enumerate(shifts)) < 0:
-                continue
-            if roots is None:
-                sector = tuple(-s for s in shifts)
-            else:
-                sector = _finite_sector(shifts, roots)
-            support = tuple(map(bool, sector))
-            if support not in meets:
-                meets[support] = _sector_meets(X, arrangement, sector)
-            if not meets[support]:
-                continue
-            chain = _body_chain(X, arrangement, beta, shifts, roots)
-            cells = chain.top_down()
-            if not cells:
-                continue
-            groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
-            den, max_total = chain.den, cells[0][0] - floor
-            for total, weight, xexp in _combinations(groups, max_total):
-                denom = den * weight
-                for zpow, mono, c in cells:
-                    zpow -= total
-                    if zpow < floor:
-                        break
-                    q = reduced.get((c, denom))
-                    if q is None:
-                        q = reduced[(c, denom)] = Fraction(c, denom)
-                    out[TermKey(beta, zpow, xexp, sector, mono, no_lam)] = q
-    # the classes are within the cap, the keys stop at the floor and every
-    # numerator is nonzero
-    return GradedSeries._trusted(out_ctx, out)
+    for beta, rows in classes:
+        for negz, mono, xexp, sector, lam, c in rows:
+            out[TermKey(beta, -negz, xexp, sector, mono, lam)] = c
+    return GradedSeries._trusted(ctx, out)
 
 
 def i_root_extended(
@@ -527,11 +554,7 @@ def i_root_extended(
     bit for bit.  Richer extended data (contact orders tied to divisor
     intersections, or orders at or above a root order) is rejected.
     """
-    _validated(X, arrangement, roots)
-    if m < 1:
-        raise ConfigurationError("at least one contact order is required")
-    ctx = X.context(arrangement.n, cap, z_floor=z_floor, roots=roots.orders)
-    return _extended_terms(X, arrangement, ctx, m, cap, roots.orders)
+    return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +608,17 @@ def i_infinity_extended(
     shifts.  The untwisted slice agrees with
     :func:`i_infinity_extended_h0`, which is built independently.
     """
-    _validated(X, arrangement, None)
-    if m < 1:
-        raise ConfigurationError("at least one contact order is required")
-    ctx = X.context(arrangement.n, cap, z_floor=z_floor)
-    return _extended_terms(X, arrangement, ctx, m, cap, None)
+    return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor))
 
 
-def _tilings(
-    i: int, d: int, m: int, max_total: int
-) -> list[tuple[tuple, int, Fraction]]:
+def _tilings(i: int, d: int, m: int, max_total: int) -> list[tuple[tuple, int, int]]:
     """(xexp, total, weight) of each contact monomial prod_j x_{ij}^{e_j} of
     divisor i with sum_j j e_j = d, every j <= m and total = sum_j e_j at
-    most max_total, where weight is 1 / prod_j e_j!."""
+    most max_total, where the monomial's coefficient is 1 / weight, with
+    weight = prod_j e_j!."""
     out = []
 
-    def rec(remaining: int, j: int, xexp: tuple, total: int, weight: Fraction):
+    def rec(remaining: int, j: int, xexp: tuple, total: int, weight: int):
         if remaining == 0:
             out.append((xexp, total, weight))
             return
@@ -609,9 +627,9 @@ def _tilings(
             return
         for e in range(remaining // j + 1):
             with_e = ((i, j, e),) + xexp if e else xexp
-            rec(remaining - j * e, j - 1, with_e, total + e, weight / factorial(e))
+            rec(remaining - j * e, j - 1, with_e, total + e, weight * factorial(e))
 
-    rec(d, m, (), 0, Fraction(1))
+    rec(d, m, (), 0, 1)
     return out
 
 
@@ -689,11 +707,11 @@ def attach_tilings(
     for tiling in product(*tilings):
         xexp = sum((t[0] for t in tiling), ())
         total = sum(t[1] for t in tiling)
-        weight = prod((t[2] for t in tiling), start=Fraction(1))
+        weight = prod(t[2] for t in tiling)
         for key, c in base:
             zpow = key.zpow - total
             if floor is None or zpow >= floor:
-                out[key._replace(zpow=zpow, xexp=xexp)] = c * weight
+                out[key._replace(zpow=zpow, xexp=xexp)] = c / weight
     return GradedSeries._trusted(ctx, out)
 
 

@@ -15,15 +15,16 @@ no resummation is ever attempted.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import (
     CohClass, ContractError, GradedSeries, Record, TermKey, print_key, series_sum
 )
 from .ifunctions import (
-    attach_tilings, check_contact_bound, h0_body, h0_slice, i_infinity_extended,
+    _tilings, attach_tilings, check_contact_bound, h0_body, i_infinity_extended,
     infinity_slice, root_slice,
 )
 from .targets import (
@@ -231,31 +232,72 @@ def _read_invariants(
     return InvariantTable(entries, flagged)
 
 
-def _table_by_class(
-    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> Iterator[InvariantTable]:
-    """The table :func:`extract_invariants` reads off the untwisted extended
-    and the non-extended limit series, one table per curve class in lex
-    order.  Both are slices of the extended limit series, its zero-shift and
-    its contact-free terms, so its certificate at z floor 0 covers both.  A
-    class that meets no divisor has a non-extended slice equal to its h0
-    slice's empty tiling.
+def invariant_rows(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    m: int,
+    cap: int,
+    fmt: Callable[[Fraction], object] | None = None,
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple], tuple[TermKey, ...]]]:
+    """The one-point invariants of the untwisted extended and the
+    non-extended limit series, as (beta, rows, flagged) per curve class in
+    lex order.  A row is (xexp, psi, insertion, sector, value); the rows of
+    a class are sorted, the order of :meth:`InvariantTable.ordered`, and
+    ``flagged`` holds the class's terms flagged for review.  A value is
+    ``fmt(value)`` when ``fmt`` is given, formed once per body cell and
+    shared by the rows of every tiling.
 
-    Every refusal comes before the first class is read: the certificate,
-    then m against every class's intersection numbers, so a reader of the
-    returned iterator never meets an error."""
+    Both series are slices of the extended limit series, its zero-shift and
+    its contact-free terms, so its certificate at z floor 0 covers both.
+    The contact-free rows, read by :func:`_read_invariants` off
+    :func:`~rootstack_gw.ifunctions.infinity_slice`, come first; a class
+    that meets no divisor has none, since its non-extended slice equals its
+    h0 slice's empty tiling.  The h0 rows are read straight off the class's
+    one :func:`~rootstack_gw.ifunctions.h0_body`: a tiling of total t moves
+    every body cell down by t with weight 1 / prod e!, and extraction
+    multiplies the weight back, so each body cell below z^t is one row with
+    psi = t - zpow - 1 and the cell's own coefficient.  No tiling of d_i is
+    a prefix of another, so the product of each divisor's sorted tilings
+    comes in lex order of the joined contact monomials.
+
+    Every refusal comes before the iterator is returned: the certificate,
+    then m against every class's intersection numbers."""
     mirror_map(i_infinity_extended(X, arrangement, m, cap, z_floor=0)).require_trivial()
-    ctx = X.context(arrangement.n, cap)
     betas = enumerate_curve_classes(X, cap)
     for beta in betas:
         check_contact_bound(arrangement, m, beta)
+    ctx = X.context(arrangement.n, cap)
+    dual = ctx.ring.dual_mono
+    untwisted = (0,) * arrangement.n
+    fmt = fmt or (lambda q: q)
 
-    def terms(beta):
-        yield from h0_slice(X, arrangement, m, beta, ctx).terms.items()
-        if any(d > 0 for d in arrangement.degrees(beta)):
-            yield from infinity_slice(X, arrangement, beta, ctx).terms.items()
+    def h0_rows(beta, degs):
+        body = h0_body(X, arrangement, beta, ctx).terms.items()
+        # by (-zpow, insertion): the print order of every tiling's rows
+        cells = sorted((-key.zpow, dual(key.mono), fmt(c)) for key, c in body)
+        tilings = [sorted(_tilings(i, d, m, d)) for i, d in enumerate(degs)]
+        for tiling in product(*tilings):
+            xexp = sum((t[0] for t in tiling), ())
+            total = sum(t[1] for t in tiling)
+            for negz, insertion, c in cells:
+                if negz > -total:
+                    yield xexp, total + negz - 1, insertion, untwisted, c
 
-    return (_read_invariants(ctx, terms(beta), X, arrangement) for beta in betas)
+    def classes():
+        for beta in betas:
+            degs = arrangement.degrees(beta)
+            rows, flagged = h0_rows(beta, degs), ()
+            if any(degs):
+                terms = infinity_slice(X, arrangement, beta, ctx).terms.items()
+                table = _read_invariants(ctx, terms, X, arrangement)
+                tangency = (
+                    (e.xexp, e.psi, e.insertion, e.sector, fmt(v))
+                    for e, v in table.ordered()
+                )
+                rows, flagged = chain(tangency, rows), table.flagged
+            yield beta, rows, flagged
+
+    return classes()
 
 
 def contact_one_counts(

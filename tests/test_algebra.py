@@ -275,17 +275,27 @@ class TestStructure:
         assert rebuilt.ordered_terms() == s.ordered_terms()
 
     def test_print_order_walks_one_class_at_a_time(self):
-        # the per-class walk gives the order of one sort of the whole series
+        # the per-class rows give the order of one sort of the whole series:
+        # beta lex, z descending, then mono, xexp, sector and lam
         ring = AmbientRing.for_product((1, 1))
         ctx = SeriesContext(ring=ring, divisors=2, beta_weights=(2, 2))
         rng = random.Random(11)
+
+        def order(item):
+            k = item[0]
+            return k.beta, -k.zpow, k.mono, k.xexp, k.sector, k.lam
+
         for _ in range(20):
             s = random_series(rng, ctx, max_terms=30)
-            whole = sorted(s.terms.items(), key=print_key)
+            whole = sorted(s.terms.items(), key=order)
             assert s.ordered_terms() == whole
-            assert list(s.iter_ordered_terms()) == whole
-            betas = [key.beta for key, _ in whole]
-            assert betas == sorted(betas)
+            assert sorted(s.terms.items(), key=print_key) == whole
+            walked = []
+            for beta, rows in s.class_rows():
+                assert all(a < b for a, b in zip(rows, rows[1:]))
+                for negz, mono, xexp, sector, lam, c in rows:
+                    walked.append((TermKey(beta, -negz, xexp, sector, mono, lam), c))
+            assert walked == whole
 
     def test_repr_shows_the_first_eight_in_print_order(self):
         ring = AmbientRing.for_product((1, 1))

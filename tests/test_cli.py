@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstack_gw import ifunctions
+from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.cli import WRITE_BATCH, run, write_lines
 from rootstack_gw.config import ConfigError, JobConfig, config_from_dict, parse_config
 from rootstack_gw.targets import check_coprime
@@ -601,8 +602,20 @@ class TestWriter:
                 1,
                 "error: the extended series would form up to 10,816,624 contact ",
             ),
+            (
+                dict(PLANE_JOB, roots=[7, 11], m=6),
+                ["--command", "ifunction", "--series", "root-extended"],
+                1,
+                "error: the extended series would form up to 2,019,185,735 contact ",
+            ),
+            (
+                dict(PLANE_JOB, roots=[7, 11], cap=2, m=7),
+                ["--command", "ifunction", "--series", "root-extended"],
+                1,
+                "error: contact orders up to m must stay below every root order\n",
+            ),
         ],
-        ids=["m-miss", "mirror-map", "budget"],
+        ids=["m-miss", "mirror-map", "budget", "budget-finite", "m-at-root-order"],
     )
     def test_refusal_writes_nothing(self, tmp_path, capsys, doc, argv, status, message):
         config = write_job(tmp_path, doc)
@@ -612,6 +625,41 @@ class TestWriter:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith(message)
             assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "doc, series",
+        [
+            (dict(PLANE_JOB, cap=3, m=3), "infinity-extended"),
+            (dict(PLANE_JOB, roots=[7, 11], cap=3, m=2), "root-extended"),
+        ],
+        ids=["infinity-extended", "root-extended"],
+    )
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    def test_extended_series_streams_without_a_series(
+        self, tmp_path, capsys, monkeypatch, doc, series, fmt
+    ):
+        # the command writes the builder's rows class by class: it calls no
+        # whole-series builder and makes no GradedSeries at all
+        config = write_job(tmp_path, doc)
+        args = ["--config", config, "--command", "ifunction", "--series", series]
+        args += ["--format", fmt]
+        assert run(args) == 0
+        want = capsys.readouterr().out
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a whole series was built")
+
+        for name in ("i_root_extended", "i_infinity_extended", "_rows_series"):
+            monkeypatch.setattr(ifunctions, name, unbuilt)
+        monkeypatch.setattr(GradedSeries, "__init__", unbuilt)
+        monkeypatch.setattr(GradedSeries, "_trusted", classmethod(unbuilt))
+        assert run(args) == 0
+        got = capsys.readouterr().out
+        assert got == want and got.count("\n") > 100
+        if fmt == "table":
+            # the count closes the table
+            terms = got.count("\n") - 1
+            assert got.endswith(f"\n# series {series}: {terms} terms\n")
 
     def test_empty_report_is_one_newline(self, tmp_path, capsys):
         # at cap 1 the fibre job's only class is 0, which check-identity skips

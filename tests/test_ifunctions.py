@@ -3,7 +3,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import groupby, product
 from math import lcm
 
 import pytest
@@ -25,7 +25,8 @@ from rootstack_gw import (
     enumerate_curve_classes,
 )
 from rootstack_gw import ifunctions
-from rootstack_gw.algebra import GradedSeries
+from rootstack_gw.algebra import GradedSeries, print_key, print_row
+from rootstack_gw.cli import series_records
 from rootstack_gw.ifunctions import (
     MAX_CONTACT_COMBINATIONS,
     ExtendedBudgetError,
@@ -35,6 +36,7 @@ from rootstack_gw.ifunctions import (
     _weight_degree,
     ConfigurationError,
     ExtendedDataTooSmall,
+    extended_rows,
     h0_slice,
     infinity_slice,
     root_slice,
@@ -711,3 +713,73 @@ def _formed_and_counted(X, arrangement, m, cap, floor, roots, monkeypatch):
     monkeypatch.setattr(ifunctions, "_check_contact_budget", check)
     series = _build(X, arrangement, m, cap, floor, roots)
     return series, formed, counted
+
+
+def _whole_records(series):
+    """The records of a whole series, its terms sorted by ``print_key``."""
+    items = sorted(series.terms.items(), key=print_key)
+    classes = [
+        (beta, [print_row(key, c) for key, c in group])
+        for beta, group in groupby(items, key=lambda item: item[0].beta)
+    ]
+    return list(series_records(classes))
+
+
+class TestExtendedRows:
+    """The per-class rows the command line writes, against the oracle and
+    against the whole series the library builds."""
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
+    @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)
+    def test_rows_are_the_oracle_series_in_print_order(
+        self, factors, coeffs, orders, finite
+    ):
+        X, arrangement = _job(factors, coeffs)
+        roots = orders if finite else None
+        ctx, classes = extended_rows(
+            X, arrangement, 2, 4, -2, None if roots is None else RootData(roots)
+        )
+        assert ctx == X.context(arrangement.n, 4, z_floor=-2, roots=roots)
+        got, betas = {}, []
+        for beta, rows in classes:
+            betas.append(beta)
+            # keys are unique within a class, so the rows increase strictly
+            assert all(a < b for a, b in zip(rows, rows[1:])), beta
+            for negz, mono, xexp, sector, lam, c in rows:
+                assert lam == (0,) * arrangement.n
+                got[(beta, -negz, xexp, sector, mono)] = c
+        assert betas == enumerate_curve_classes(X, 4)
+        assert got == extended_series(factors, coeffs, 2, 4, -2, roots)
+
+    @pytest.mark.parametrize(
+        "factors, coeffs, roots, m, cap, floor, folds",
+        [
+            ((2,), ((1,), (2,)), None, 3, 4, -6, False),
+            ((2,), ((1,), (2,)), (7, 11), 2, 4, -6, True),
+            ((2,), ((1,), (2,)), (3, 5), 2, 9, -1, True),
+            ((1, 1), ((1, 1), (1, 1)), None, 3, 6, -2, False),
+            ((1, 1), ((1, 1), (1, 1)), (5, 7), 3, 6, -2, True),
+            ((3,), ((2,), (2,)), (5, 7), 3, 6, -2, True),
+        ],
+        ids=["line-conic", "readme-fold", "fold", "diagonals", "diagonals-finite", "quadrics"],
+    )
+    def test_records_equal_the_whole_series_records(
+        self, factors, coeffs, roots, m, cap, floor, folds
+    ):
+        X, arrangement = _job(factors, coeffs)
+        orders = None if roots is None else RootData(roots)
+
+        def folds_of(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = build()
+            return out, [str(w.message) for w in caught if w.category is SectorFoldWarning]
+
+        streamed, streamed_folds = folds_of(
+            lambda: list(series_records(extended_rows(X, arrangement, m, cap, floor, orders)[1]))
+        )
+        whole, whole_folds = folds_of(lambda: _build(X, arrangement, m, cap, floor, roots))
+        # both paths warn about the same folds
+        assert streamed_folds == whole_folds and bool(whole_folds) == folds
+        assert len(streamed) == len(whole) > 20
+        assert streamed == _whole_records(whole)

@@ -24,10 +24,10 @@ from rootstack_gw import (
     n_orb,
     stabilization_check,
 )
-from rootstack_gw import ifunctions, invariants
+from rootstack_gw import cli, ifunctions, invariants
 from rootstack_gw.algebra import ContractError, GradedSeries, print_key
 from rootstack_gw.cli import run
-from rootstack_gw.invariants import _table_by_class
+from rootstack_gw.invariants import invariant_rows
 from rootstack_gw.targets import _j_chain
 
 
@@ -169,6 +169,68 @@ class TestExtraction:
                 assert a == b
 
 
+def table_by_class(X, arrangement, m, cap):
+    """The table path of the ``invariants`` command, kept here as the oracle
+    of :func:`invariants.invariant_rows`: after the floor-0 certificate,
+    one table per class in lex order, :func:`invariants._read_invariants`
+    over the class's whole h0 slice (every tiling as its own series, with
+    its Fraction weights) and, when the class meets a divisor, its
+    non-extended slice."""
+    mirror_map(i_infinity_extended(X, arrangement, m, cap, z_floor=0)).require_trivial()
+    ctx = X.context(arrangement.n, cap)
+    betas = enumerate_curve_classes(X, cap)
+    for beta in betas:
+        ifunctions.check_contact_bound(arrangement, m, beta)
+
+    def terms(beta):
+        yield from ifunctions.h0_slice(X, arrangement, m, beta, ctx).terms.items()
+        if any(d > 0 for d in arrangement.degrees(beta)):
+            yield from ifunctions.infinity_slice(X, arrangement, beta, ctx).terms.items()
+
+    return (invariants._read_invariants(ctx, terms(beta), X, arrangement) for beta in betas)
+
+
+def table_records(tables):
+    """The records of :func:`table_by_class`'s tables, the flagged keys of
+    all of them last, sorted."""
+    fields = cli._RecordFields()
+    flagged = []
+    for table in tables:
+        for entry, value in table.ordered():
+            yield "\t".join(
+                (
+                    "invariant",
+                    fields.ints[entry.beta],
+                    fields.xexp(entry.xexp),
+                    fields.ints[entry.insertion],
+                    str(entry.psi),
+                    fields.ints[entry.sector],
+                    cli.fmt_rat(value, records=True),
+                )
+            )
+        flagged += table.flagged
+    for key in sorted(flagged):
+        yield "flagged\t" + "\t".join(fields.key(key))
+
+
+def table_human(tables, ring):
+    """The human table of :func:`table_by_class`'s tables."""
+    flagged = 0
+    for table in tables:
+        for entry, value in table.ordered():
+            parts = [f"beta=({cli.fmt_ints(entry.beta)})"]
+            if entry.xexp:
+                parts.append("contacts " + cli.fmt_xexp(entry.xexp))
+            parts.append(f"insert {ring.render_mono(entry.insertion)}")
+            parts.append(f"psi^{entry.psi}")
+            if any(entry.sector):
+                parts.append(f"sector ({cli.fmt_ints(entry.sector)})")
+            yield "  ".join(parts) + f"  = {cli.fmt_rat(value, records=False)}"
+        flagged += len(table.flagged)
+    if flagged:
+        yield f"# {flagged} term(s) flagged for manual review"
+
+
 P1P1 = TargetSpace((1, 1))
 FIBRE = Divisor("F", (0, 1))
 # name -> target, divisors, m (None: the largest intersection number), cap
@@ -186,14 +248,29 @@ BY_CLASS_JOBS = {
     "fibre": (P1P1, (FIBRE,), None, 8, 16),
     "fibre-diagonal": (P1P1, (FIBRE, Divisor("D", (1, 1))), None, 8, 30),
 }
+# the first divisor has degree 2, so its tilings of one class have
+# different lengths, and their order decides the order of the joined
+# contact monomials
+ROW_JOBS = dict(
+    BY_CLASS_JOBS,
+    **{
+        "conic-line": (
+            TargetSpace((2,)), (Divisor("C", (2,)), Divisor("L", (1,))), None, 9, 5
+        ),
+    },
+)
+
+
+def _job(name):
+    X, divisors, m, cap, flagged = ROW_JOBS[name]
+    arrangement = DivisorArrangement(divisors)
+    return X, arrangement, m or max(1, *arrangement.max_degrees(X, cap)), cap, flagged
 
 
 class TestTableByClass:
     @pytest.mark.parametrize("name", BY_CLASS_JOBS)
     def test_equals_both_whole_series_tables(self, name):
-        X, divisors, m, cap, flagged = BY_CLASS_JOBS[name]
-        arrangement = DivisorArrangement(divisors)
-        m = m or max(1, *arrangement.max_degrees(X, cap))
+        X, arrangement, m, cap, flagged = _job(name)
         contact = extract_invariants(
             i_infinity_extended_h0(X, arrangement, m, cap), X, arrangement
         )
@@ -206,7 +283,7 @@ class TestTableByClass:
         # the per-class tables come in lex order of their classes, each
         # holding one class; merged, they are the two whole-series tables
         entries, flagged_keys = {}, []
-        tables = _table_by_class(X, arrangement, m, cap)
+        tables = table_by_class(X, arrangement, m, cap)
         for beta, table in zip(enumerate_curve_classes(X, cap), tables, strict=True):
             assert {entry.beta for entry in table.entries} <= {beta}
             assert {key.beta for key in table.flagged} <= {beta}
@@ -216,17 +293,49 @@ class TestTableByClass:
         assert sorted(flagged_keys) == sorted(contact.flagged + tangency.flagged)
         assert entries and len(flagged_keys) == flagged
 
+
+class TestInvariantRows:
+    @pytest.mark.parametrize("name", ROW_JOBS)
+    def test_rows_equal_the_table_path(self, name):
+        X, arrangement, m, cap, flagged = _job(name)
+        classes = invariant_rows(X, arrangement, m, cap)
+        tables = table_by_class(X, arrangement, m, cap)
+        betas = enumerate_curve_classes(X, cap)
+        flagged_keys = []
+        for beta, (got_beta, rows, flags), table in zip(betas, classes, tables, strict=True):
+            assert got_beta == beta
+            rows = list(rows)
+            # the rows of a class sort natively into the table's order
+            assert all(a < b for a, b in zip(rows, rows[1:])), beta
+            want = [(e.xexp, e.psi, e.insertion, e.sector, v) for e, v in table.ordered()]
+            assert rows == want, beta
+            assert sorted(flags) == sorted(table.flagged)
+            flagged_keys += flags
+        assert len(flagged_keys) == flagged
+
+    @pytest.mark.parametrize("name", ROW_JOBS)
+    def test_command_output_equals_the_table_path(self, name):
+        X, arrangement, m, cap, _ = _job(name)
+        classes = invariant_rows(X, arrangement, m, cap, lambda q: cli.fmt_rat(q, True))
+        got = cli.invariant_records(classes)
+        want = table_records(table_by_class(X, arrangement, m, cap))
+        assert list(got) == list(want)
+        classes = invariant_rows(X, arrangement, m, cap, lambda q: cli.fmt_rat(q, False))
+        got = cli.invariant_table(classes, X.ring)
+        want = table_human(table_by_class(X, arrangement, m, cap), X.ring)
+        assert list(got) == list(want)
+
     def test_m_refused_before_any_class_is_read(self, p2, line_conic, monkeypatch):
         # classes 0 and 1 fit m = 3; the refusal names (2,), the first that
         # does not, and comes before the iterator reads any class
         def unread(*args):
             raise AssertionError("a class was read")
 
-        monkeypatch.setattr(invariants, "h0_slice", unread)
+        monkeypatch.setattr(invariants, "h0_body", unread)
         monkeypatch.setattr(invariants, "infinity_slice", unread)
         message = r"^contact bound m=3 misses tangency 4 needed at beta=\(2,\)$"
         with pytest.raises(ExtendedDataTooSmall, match=message):
-            _table_by_class(p2, line_conic, 3, 9)
+            invariant_rows(p2, line_conic, 3, 9)
 
     def test_one_certificate_and_no_whole_series(self, tmp_path, monkeypatch, capsys):
         certified = []
@@ -237,11 +346,13 @@ class TestTableByClass:
             return real(series)
 
         def whole_series(*args):
-            raise AssertionError("a whole-cap series was built")
+            raise AssertionError("a whole-cap or per-tiling series was built")
 
         monkeypatch.setattr(invariants, "mirror_map", counted)
+        # neither the two whole series nor a class's series of tilings
+        names = ("i_infinity_extended_h0", "i_infinity_nonextended", "h0_slice", "attach_tilings")
         for module in (ifunctions, invariants):
-            for name in ("i_infinity_extended_h0", "i_infinity_nonextended"):
+            for name in names:
                 monkeypatch.setattr(module, name, whole_series, raising=False)
         job = {
             "target": {"factors": [2]},
