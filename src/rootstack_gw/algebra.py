@@ -33,7 +33,7 @@ a product of linear factors) are instead built by the dense kernel
 manner of FLINT's ``fmpq_poly``.  A chain is reduced once, when
 :meth:`_Chain.series` turns it into a ``GradedSeries`` at the slice
 boundary; the cap, the z floor and the sector label apply there too.  The
-extended builder reads a body's cells unreduced (:meth:`_Chain.top_down`)
+extended builder reads a body's cells unreduced (:meth:`_Chain.cells`)
 and multiplies the common denominator by each contact monomial's integer
 weight prod k!, so each term's coefficient is reduced once, as one
 ``Fraction``, and one reduction serves every term with the same numerator
@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import product
-from operator import add, attrgetter, gt, itemgetter, mul
+from operator import add, attrgetter, gt, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -948,22 +948,15 @@ class _Chain(NamedTuple):
         """This chain times p / q, for nonzero integers p and q."""
         return _Chain(self.layout, self.degree, tuple(p * x for x in self.num), self.den * q)
 
-    def top_down(self) -> list[tuple[int, tuple[int, ...], int]]:
-        """(z-power, monomial, numerator) of each nonzero cell of a chain
-        without lam slots, highest z-power first.
+    def cells(self) -> dict[tuple[int, ...], int]:
+        """The numerator of each nonzero cell of a chain without lam slots,
+        by monomial: the cell of mono holds mono z^(degree - |mono|).
 
         A cell's coefficient is its numerator over ``den``, not reduced: a
         caller that scales the cells before they become series terms (the
         extended builder's contact weights) reduces each product once.
         """
-        degree = self.degree
-        cells = [
-            (degree - weight, mono, c)
-            for (mono, _, weight), c in zip(self.layout.cells, self.num)
-            if c
-        ]
-        cells.sort(key=itemgetter(0), reverse=True)
-        return cells
+        return {mono: c for (mono, _, _), c in zip(self.layout.cells, self.num) if c}
 
     def series(
         self,

@@ -114,9 +114,9 @@ class _RecordFields:
         )
 
 
-def series_records(classes: Iterable[tuple[tuple[int, ...], list[tuple]]]) -> Iterator[str]:
+def series_records(classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]]) -> Iterator[str]:
     """Records of a series given as (beta, rows) per class, as
-    :meth:`GradedSeries.class_rows` and :func:`ifunctions.extended_rows`
+    :meth:`GradedSeries.class_rows` and :func:`extended.extended_rows`
     give them."""
     fields = _RecordFields()
     ints, xexps = fields.ints, fields.xexp
@@ -130,7 +130,7 @@ def series_records(classes: Iterable[tuple[tuple[int, ...], list[tuple]]]) -> It
 
 
 def series_table(
-    classes: Iterable[tuple[tuple[int, ...], list[tuple]]], ring, name: str
+    classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]], ring, name: str
 ) -> Iterator[str]:
     """The human table of the same classes; the term count, known only at
     the end, follows on a trailing line."""
@@ -138,6 +138,7 @@ def series_table(
     for beta, rows in classes:
         head = "Q^(" + fmt_ints(beta) + ")" if any(beta) else None
         for negz, mono, xexp, sector, lam, c in rows:
+            count += 1
             bits = [fmt_rat(c, records=False)]
             if head:
                 bits.append(head)
@@ -154,7 +155,6 @@ def series_table(
             if any(sector):
                 bits.append("[" + fmt_ints(sector) + "]")
             yield " ".join(bits)
-        count += len(rows)
     yield f"# series {name}: {count} terms"
 
 
@@ -209,30 +209,31 @@ def invariant_table(classes, ring) -> Iterator[str]:
 
 def _series_classes(job: JobConfig, name: str):
     """The series ``name`` as (beta, rows) per class, every refusal made.
-    The extended series come straight from their builder, one class at a
+    The extended series come straight from their builders, one class at a
     time; the other families are built whole, then walked by class."""
+    X, arr, cap = job.target, job.arrangement, job.cap
+    m = job.contact_bound()
+    floor = -(cap + 2)
+    if name in ("root-extended", "infinity-extended"):
+        from .extended import extended_rows
+
+        roots = job.require_roots() if name == "root-extended" else None
+        return extended_rows(X, arr, m, cap, floor, roots)[1]
     from .ifunctions import (
-        extended_rows,
-        i_infinity_extended_h0,
+        h0_slices,
         i_infinity_nonextended,
         i_local,
         i_relative_smooth,
         i_root_nonextended,
     )
 
-    X, arr, cap = job.target, job.arrangement, job.cap
-    m = job.contact_bound()
-    floor = -(cap + 2)
-    if name == "root-extended":
-        return extended_rows(X, arr, m, cap, floor, job.require_roots())[1]
-    if name == "infinity-extended":
-        return extended_rows(X, arr, m, cap, floor)[1]
+    if name == "infinity-extended-h0":
+        slices = h0_slices(X, arr, m, cap)[1]
+        return chain.from_iterable(part.class_rows() for part in slices)
     if name == "root":
         series = i_root_nonextended(X, arr, job.require_roots(), cap)
     elif name == "infinity":
         series = i_infinity_nonextended(X, arr, cap)
-    elif name == "infinity-extended-h0":
-        series = i_infinity_extended_h0(X, arr, m, cap)
     elif name == "relative":
         series = i_relative_smooth(X, arr, cap)
     elif name == "local":

@@ -16,9 +16,10 @@ validation to its caller; its capped builder validates and sums the slices
 over the classes in the cap.  A slice is one dense chain (the target slice
 times the divisor weights, see :class:`~rootstack_gw.algebra._Chain`),
 turned into a series once, in its sector.  The extended series are built
-from the same chains: :func:`extended_rows` builds one body chain per tuple
-of net shifts that can reach the z floor and attaches the contact monomials
-to its cells, one curve class at a time.
+from the same chains by :mod:`rootstack_gw.extended`, one body chain per
+tuple of net shifts that can reach the z floor, one curve class at a time;
+:func:`i_root_extended` and :func:`i_infinity_extended` import it when they
+are called, so a program that never builds them never loads it.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -35,8 +36,8 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
-from typing import Iterable, Iterator, NamedTuple
+from math import factorial, prod
+from typing import Iterator
 
 from .algebra import GradedSeries, SeriesContext, TermKey, _Chain, series_sum
 from .targets import (
@@ -55,22 +56,8 @@ class ExtendedDataTooSmall(ValueError):
 
 class ExtendedBudgetError(ValueError):
     """An extended series would form more contact combinations than
-    :data:`MAX_CONTACT_COMBINATIONS`, so it is refused before any body."""
-
-
-# Most contact combinations an extended build may form, as counted by
-# _combination_count.  Every benchmark job counts at most 6,188.  A
-# `--format records` child holds one class at a time, so its peak follows
-# the largest class (2-vCPU Xeon, CPython 3.11).  On the README job (line +
-# conic, roots 7, 11, m 6) the infinite-order series counts 251,940 at cap
-# 5 and writes its 312,458 records in 3.0 s at a peak of 69 MB, and
-# 1,939,938 at cap 7, writing 2,721,572 records in 24 s at 337 MB; it
-# counts 10,816,624 at cap 9, where degree zero alone keeps 2,704,156
-# terms.  The finite-order series counts 418,390 at cap 2 and writes its
-# 221,078 records in 2.8 s at 64 MB.  On P^1 x P^1 with both diagonals the
-# infinite-order series counts 1,889,550 at cap 9 and writes 3,929,548
-# records in 44 s at 102 MB.
-MAX_CONTACT_COMBINATIONS = 2_000_000
+    :data:`rootstack_gw.extended.MAX_CONTACT_COMBINATIONS`, so it is refused
+    before any body."""
 
 
 class SectorFoldWarning(UserWarning):
@@ -185,12 +172,17 @@ def _weight_degree(d: int, shift: int, r: int | None) -> int:
     return d
 
 
+# The modules whose frames a builder's warning skips.
+_BUILDER_MODULES = (__name__, f"{__package__}.extended")
+
+
 def _outside_stacklevel() -> int:
     """The ``warnings`` stacklevel that points a warning issued by the
-    calling function at the nearest frame outside this module: the line
-    that called the public builder, at whatever depth the warning arose."""
+    calling function at the nearest frame outside the builder modules: the
+    line that called the public builder, at whatever depth the warning
+    arose."""
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
+    while frame is not None and frame.f_globals.get("__name__") in _BUILDER_MODULES:
         frame, level = frame.f_back, level + 1
     return level
 
@@ -263,283 +255,6 @@ def i_root_nonextended(
     return series_sum(ctx, [root_slice(X, arrangement, b, ctx) for b in betas])
 
 
-class _Contact(NamedTuple):
-    """One divisor's contact monomial prod_j x_{ij}^{e_j}."""
-
-    total: int  # sum_j e_j: the z-power the monomial divides out
-    weight: int  # prod_j e_j!, the monomial's coefficient is 1 / weight
-    xexp: tuple[tuple[int, int, int], ...]
-
-
-def _contact_vectors(
-    i: int, costs: list[int], budget: int
-) -> dict[int, list[_Contact]]:
-    """Contact monomials of divisor i whose cost stays within the budget,
-    where order j costs costs[j - 1] > 0 per unit.
-
-    Grouped by the reduction sum_j j e_j they take off the intersection
-    number, each group sorted by total.  Within a group the cost is the
-    total less a constant, so the first monomial is also the cheapest.
-    """
-    groups: dict[int, list[_Contact]] = {}
-
-    def rec(j0: int, left: int, reduction: int, total: int, denom: int, xexp: tuple):
-        # one call per monomial: record it, then extend it by one more
-        # order j >= j0 with a positive exponent
-        groups.setdefault(reduction, []).append(_Contact(total, denom, xexp))
-        for j in range(j0, len(costs) + 1):
-            cost = costs[j - 1]
-            e, weight = 1, denom
-            while e * cost <= left:
-                weight *= e
-                with_e = xexp + ((i, j, e),)
-                rec(j + 1, left - e * cost, reduction + j * e, total + e, weight, with_e)
-                e += 1
-
-    rec(1, budget, 0, 0, 1, ())
-    for group in groups.values():
-        group.sort(key=lambda c: c.total)
-    return groups
-
-
-def _combination_count(
-    costs: list[list[int]], budget: int, steps: int
-) -> tuple[int, int] | None:
-    """(count, steps taken): how many choices of one contact monomial per
-    divisor have summed cost at most ``budget``, where divisor i's order j
-    costs costs[i][j - 1] > 0 per unit.  That is the most combinations
-    :func:`_combinations` can form over all shift tuples of one class.
-
-    Monomials are counted by cost, never listed, since one divisor alone can
-    have millions within the budget.  Each loop step adds at least one
-    monomial or combination, or ends a row, so a count of C takes at most
-    3 n C steps; None means more than ``steps`` would be needed.
-    """
-    if budget < 0:
-        return 0, 0
-    taken = 0
-    joint = {0: 1}  # choices for the divisors so far, by summed cost
-    for divisor_costs in costs:
-        counts = {0: 1}  # this divisor's monomials by cost
-        for cost in divisor_costs:
-            grown = dict(counts)
-            for c, k in counts.items():
-                c += cost
-                while c <= budget:
-                    grown[c] = grown.get(c, 0) + k
-                    c += cost
-                    taken += 1
-            counts = grown
-            if taken > steps:
-                return None
-        ordered = sorted(counts.items())
-        pairs: dict[int, int] = {}
-        for a, ka in joint.items():
-            for c, k in ordered:
-                taken += 1
-                if a + c > budget:
-                    break
-                pairs[a + c] = pairs.get(a + c, 0) + ka * k
-            if taken > steps:
-                return None
-        joint = pairs
-    return sum(joint.values()), taken
-
-
-def _check_contact_budget(costs: list[list[int]], budgets: list[int]) -> None:
-    """Refuse, with the count, an extended build whose classes, at the given
-    contact budgets, would form more than :data:`MAX_CONTACT_COMBINATIONS`
-    contact combinations in total."""
-    estimate = 0
-    # a count up to the limit takes at most this many steps
-    steps = 3 * len(costs) * MAX_CONTACT_COMBINATIONS
-    limit = f"the limit of {MAX_CONTACT_COMBINATIONS:,}; lower the cap or m"
-    for budget in budgets:
-        counted = _combination_count(costs, budget, steps)
-        if counted is None:
-            raise ExtendedBudgetError(
-                f"the extended series would form more contact combinations than {limit}"
-            )
-        estimate += counted[0]
-        steps -= counted[1]
-    if estimate > MAX_CONTACT_COMBINATIONS:
-        raise ExtendedBudgetError(
-            f"the extended series would form up to {estimate:,} contact "
-            f"combinations, over {limit}"
-        )
-
-
-def _combinations(
-    groups: list[list[_Contact]], max_total: int
-) -> Iterator[tuple[int, int, tuple[tuple[int, int, int], ...]]]:
-    """(total, weight, xexp) of each choice of one contact monomial per group
-    whose summed total is at most ``max_total``; the weight is the product
-    of the monomials' integer weights.  Every choice that passes also stays
-    within the contact budget of :func:`extended_rows`."""
-    n = len(groups)
-    rest_total = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        rest_total[i] = rest_total[i + 1] + groups[i][0].total
-
-    def rec(i: int, total: int, weight: int, xexp: tuple):
-        if i == n:
-            yield total, weight, xexp
-            return
-        for c in groups[i]:
-            if total + c.total + rest_total[i + 1] > max_total:
-                break
-            yield from rec(i + 1, total + c.total, weight * c.weight, xexp + c.xexp)
-
-    yield from rec(0, 0, 1, ())
-
-
-def extended_rows(
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
-    m: int,
-    cap: int,
-    z_floor: int | None = -1,
-    roots: RootData | None = None,
-) -> tuple[SeriesContext, Iterator[tuple[tuple[int, ...], list[tuple]]]]:
-    """(ctx, classes): the extended series of the root stack at the orders
-    ``roots``, or its infinite-order limit (``roots`` None), with contact
-    orders 1..m, as (beta, rows) per curve class in lex order, the class's
-    terms as :func:`~rootstack_gw.algebra.print_row` rows in print order.
-    Every refusal comes first, so the iterator never raises.
-
-    A contact vector k multiplies the body of its net shifts s_i = d_i -
-    sum_j j k_ij (:func:`_body_chain`, in the sector of the negated shifts)
-    by prod x^k / (prod k! z^|k|).  One exact bound keeps the sum finite: a
-    vector whose total |k| exceeds the highest z-power of its body minus
-    the floor has no term at or above the floor.  The body's z-degree, the
-    target slice's 1 - deg(beta) plus each divisor's :func:`_weight_degree`,
-    is its top z-power at infinite order and at least that at finite order.
-
-    The contact budget is that bound spread over the monomials.  Contact
-    order j of divisor i weighs w_ij = (r_i - j)/r_i (1 at infinite order;
-    every contact order must stay below each root order so the weights are
-    positive), and a monomial costs sum_j w_ij k_ij = T_i - (d_i - s_i)/r_i,
-    with T_i = sum_j k_ij.  Since _weight_degree(d, s, r) <= d - s/r (at
-    most d at infinite order), T_i less its weight degree is at least the
-    cost less d_i w_i1, so a vector that reaches the floor costs at most
-    1 - deg(beta) - floor + sum_i d_i w_i1 in total.  The combinations
-    within the budget are counted per class before anything is built; past
-    :data:`MAX_CONTACT_COMBINATIONS` in total the build is refused with
-    :class:`ExtendedBudgetError`.
-
-    Each divisor's monomials within that budget are enumerated once per
-    budget, grouped by shift and sorted by total.  A shift tuple whose
-    groups' smallest totals already sum past its body degree minus the floor
-    is skipped before its sector is labelled or its body built, so
-    :class:`SectorFoldWarning` names only shifts that can reach the floor.
-    The rest are combined while the totals stay within the built body's top
-    z-power minus the floor; every combination reached keeps at least its
-    body's top term and stays within the budget.  The contact monomial is
-    attached by moving each body term to z-power zpow - |k|, its
-    coefficient the body cell's integer numerator over the chain's
-    denominator times prod k!, reduced once per distinct pair in the class.
-    """
-    _validated(X, arrangement, roots)
-    if m < 1:
-        raise ConfigurationError("at least one contact order is required")
-    floor = z_floor
-    if floor is None:
-        raise ConfigurationError("extended series need a finite z floor to truncate")
-    roots = None if roots is None else roots.orders  # from here on, the orders
-    if roots is not None and any(m >= r for r in roots):
-        raise ConfigurationError(
-            "contact orders up to m must stay below every root order"
-        )
-    ctx = X.context(arrangement.n, cap, z_floor=floor, roots=roots)
-    n = arrangement.n
-    # costs are the weights w_ij in units of 1/scale, so budgets stay
-    # integral; costs[i][0] is w_i1
-    if roots is None:
-        scale, costs = 1, [[1] * m for _ in range(n)]
-    else:
-        scale = lcm(*roots)
-        costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
-    budgets = {}  # by class: (reach, budget)
-    for beta in enumerate_curve_classes(X, cap):
-        # the target slice's top z-power less the floor
-        reach = 1 - ctx.beta_degree(beta) - floor
-        degs = arrangement.degrees(beta)
-        # a divisor's cost exceeds T_i less its weight degree by at most d_i w_i1
-        spread = sum(d * c[0] for d, c in zip(degs, costs))
-        budgets[beta] = reach, reach * scale + spread
-    _check_contact_budget(costs, [budget for _, budget in budgets.values()])
-
-    def classes():
-        contact_cache: dict[tuple[int, int], dict[int, list[_Contact]]] = {}
-        meets: dict[tuple[bool, ...], bool] = {}  # by the sector's support
-        no_lam = (0,) * n
-        for beta, (reach, budget) in budgets.items():
-            degs = arrangement.degrees(beta)
-            per_divisor = []
-            # per divisor and shift: its weight's z-degree less the group's
-            # smallest contact total
-            slack = []
-            for i in range(n):
-                if (i, budget) not in contact_cache:
-                    contact_cache[(i, budget)] = _contact_vectors(i, costs[i], budget)
-                by_shift = {degs[i] - red: g for red, g in contact_cache[(i, budget)].items()}
-                r = None if roots is None else roots[i]
-                per_divisor.append(by_shift)
-                slack.append(
-                    {
-                        s: _weight_degree(degs[i], s, r) - group[0].total
-                        for s, group in by_shift.items()
-                    }
-                )
-            reduced: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator)
-            rows = []
-            for shifts in product(*per_divisor):
-                if reach + sum(slack[i][s] for i, s in enumerate(shifts)) < 0:
-                    continue
-                if roots is None:
-                    sector = tuple(-s for s in shifts)
-                else:
-                    sector = _finite_sector(shifts, roots)
-                support = tuple(map(bool, sector))
-                if support not in meets:
-                    meets[support] = _sector_meets(X, arrangement, sector)
-                if not meets[support]:
-                    continue
-                chain = _body_chain(X, arrangement, beta, shifts, roots)
-                cells = chain.top_down()
-                if not cells:
-                    continue
-                groups = [per_divisor[i][s] for i, s in enumerate(shifts)]
-                den, max_total = chain.den, cells[0][0] - floor
-                for total, weight, xexp in _combinations(groups, max_total):
-                    denom = den * weight
-                    for zpow, mono, c in cells:
-                        # the moved term's z-power is zpow - total
-                        negz = total - zpow
-                        if negz > -floor:
-                            break
-                        q = reduced.get((c, denom))
-                        if q is None:
-                            q = reduced[(c, denom)] = Fraction(c, denom)
-                        rows.append((negz, mono, xexp, sector, no_lam, q))
-            rows.sort()
-            yield beta, rows
-
-    return ctx, classes()
-
-
-def _rows_series(
-    ctx: SeriesContext, classes: Iterable[tuple[tuple[int, ...], list[tuple]]]
-) -> GradedSeries:
-    """The series of ``classes``, rows as :func:`extended_rows` gives them:
-    within the cap, at or above the floor, every coefficient nonzero."""
-    out: dict[TermKey, Fraction] = {}
-    for beta, rows in classes:
-        for negz, mono, xexp, sector, lam, c in rows:
-            out[TermKey(beta, -negz, xexp, sector, mono, lam)] = c
-    return GradedSeries._trusted(ctx, out)
-
-
 def i_root_extended(
     X: TargetSpace,
     arrangement: DivisorArrangement,
@@ -554,6 +269,8 @@ def i_root_extended(
     bit for bit.  Richer extended data (contact orders tied to divisor
     intersections, or orders at or above a root order) is rejected.
     """
+    from .extended import _rows_series, extended_rows
+
     return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor, roots))
 
 
@@ -608,6 +325,8 @@ def i_infinity_extended(
     shifts.  The untwisted slice agrees with
     :func:`i_infinity_extended_h0`, which is built independently.
     """
+    from .extended import _rows_series, extended_rows
+
     return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor))
 
 
@@ -715,17 +434,29 @@ def attach_tilings(
     return GradedSeries._trusted(ctx, out)
 
 
-def i_infinity_extended_h0(
+def h0_slices(
     X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> GradedSeries:
-    """Untwisted part of the extended limit series: the sum of :func:`h0_slice`
-    over beta up to the cap, so m must reach every intersection number."""
+) -> tuple[SeriesContext, Iterator[GradedSeries]]:
+    """(ctx, slices): the :func:`h0_slice` of each class up to the cap, in
+    lex order, built as they are read.  Every refusal comes first, the
+    contact bound checked on every class, so the iterator never raises."""
     _validated(X, arrangement, None)
     if m < 1:
         raise ConfigurationError("at least one contact order is required")
     ctx = X.context(arrangement.n, cap)
     betas = enumerate_curve_classes(X, cap)
-    return series_sum(ctx, [h0_slice(X, arrangement, m, b, ctx) for b in betas])
+    for beta in betas:
+        check_contact_bound(arrangement, m, beta)
+    return ctx, (h0_slice(X, arrangement, m, b, ctx) for b in betas)
+
+
+def i_infinity_extended_h0(
+    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
+) -> GradedSeries:
+    """Untwisted part of the extended limit series: the sum of :func:`h0_slice`
+    over beta up to the cap, so m must reach every intersection number."""
+    ctx, slices = h0_slices(X, arrangement, m, cap)
+    return series_sum(ctx, list(slices))
 
 
 # ---------------------------------------------------------------------------

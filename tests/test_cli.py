@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootstack_gw import ifunctions
+from rootstack_gw import extended, ifunctions
 from rootstack_gw.algebra import GradedSeries
-from rootstack_gw.cli import WRITE_BATCH, run, write_lines
+from rootstack_gw.cli import WRITE_BATCH, run, series_records, series_table, write_lines
 from rootstack_gw.config import ConfigError, JobConfig, config_from_dict, parse_config
 from rootstack_gw.targets import check_coprime
 
@@ -96,7 +96,7 @@ class TestConfig:
         def unreachable(*args):
             raise AssertionError("contact monomials enumerated")
 
-        monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
+        monkeypatch.setattr(extended, "_contact_vectors", unreachable)
         config = write_job(tmp_path, dict(PLANE_JOB, cap=1, m=m))
         assert run(["--config", config, "--command", "invariants"]) == 1
         captured = capsys.readouterr()
@@ -446,7 +446,7 @@ class TestCommands:
         def unreachable(*args):
             raise AssertionError("contact monomials enumerated")
 
-        monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
+        monkeypatch.setattr(extended, "_contact_vectors", unreachable)
         config = write_job(tmp_path, dict(PLANE_JOB, roots=[7, 11], m=6))
         for series, estimate in (
             ("infinity-extended", "10,816,624"),
@@ -595,6 +595,12 @@ class TestWriter:
                 1,
                 "error: contact bound m=3 misses tangency 4 needed at beta=(2,)\n",
             ),
+            (
+                dict(PLANE_JOB, roots=[7, 11], m=3),
+                ["--command", "ifunction", "--series", "infinity-extended-h0"],
+                1,
+                "error: contact bound m=3 misses tangency 4 needed at beta=(2,)\n",
+            ),
             (CUBIC_JOB, ["--command", "invariants"], 2, "error: mirror map nontrivial: "),
             (
                 dict(PLANE_JOB, m=6),
@@ -615,7 +621,7 @@ class TestWriter:
                 "error: contact orders up to m must stay below every root order\n",
             ),
         ],
-        ids=["m-miss", "mirror-map", "budget", "budget-finite", "m-at-root-order"],
+        ids=["m-miss", "h0-m-miss", "mirror-map", "budget", "budget-finite", "m-at-root-order"],
     )
     def test_refusal_writes_nothing(self, tmp_path, capsys, doc, argv, status, message):
         config = write_job(tmp_path, doc)
@@ -649,8 +655,9 @@ class TestWriter:
         def unbuilt(*args, **kwargs):
             raise AssertionError("a whole series was built")
 
-        for name in ("i_root_extended", "i_infinity_extended", "_rows_series"):
+        for name in ("i_root_extended", "i_infinity_extended"):
             monkeypatch.setattr(ifunctions, name, unbuilt)
+        monkeypatch.setattr(extended, "_rows_series", unbuilt)
         monkeypatch.setattr(GradedSeries, "__init__", unbuilt)
         monkeypatch.setattr(GradedSeries, "_trusted", classmethod(unbuilt))
         assert run(args) == 0
@@ -660,6 +667,35 @@ class TestWriter:
             # the count closes the table
             terms = got.count("\n") - 1
             assert got.endswith(f"\n# series {series}: {terms} terms\n")
+
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    def test_h0_series_streams_one_class_at_a_time(
+        self, tmp_path, capsys, monkeypatch, fmt
+    ):
+        # the untwisted extended series is written one class slice at a
+        # time: no whole series is built or summed, and the output is that
+        # of the whole series
+        config = write_job(tmp_path, dict(DIAGONALS_JOB, cap=8))
+        args = ["--config", config, "--command", "ifunction"]
+        args += ["--series", "infinity-extended-h0", "--format", fmt]
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a whole series was built")
+
+        monkeypatch.setattr(ifunctions, "i_infinity_extended_h0", unbuilt)
+        monkeypatch.setattr(ifunctions, "series_sum", unbuilt)
+        assert run(args) == 0
+        got = capsys.readouterr().out
+        monkeypatch.undo()
+        job = config_from_dict(dict(DIAGONALS_JOB, cap=8))
+        X, m = job.target, job.contact_bound()
+        whole = ifunctions.i_infinity_extended_h0(X, job.arrangement, m, 8).class_rows()
+        if fmt == "records":
+            want = series_records(whole)
+        else:
+            want = series_table(whole, X.ring, "infinity-extended-h0")
+        assert got == "".join(line + "\n" for line in want)
+        assert got.count("\n") > 500
 
     def test_empty_report_is_one_newline(self, tmp_path, capsys):
         # at cap 1 the fibre job's only class is 0, which check-identity skips

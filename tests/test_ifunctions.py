@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction as F
@@ -24,19 +25,21 @@ from rootstack_gw import (
     i_root_nonextended,
     enumerate_curve_classes,
 )
-from rootstack_gw import ifunctions
+from rootstack_gw import extended
 from rootstack_gw.algebra import GradedSeries, print_key, print_row
 from rootstack_gw.cli import series_records
-from rootstack_gw.ifunctions import (
+from rootstack_gw.extended import (
     MAX_CONTACT_COMBINATIONS,
-    ExtendedBudgetError,
-    _body_chain,
     _combination_count,
     _contact_vectors,
+    extended_rows,
+)
+from rootstack_gw.ifunctions import (
+    ExtendedBudgetError,
+    _body_chain,
     _weight_degree,
     ConfigurationError,
     ExtendedDataTooSmall,
-    extended_rows,
     h0_slice,
     infinity_slice,
     root_slice,
@@ -335,7 +338,7 @@ class TestExtendedEdges:
             built.append(shifts)
             return _body_chain(X, arrangement, beta, shifts, roots)
 
-        monkeypatch.setattr(ifunctions, "_body_chain", counting)
+        monkeypatch.setattr(extended, "_body_chain", counting)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             i_root_extended(p2, line_conic, RootData((7, 11)), 2, 4, z_floor=-6)
@@ -504,9 +507,8 @@ class TestContactBudget:
     def test_count_matches_enumeration(self, costs, budget):
         per_divisor = [
             [
-                sum(divisor[j - 1] * e for _, j, e in c.xexp)
-                for group in _contact_vectors(i, divisor, budget).values()
-                for c in group
+                sum(divisor[j - 1] * e for _, j, e in xexp)
+                for xexp in _contact_vectors(i, divisor, budget).xexp
             ]
             for i, divisor in enumerate(costs)
         ]
@@ -526,9 +528,9 @@ class TestContactBudget:
         def unreachable(*args):
             raise AssertionError("contact monomials enumerated")
 
-        monkeypatch.setattr(ifunctions, "_contact_vectors", unreachable)
+        monkeypatch.setattr(extended, "_contact_vectors", unreachable)
         with pytest.raises(ExtendedBudgetError, match="up to 251,940 contact"):
-            monkeypatch.setattr(ifunctions, "MAX_CONTACT_COMBINATIONS", 200_000)
+            monkeypatch.setattr(extended, "MAX_CONTACT_COMBINATIONS", 200_000)
             i_infinity_extended(p2, line_conic, 6, 5, z_floor=-7)
         assert MAX_CONTACT_COMBINATIONS == 2_000_000
 
@@ -543,7 +545,7 @@ class TestContactBudget:
         def counted(*args):
             raise Counted
 
-        monkeypatch.setattr(ifunctions, "_contact_vectors", counted)
+        monkeypatch.setattr(extended, "_contact_vectors", counted)
         with pytest.raises(Counted):
             i_root_extended(p2, line_conic, RootData((7, 11)), 6, 2, z_floor=-4)
 
@@ -564,7 +566,7 @@ def _budget_tuples(X, arrangement, m, cap, floor, roots):
         for i, d in enumerate(degs):
             budget += d if roots is None else d * (roots[i] - 1) * (scale // roots[i])
         per_divisor = [
-            {degs[i] - red for red in _contact_vectors(i, costs[i], budget)}
+            {degs[i] - red for red in _contact_vectors(i, costs[i], budget).reduction}
             for i in range(len(degs))
         ]
         for shifts in product(*per_divisor):
@@ -628,7 +630,7 @@ class TestTopZBound:
             built.append((beta, tuple(-s for s in shifts)))
             return _body_chain(X, arrangement, beta, shifts, roots)
 
-        monkeypatch.setattr(ifunctions, "_body_chain", counting)
+        monkeypatch.setattr(extended, "_body_chain", counting)
         series = i_infinity_extended(X, arrangement, 3, 6, z_floor=floor)
         # at infinite order the sector is the negated shift tuple
         yielding = {(k.beta, k.sector) for k in series.terms}
@@ -645,7 +647,7 @@ class TestTopZBound:
             built.append(args[2:4])
             return _body_chain(*args)
 
-        monkeypatch.setattr(ifunctions, "_body_chain", counting)
+        monkeypatch.setattr(extended, "_body_chain", counting)
         series = i_infinity_extended(p1p1, two_diagonals, 4, 8, z_floor=0)
         assert len(built) == len(series) == 9
         tuples = _budget_tuples(p1p1, two_diagonals, 4, 8, 0, None)
@@ -657,17 +659,13 @@ class TestTopZBound:
         self, factors, coeffs, orders, finite, monkeypatch
     ):
         # the up-front count is an upper bound on the combinations each class
-        # actually forms; each one formed keeps a term of its own contact
-        # monomial, so they also number the distinct (class, monomial) pairs
+        # keeps a term of
         X, arrangement = _job(factors, coeffs)
         roots = orders if finite else None
-        series, formed, counted = _formed_and_counted(
-            X, arrangement, 3, 6, -2, roots, monkeypatch
-        )
+        formed, counted = _formed_and_counted(X, arrangement, 3, 6, -2, roots, monkeypatch)
         assert len(formed) > 1
         for beta, n in formed.items():
             assert n <= counted[beta], beta
-        assert sum(formed.values()) == len({(k.beta, k.xexp) for k in series.terms})
 
     @pytest.mark.parametrize("m, cap, floor", [(3, 6, -2), (2, 4, -6), (3, 5, 0)])
     @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
@@ -677,30 +675,18 @@ class TestTopZBound:
     ):
         X, arrangement = _job(factors, coeffs)
         roots = orders if finite else None
-        _, formed, counted = _formed_and_counted(
+        formed, counted = _formed_and_counted(
             X, arrangement, m, cap, floor, roots, monkeypatch
         )
         assert 0 < sum(counted.values()) <= 8 * sum(formed.values())
 
 
 def _formed_and_counted(X, arrangement, m, cap, floor, roots, monkeypatch):
-    """(series, formed, counted): the extended series, the contact
-    combinations its builder forms per class, and the builder's up-front
-    count per class."""
-    current = []
-    formed = Counter()
+    """(formed, counted): the contact combinations the extended series keeps
+    a term of, as its distinct (class, contact monomial) pairs per class,
+    and the builder's up-front count per class."""
     counted = {}
-    real_combinations = ifunctions._combinations
-    real_check = ifunctions._check_contact_budget
-
-    def body(X, arrangement, beta, shifts, roots):
-        current[:] = [beta]
-        return _body_chain(X, arrangement, beta, shifts, roots)
-
-    def combinations(*args):
-        for item in real_combinations(*args):
-            formed[current[0]] += 1
-            yield item
+    real_check = extended._check_contact_budget
 
     def check(costs, budgets):
         # the budgets come in the order of the classes
@@ -708,11 +694,10 @@ def _formed_and_counted(X, arrangement, m, cap, floor, roots, monkeypatch):
             counted[beta] = _combination_count(costs, budget, 10**7)[0]
         real_check(costs, budgets)
 
-    monkeypatch.setattr(ifunctions, "_body_chain", body)
-    monkeypatch.setattr(ifunctions, "_combinations", combinations)
-    monkeypatch.setattr(ifunctions, "_check_contact_budget", check)
+    monkeypatch.setattr(extended, "_check_contact_budget", check)
     series = _build(X, arrangement, m, cap, floor, roots)
-    return series, formed, counted
+    formed = Counter(beta for beta, _ in {(k.beta, k.xexp) for k in series.terms})
+    return formed, counted
 
 
 def _whole_records(series):
@@ -743,6 +728,7 @@ class TestExtendedRows:
         got, betas = {}, []
         for beta, rows in classes:
             betas.append(beta)
+            rows = list(rows)
             # keys are unique within a class, so the rows increase strictly
             assert all(a < b for a, b in zip(rows, rows[1:])), beta
             for negz, mono, xexp, sector, lam, c in rows:
@@ -750,6 +736,20 @@ class TestExtendedRows:
                 got[(beta, -negz, xexp, sector, mono)] = c
         assert betas == enumerate_curve_classes(X, 4)
         assert got == extended_series(factors, coeffs, 2, 4, -2, roots)
+
+    def test_rows_are_never_held(self, p2, line_conic):
+        # the README job at cap 4 (m 6, the command line's floor -6): its
+        # records are written holding one class's bodies and contact lists,
+        # never the class's rows (the larger of its two classes has 70,366)
+        classes = extended_rows(p2, line_conic, 6, 4, -6)[1]
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in series_records(classes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 120_754
+        assert peak < 4_000_000, peak
 
     @pytest.mark.parametrize(
         "factors, coeffs, roots, m, cap, floor, folds",

@@ -99,6 +99,14 @@ CONIC_JOB = {
     "cap": 3,
 }
 
+LINE_CONIC_JOB = {
+    "target": {"factors": [2]},
+    "divisors": [{"name": "L", "coeffs": [1]}, {"name": "C", "coeffs": [2]}],
+    "roots": [7, 11],
+    "cap": 3,
+    "m": 3,
+}
+
 
 def fresh_modules(code: str, *args: str) -> set[str]:
     """Run ``code`` in a fresh interpreter; it binds ``before``, the modules
@@ -137,16 +145,20 @@ def test_cli_import_loads_five_modules():
     }
 
 
+# (command, job, modules it never loads, a line of its report): only the
+# commands that build an extended series load the extended builder
 @pytest.mark.parametrize(
-    "command, never",
+    "command, job, never, marker",
     [
-        ("check-identity", {"invariants", "periods"}),
-        ("stabilize", {"identities", "periods"}),
+        ("check-identity", CONIC_JOB, {"invariants", "periods", "extended"}, "ok"),
+        ("stabilize", CONIC_JOB, {"identities", "periods", "extended"}, "ok"),
+        ("period", LINE_CONIC_JOB, {"identities", "extended"}, "quantum[0] = 1"),
+        ("compare-periods", LINE_CONIC_JOB, {"identities", "extended"}, "ok"),
     ],
 )
-def test_command_loads_only_what_it_runs(tmp_path, command, never):
-    config = tmp_path / "conic.json"
-    config.write_text(json.dumps(CONIC_JOB), encoding="utf-8")
+def test_command_loads_only_what_it_runs(tmp_path, command, job, never, marker):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(job), encoding="utf-8")
     code = (
         "from rootstack_gw.cli import run\n"
         "status = run(['--config', sys.argv[1], '--command', sys.argv[2], "
@@ -156,16 +168,7 @@ def test_command_loads_only_what_it_runs(tmp_path, command, never):
     loaded = fresh_modules(code, str(config), command, str(tmp_path / "out.txt"))
     ran = {name.split(".")[1] for name in package_modules(loaded) if "." in name}
     assert not ran & never
-    assert (tmp_path / "out.txt").read_text(encoding="utf-8").count("ok") >= 1
-
-
-LINE_CONIC_JOB = {
-    "target": {"factors": [2]},
-    "divisors": [{"name": "L", "coeffs": [1]}, {"name": "C", "coeffs": [2]}],
-    "roots": [7, 11],
-    "cap": 3,
-    "m": 3,
-}
+    assert marker in (tmp_path / "out.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
