@@ -13,15 +13,21 @@ Schema::
 Every violation is reported with the offending field path.  This module
 checks the JSON shapes only; the domain checks (positivity, nef divisors,
 distinct names, admissible root orders) belong to ``targets``.
+
+``json`` is imported by :func:`parse_config` and ``targets`` by the
+functions that build its objects, so a command that reads no job, such as
+``laurent-period``, loads neither.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .algebra import Record
-from .targets import Divisor, DivisorArrangement, RootData, TargetSpace
+from .records import Record
+
+if TYPE_CHECKING:
+    from .targets import DivisorArrangement, RootData, TargetSpace
 
 MAX_CAP = 64
 
@@ -91,6 +97,8 @@ def check_cap(cap) -> int:
 
 def roots_for(orders: tuple[int, ...], arrangement: DivisorArrangement) -> RootData:
     """Root data admissible for the arrangement, or a ConfigError on ``roots``."""
+    from .targets import RootData
+
     roots = _domain("roots", RootData, orders)
     _domain("roots", roots.validate_for, arrangement)
     return roots
@@ -111,6 +119,8 @@ def parse_config(source: str | Path) -> JobConfig:
     Text that cannot name a file (too long for a path, or holding a NUL
     byte) is read as inline JSON.
     """
+    import json
+
     text = source
     path = Path(str(source))
     try:
@@ -132,6 +142,8 @@ def parse_config(source: str | Path) -> JobConfig:
 
 
 def config_from_dict(doc) -> JobConfig:
+    from .targets import Divisor, DivisorArrangement, TargetSpace
+
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
     unknown = set(doc) - {"target", "divisors", "roots", "cap", "m"}
     _expect(not unknown, "document", f"unknown fields {sorted(unknown)}")

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedSeries, Record, SeriesContext, TermKey, series_sum
+from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
 from .ifunctions import h0_body, infinity_slice, relative_slice
+from .records import Record
 from .targets import ConfigurationError, DivisorArrangement, TargetSpace, _j_chain
 
 

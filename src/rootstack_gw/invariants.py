@@ -1,15 +1,14 @@
-"""Mirror-map analysis and extraction of genus-zero invariants.
+"""Extraction of genus-zero invariants, and large-order stabilization.
 
 A generating series equals the one-point descendant series only when its
-mirror map is trivial, meaning the z^0 part consists of nothing but the bare
-contact-variable insertions and no positive z powers survive beyond the
-dilaton term.  When that holds, the coefficient of z^{-a-1} against a basis
-direction encodes a one-point invariant with a psi-power a, and the
-multinomial weights of the contact variables are undone by multiplying with
-the factorials of their exponents.
+mirror map is trivial.  When that holds, the coefficient of z^{-a-1}
+against a basis direction encodes a one-point invariant with a psi-power a,
+and the multinomial weights of the contact variables are undone by
+multiplying with the factorials of their exponents.
 
-Nontrivial mirror maps are detected and rejected with a precise diagnostic;
-no resummation is ever attempted.
+The mirror-map certificate lives in :mod:`rootstack_gw.mirror`, which the
+period pipeline loads without this module; its public names are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -20,13 +19,17 @@ from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .algebra import (
-    CohClass, ContractError, GradedSeries, Record, TermKey, print_key, series_sum
-)
+from .algebra import CohClass, ContractError, GradedSeries, TermKey
 from .ifunctions import (
-    _tilings, attach_tilings, check_contact_bound, h0_body, i_infinity_extended,
-    infinity_slice, root_slice,
+    _tilings, check_contact_bound, h0_body, i_infinity_extended, infinity_slice, root_slice,
 )
+from .mirror import (
+    MirrorMapReport,
+    UnsupportedMirrorMapError,
+    contact_one_counts,
+    mirror_map,
+)
+from .records import Record
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -35,90 +38,6 @@ from .targets import (
     check_assumption,
     enumerate_curve_classes,
 )
-
-
-class UnsupportedMirrorMapError(ValueError):
-    """The mirror map is nontrivial; resummation is out of scope here."""
-
-    exit_status = 2  # the command line's exit status for this refusal
-
-
-class MirrorMapReport(Record):
-    """Split of a series by z-degree around the dilaton term."""
-
-    dilaton_ok: bool
-    contact_units: tuple[TermKey, ...]
-    z_zero_extra: GradedSeries
-    z_positive_extra: GradedSeries
-
-    @property
-    def trivial(self) -> bool:
-        return (
-            self.dilaton_ok
-            and self.z_zero_extra.is_zero
-            and self.z_positive_extra.is_zero
-        )
-
-    def explain(self) -> str:
-        if self.trivial:
-            return "mirror map is trivial"
-        from heapq import nsmallest
-
-        bits = []
-        if not self.dilaton_ok:
-            bits.append("dilaton term z is missing or has coefficient != 1")
-        for key, c in nsmallest(3, self.z_zero_extra.terms.items(), key=print_key):
-            bits.append(f"z^0 term {c} at {key}")
-        for key, c in nsmallest(3, self.z_positive_extra.terms.items(), key=print_key):
-            bits.append(f"positive-z term {c} at {key}")
-        return "mirror map nontrivial: " + "; ".join(bits)
-
-    def require_trivial(self) -> None:
-        """Refuse a nontrivial mirror map, naming its offending terms."""
-        if not self.trivial:
-            raise UnsupportedMirrorMapError(
-                self.explain() + "; Birkhoff factorization unsupported"
-            )
-
-
-def _is_contact_unit(ctx, key: TermKey) -> bool:
-    """A beta=0 term x_{ij} z^0 sitting in the sector the contact order shifts to."""
-    if any(key.beta) or key.zpow != 0 or any(key.lam):
-        return False
-    if key.mono != ctx.ring.zero_mono or len(key.xexp) != 1:
-        return False
-    i, j, e = key.xexp[0]
-    if e != 1:
-        return False
-    expected = [0] * ctx.divisors
-    expected[i] = j % ctx.roots[i] if ctx.roots is not None else j
-    return key.sector == tuple(expected)
-
-
-def mirror_map(series: GradedSeries) -> MirrorMapReport:
-    """Split the series by z-degree and test the trivial form."""
-    ctx = series.ctx
-    dilaton_key = ctx.zero_key()._replace(zpow=1)
-    dilaton_ok = series.terms.get(dilaton_key, Fraction(0)) == 1
-    units = []
-    zero_extra = {}
-    positive_extra = {}
-    for key, c in series.terms.items():
-        if key.zpow < 0 or key == dilaton_key:
-            continue
-        if key.zpow == 0 and c == 1 and _is_contact_unit(ctx, key):
-            units.append(key)
-            continue
-        if key.zpow == 0:
-            zero_extra[key] = c
-        else:
-            positive_extra[key] = c
-    return MirrorMapReport(
-        dilaton_ok=dilaton_ok,
-        contact_units=tuple(sorted(units)),
-        z_zero_extra=GradedSeries(ctx, zero_extra),
-        z_positive_extra=GradedSeries(ctx, positive_extra),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +217,6 @@ def invariant_rows(
             yield beta, rows, flagged
 
     return classes()
-
-
-def contact_one_counts(
-    X: TargetSpace, arrangement: DivisorArrangement, cap: int
-) -> dict[tuple[int, ...], Fraction]:
-    """The value :func:`n_orb` returns for every class up to the cap, read
-    without its other refusals: the untwisted z^1 coefficient with
-    insertion 1 of each class body.
-
-    The tiling prod_i x_{i1}^{d_i} moves that body term to z^-(d-1) with
-    weight 1/prod_i d_i!, and extraction multiplies the weight back.  The
-    same bodies certify the mirror map of the untwisted extended limit
-    series up to the cap: only its terms at z^0 and above decide it, so
-    each body's tilings are attached at z floor 0, with contact orders up
-    to the class's own largest intersection number.  Refused unless that
-    mirror map is trivial.
-    """
-    ctx = X.context(arrangement.n, cap)
-    floored = X.context(arrangement.n, cap, z_floor=0)
-    counts = {}
-    slices = []
-    for beta in enumerate_curve_classes(X, cap):
-        body = h0_body(X, arrangement, beta, ctx)
-        key = ctx.zero_key()._replace(beta=beta, zpow=1)
-        counts[beta] = body.terms.get(key, Fraction(0))
-        degs = arrangement.degrees(beta)
-        slices.append(attach_tilings(body, degs, max(1, *degs), floored))
-    mirror_map(series_sum(floored, slices)).require_trivial()
-    return counts
 
 
 def n_orb(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 from math import gcd
 
-from .algebra import AmbientRing, CohClass, GradedSeries, Record, SeriesContext, _Chain
+from .algebra import AmbientRing, CohClass, GradedSeries, SeriesContext, _Chain
+from .records import Record
 
 
 class ConfigurationError(ValueError):

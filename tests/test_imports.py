@@ -108,15 +108,18 @@ LINE_CONIC_JOB = {
 }
 
 
-def fresh_modules(code: str, *args: str) -> set[str]:
+def load_order(code: str, *args: str) -> list[str]:
     """Run ``code`` in a fresh interpreter; it binds ``before``, the modules
-    loaded at start-up.  Returns the modules loaded since."""
+    loaded at start-up.  Returns the modules loaded since, in the order of
+    ``sys.modules``: a module takes its place there when it has run, after
+    the modules it imports."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         + code
-        + "\nimport json\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        + "\nloaded = [name for name in sys.modules if name not in before]\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
@@ -127,68 +130,107 @@ def fresh_modules(code: str, *args: str) -> set[str]:
         timeout=120,
         check=True,
     )
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def fresh_modules(code: str, *args: str) -> set[str]:
+    """The modules ``code`` loads in a fresh interpreter (see load_order)."""
+    return set(load_order(code, *args))
 
 
 def package_modules(loaded: set[str]) -> set[str]:
     return {name for name in loaded if name.split(".")[0] == "rootstack_gw"}
 
 
-def test_cli_import_loads_five_modules():
+def test_cli_import_loads_no_domain_module():
+    # ``targets`` waits until a job is read
     loaded = fresh_modules("import rootstack_gw.cli")
     assert package_modules(loaded) == {
         "rootstack_gw",
         "rootstack_gw.cli",
         "rootstack_gw.config",
-        "rootstack_gw.targets",
         "rootstack_gw.algebra",
+        "rootstack_gw.records",
     }
 
 
+RUN_CODE = (
+    "from rootstack_gw.cli import run\n"
+    "status = run(sys.argv[1:])\n"
+    "assert status == 0, status\n"
+)
+
+
+def command_argv(tmp_path, command: str, job: dict | None) -> list[str]:
+    """The arguments of one job writing its table to ``tmp_path / out.txt``;
+    with no job, the Laurent period of x + 1/x."""
+    if job is None:
+        argv = ["--laurent", "x+1/x", "--cap", "4"]
+    else:
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps(job), encoding="utf-8")
+        argv = ["--config", str(config)]
+    return ["--command", command, *argv, "--out", str(tmp_path / "out.txt")]
+
+
 # (command, job, modules it never loads, a line of its report): only the
-# commands that build an extended series load the extended builder
+# commands that build an extended series load the extended builder, and
+# the period commands take their certificate without the invariant tables.
+# The Laurent period reads no job: no domain objects and no JSON.
 @pytest.mark.parametrize(
     "command, job, never, marker",
     [
         ("check-identity", CONIC_JOB, {"invariants", "periods", "extended"}, "ok"),
         ("stabilize", CONIC_JOB, {"identities", "periods", "extended"}, "ok"),
-        ("period", LINE_CONIC_JOB, {"identities", "extended"}, "quantum[0] = 1"),
-        ("compare-periods", LINE_CONIC_JOB, {"identities", "extended"}, "ok"),
+        ("period", LINE_CONIC_JOB, {"identities", "invariants", "extended"}, "quantum[0] = 1"),
+        ("compare-periods", LINE_CONIC_JOB, {"identities", "invariants", "extended"}, "ok"),
+        (
+            "laurent-period",
+            None,
+            {
+                "targets",
+                "periods",
+                "mirror",
+                "invariants",
+                "ifunctions",
+                "identities",
+                "extended",
+                "json",
+            },
+            "laurent[4] = 6",
+        ),
     ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, job, never, marker):
-    config = tmp_path / "job.json"
-    config.write_text(json.dumps(job), encoding="utf-8")
-    code = (
-        "from rootstack_gw.cli import run\n"
-        "status = run(['--config', sys.argv[1], '--command', sys.argv[2], "
-        "'--out', sys.argv[3]])\n"
-        "assert status == 0, status\n"
-    )
-    loaded = fresh_modules(code, str(config), command, str(tmp_path / "out.txt"))
+    loaded = fresh_modules(RUN_CODE, *command_argv(tmp_path, command, job))
     ran = {name.split(".")[1] for name in package_modules(loaded) if "." in name}
-    assert not ran & never
+    assert not (ran | loaded) & never
     assert marker in (tmp_path / "out.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [None, "compare-periods"])
+def test_algebra_is_compiled_before_json_and_argparse(tmp_path, command):
+    # a module takes its place in sys.modules when it has run, so algebra
+    # coming first means it was compiled before either was imported
+    if command is None:
+        order = load_order("import rootstack_gw.cli")
+        assert "json" not in order
+    else:
+        order = load_order(RUN_CODE, *command_argv(tmp_path, command, LINE_CONIC_JOB))
+        assert "json" in order
+    first = order.index("rootstack_gw.algebra")
+    assert all(order.index(name) > first for name in ("json", "argparse") if name in order)
+    assert "argparse" in order
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_no_command_loads_dataclasses_or_inspect(tmp_path, command):
-    if command == "laurent-period":
-        argv = ["--laurent", "x+1/x", "--cap", "4"]
-    else:
-        config = tmp_path / "line_conic.json"
-        config.write_text(json.dumps(LINE_CONIC_JOB), encoding="utf-8")
-        argv = ["--config", str(config)]
-        if command == "ifunction":
-            argv += ["--series", "root"]
-    code = (
-        "from rootstack_gw.cli import run\n"
-        "status = run(sys.argv[1:])\n"
-        "assert status == 0, status\n"
-    )
-    out = tmp_path / "out.txt"
-    loaded = fresh_modules(code, "--command", command, *argv, "--out", str(out))
-    assert out.read_text(encoding="utf-8")
+    job = None if command == "laurent-period" else LINE_CONIC_JOB
+    argv = command_argv(tmp_path, command, job)
+    if command == "ifunction":
+        argv += ["--series", "root"]
+    loaded = fresh_modules(RUN_CODE, *argv)
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8")
     assert not loaded & {"dataclasses", "inspect"}
 
 

@@ -24,7 +24,7 @@ from rootstack_gw import (
     n_orb,
     stabilization_check,
 )
-from rootstack_gw import cli, ifunctions, invariants
+from rootstack_gw import cli, ifunctions, invariants, mirror
 from rootstack_gw.algebra import ContractError, GradedSeries, print_key
 from rootstack_gw.cli import run
 from rootstack_gw.invariants import invariant_rows
@@ -348,10 +348,11 @@ class TestInvariantRows:
         def whole_series(*args):
             raise AssertionError("a whole-cap or per-tiling series was built")
 
-        monkeypatch.setattr(invariants, "mirror_map", counted)
+        for module in (invariants, mirror):
+            monkeypatch.setattr(module, "mirror_map", counted)
         # neither the two whole series nor a class's series of tilings
         names = ("i_infinity_extended_h0", "i_infinity_nonextended", "h0_slice", "attach_tilings")
-        for module in (ifunctions, invariants):
+        for module in (ifunctions, invariants, mirror):
             for name in names:
                 monkeypatch.setattr(module, name, whole_series, raising=False)
         job = {

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from rootstack_gw import (
     quantum_period,
     regularize,
 )
-from rootstack_gw import ifunctions, invariants
+from rootstack_gw import ifunctions, invariants, mirror
 from rootstack_gw.ifunctions import h0_body
 from rootstack_gw.targets import _j_chain, enumerate_curve_classes
 
@@ -102,7 +102,7 @@ class TestClassicalPeriod:
             calls.append(beta)
             return h0_body(X, arrangement, beta, ctx)
 
-        for module in (ifunctions, invariants):
+        for module in (ifunctions, invariants, mirror):
             monkeypatch.setattr(module, "h0_body", counted)
         classical_period_orbifold(p1p1, two_diagonals, 10)
         assert sorted(calls) == enumerate_curve_classes(p1p1, 10)
@@ -268,6 +268,60 @@ def test_integer_powers_match_mul(text, cap):
 @given(laurent_polynomials(), st.integers(1, 6))
 def test_integer_powers_match_mul_on_random_polynomials(f, cap):
     assert laurent_classical_period(f, cap).coeffs == _powers_by_mul(f, cap)
+
+
+class TestHalfPowers:
+    """The constant terms come from half powers whose exponent vectors are
+    coded as integers; ``_powers_by_mul`` stays the independent reference."""
+
+    def test_plane_mirror_at_the_top_cap(self):
+        seq = laurent_classical_period(LaurentPolynomial.parse("x+y+1/(x*y)"), 64)
+        want = [
+            F(factorial(d), factorial(d // 3) ** 3) if d % 3 == 0 else F(0)
+            for d in range(65)
+        ]
+        assert list(seq.coeffs) == want
+
+    def test_quadric_mirror_at_the_top_cap(self):
+        seq = laurent_classical_period(LaurentPolynomial.parse("x+1/x+y+1/y"), 64)
+        want = [F(comb(d, d // 2) ** 2) if d % 2 == 0 else F(0) for d in range(65)]
+        assert list(seq.coeffs) == want
+
+    # Every variable reaches both +reach and -reach.  The half powers paired
+    # at degree d have entries up to (d-1)*reach and d*reach in size when d
+    # is odd, both d*reach/2 when d is even, so a code base of cap*reach or
+    # less lets two distinct vectors share a code; on the first polynomial
+    # that changes the constant terms at both caps.
+    @pytest.mark.parametrize("cap", [7, 8])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2/3*x^2*y^2 + x*y^-2/2 + 2*x^-1*y + x^-2*y + x^-2/5 + x^-2*y^-1/2",
+            "x^3/2 - 2/3*x^-3*y^3 + y^-3*z^3 + 5/7*z^-3 - x*y^-1*z^2 + 1/4",
+        ],
+    )
+    def test_full_reach_in_several_variables_matches_mul(self, text, cap):
+        f = LaurentPolynomial.parse(text)
+        reach = max(abs(e) for key, _ in f.terms for e in key)
+        for i in range(len(f.variables)):
+            assert {reach, -reach} <= {key[i] for key, _ in f.terms}
+        assert laurent_classical_period(f, cap).coeffs == _powers_by_mul(f, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 64])
+    def test_constant_polynomial(self, cap):
+        for f in (
+            LaurentPolynomial.parse("3/2"),
+            LaurentPolynomial.from_dict(("x", "y"), {(0, 0): F(3, 2)}),
+        ):
+            seq = laurent_classical_period(f, cap)
+            assert seq.coeffs == tuple(F(3, 2) ** d for d in range(cap + 1))
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 64])
+    def test_zero_polynomial(self, cap):
+        for f in (LaurentPolynomial.parse("x - x"), LaurentPolynomial.from_dict((), {})):
+            assert f.terms == ()
+            seq = laurent_classical_period(f, cap)
+            assert seq.coeffs == (F(1),) + (F(0),) * cap
 
 
 def test_quadric_laurent_matches_regularized(p1p1, two_diagonals):
