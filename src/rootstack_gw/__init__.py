@@ -61,14 +61,12 @@ _EXPORTS = {
         "n_orb",
         "stabilization_check",
     ),
+    "laurent": ("LaurentPolynomial", "PeriodSequence", "laurent_classical_period"),
     "periods": (
-        "LaurentPolynomial",
         "PeriodComparison",
         "PeriodError",
-        "PeriodSequence",
         "classical_period_orbifold",
         "compare_periods",
-        "laurent_classical_period",
         "quantum_period",
         "regularize",
     ),

@@ -10,32 +10,34 @@ two-positive-pairings condition fails).  An error sets its own status in
 
 Each command imports the modules it runs when it runs, so a job loads and
 compiles only those: ``laurent-period`` reads no job file and loads only
-``config``, ``algebra``, ``records`` and ``laurent`` beside this module.
+``config``, ``algebra`` (with ``series``, ``ring`` and ``chain``),
+``records`` and ``laurent`` beside this module.  The report renderers live
+in :mod:`rootstack_gw.report`, which only ``ifunction`` and ``invariants``
+import.
 """
 
 from __future__ import annotations
 
 # ``algebra`` comes first, before any standard-library import and before
 # ``config``.  When no bytecode cache is written, every job compiles its
-# modules from source.  Compiling ``algebra``, the largest, raises a fresh
-# interpreter's resident set by about 2.3 MB that is never given back, and
-# the smaller compiles and imports after it reuse that memory; so a child's
-# peak resident set is lowest when ``algebra`` is compiled on the smallest
-# heap: loading ``config`` and ``json`` before it raises a
-# ``compare-periods`` child's peak by about 0.5 MB.
+# modules from source.  A compile raises a fresh interpreter's resident set
+# by about 2.5 KB per source line, never given back, and the smaller
+# compiles and imports after it reuse that memory; so a child's peak
+# resident set is lowest when its largest compile runs on the smallest
+# heap.  That is ``series``, which ``algebra`` imports first (468 lines,
+# about 1.3 MB); loading ``config`` and ``json`` before it raises the peak
+# of a ``period``, ``check-identity`` or ``stabilize`` job by about 0.2 MB.
 from . import algebra
 from .config import ConfigError, JobConfig, check_cap, parse_config, parse_roots
+from .records import fmt_ints, fmt_rat
 
 import argparse
 import sys
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .algebra import TermKey
     from .targets import RootData
 
 COMMANDS = (
@@ -64,149 +66,6 @@ SERIES_CHOICES = (
 )
 
 
-def fmt_rat(q: Fraction, records: bool) -> str:
-    if records or q.denominator != 1:
-        return f"{q.numerator}/{q.denominator}"
-    return str(q.numerator)
-
-
-def fmt_ints(values: tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in values) if values else "-"
-
-
-def fmt_contact(triple: tuple[int, int, int]) -> str:
-    i, j, e = triple
-    return f"{i + 1}:{j}^{e}"
-
-
-def fmt_xexp(xexp: tuple[tuple[int, int, int], ...]) -> str:
-    return ",".join(map(fmt_contact, xexp)) if xexp else "-"
-
-
-class _Memo(dict):
-    """``fmt`` of each value, formatted on the first lookup and kept."""
-
-    __slots__ = ("fmt",)
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, value):
-        text = self[value] = self.fmt(value)
-        return text
-
-
-class _RecordFields:
-    """Record fields formatted once per distinct value.
-
-    The rows of one report repeat few curve classes, sectors, monomials and
-    contact triples, so each of those strings is kept for the report; a
-    row's whole line never is.  Coefficients are formatted row by row:
-    hashing a ``Fraction`` costs more than formatting it.
-    """
-
-    def __init__(self):
-        self.ints = _Memo(fmt_ints)
-        self.contact = _Memo(fmt_contact).__getitem__
-
-    def xexp(self, xexp: tuple[tuple[int, int, int], ...]) -> str:
-        return ",".join(map(self.contact, xexp)) if xexp else "-"
-
-    def key(self, key: TermKey) -> tuple[str, ...]:
-        ints = self.ints
-        beta, zpow, xexp, sector, mono, lam = key
-        return (
-            ints[beta], str(zpow), self.xexp(xexp), ints[sector], ints[mono], ints[lam]
-        )
-
-
-def series_records(classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]]) -> Iterator[str]:
-    """Records of a series given as (beta, rows) per class, as
-    :meth:`GradedSeries.class_rows` and :func:`extended.extended_rows`
-    give them."""
-    fields = _RecordFields()
-    ints, xexps = fields.ints, fields.xexp
-    for beta, rows in classes:
-        head = "term\t" + ints[beta] + "\t"
-        for negz, mono, xexp, sector, lam, c in rows:
-            yield (
-                f"{head}{-negz}\t{xexps(xexp)}\t{ints[sector]}\t{ints[mono]}\t"
-                f"{ints[lam]}\t{c.numerator}/{c.denominator}"
-            )
-
-
-def series_table(
-    classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]], ring, name: str
-) -> Iterator[str]:
-    """The human table of the same classes; the term count, known only at
-    the end, follows on a trailing line."""
-    count = 0
-    for beta, rows in classes:
-        head = "Q^(" + fmt_ints(beta) + ")" if any(beta) else None
-        for negz, mono, xexp, sector, lam, c in rows:
-            count += 1
-            bits = [fmt_rat(c, records=False)]
-            if head:
-                bits.append(head)
-            if negz:
-                bits.append(f"z^{-negz}")
-            for i, j, e in xexp:
-                bits.append(f"x[{i + 1},{j}]" + (f"^{e}" if e > 1 else ""))
-            for i, l in enumerate(lam):
-                if l:
-                    bits.append(f"lam{i + 1}" + (f"^{l}" if l > 1 else ""))
-            text = ring.render_mono(mono)
-            if text != "1":
-                bits.append(text)
-            if any(sector):
-                bits.append("[" + fmt_ints(sector) + "]")
-            yield " ".join(bits)
-    yield f"# series {name}: {count} terms"
-
-
-def invariant_records(classes) -> Iterator[str]:
-    """Records of the (beta, rows, flagged) classes of
-    :func:`invariants.invariant_rows`, their values formatted by
-    ``fmt_rat(value, records=True)``; the flagged keys of all of them
-    follow, sorted, at the end."""
-    fields = _RecordFields()
-    ints, xexps = fields.ints, fields.xexp
-    flagged = []
-    for beta, rows, flags in classes:
-        head = "invariant\t" + ints[beta] + "\t"
-        last = None
-        for xexp, psi, insertion, sector, value in rows:
-            # the rows of one contact monomial come together
-            if xexp is not last:
-                last, lead = xexp, head + xexps(xexp) + "\t"
-            yield f"{lead}{ints[insertion]}\t{psi}\t{ints[sector]}\t{value}"
-        flagged += flags
-    for key in sorted(flagged):
-        yield "flagged\t" + "\t".join(fields.key(key))
-
-
-def invariant_table(classes, ring) -> Iterator[str]:
-    """The human table of the same classes, values formatted by
-    ``fmt_rat(value, records=False)``, with the flagged count last."""
-    inserts = _Memo(ring.render_mono)
-    flagged = 0
-    for beta, rows, flags in classes:
-        head = f"beta=({fmt_ints(beta)})"
-        for xexp, psi, insertion, sector, value in rows:
-            parts = [head]
-            if xexp:
-                parts.append("contacts " + fmt_xexp(xexp))
-            parts.append(f"insert {inserts[insertion]}")
-            parts.append(f"psi^{psi}")
-            if any(sector):
-                parts.append(f"sector ({fmt_ints(sector)})")
-            yield "  ".join(parts) + f"  = {value}"
-        flagged += len(flags)
-    if flagged:
-        yield f"# {flagged} term(s) flagged for manual review"
-
-
 # ---------------------------------------------------------------------------
 # Command implementations.  Each makes every check that can refuse, then
 # returns (exit_status, lines); the lines are produced as they are written
@@ -214,43 +73,9 @@ def invariant_table(classes, ring) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-def _series_classes(job: JobConfig, name: str):
-    """The series ``name`` as (beta, rows) per class, every refusal made.
-    The extended series come straight from their builders, one class at a
-    time; the other families are built whole, then walked by class."""
-    X, arr, cap = job.target, job.arrangement, job.cap
-    m = job.contact_bound()
-    floor = -(cap + 2)
-    if name in ("root-extended", "infinity-extended"):
-        from .extended import extended_rows
-
-        roots = job.require_roots() if name == "root-extended" else None
-        return extended_rows(X, arr, m, cap, floor, roots)[1]
-    from .ifunctions import (
-        h0_slices,
-        i_infinity_nonextended,
-        i_local,
-        i_relative_smooth,
-        i_root_nonextended,
-    )
-
-    if name == "infinity-extended-h0":
-        slices = h0_slices(X, arr, m, cap)[1]
-        return chain.from_iterable(part.class_rows() for part in slices)
-    if name == "root":
-        series = i_root_nonextended(X, arr, job.require_roots(), cap)
-    elif name == "infinity":
-        series = i_infinity_nonextended(X, arr, cap)
-    elif name == "relative":
-        series = i_relative_smooth(X, arr, cap)
-    elif name == "local":
-        series = i_local(X, arr, cap)
-    else:
-        raise ConfigError(f"unknown series {name!r}")
-    return series.class_rows()
-
-
 def cmd_ifunction(job: JobConfig, args) -> tuple[int, Iterable[str]]:
+    from .report import _series_classes, series_records, series_table
+
     name = args.series or ("root" if job.roots is not None else "infinity")
     classes = _series_classes(job, name)
     if args.format == "records":
@@ -260,6 +85,7 @@ def cmd_ifunction(job: JobConfig, args) -> tuple[int, Iterable[str]]:
 
 def cmd_invariants(job: JobConfig, args) -> tuple[int, Iterable[str]]:
     from .invariants import invariant_rows
+    from .report import invariant_records, invariant_table
 
     X = job.target
     records = args.format == "records"

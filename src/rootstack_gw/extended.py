@@ -305,7 +305,7 @@ def extended_rows(
     """(ctx, classes): the extended series of the root stack at the orders
     ``roots``, or its infinite-order limit (``roots`` None), with contact
     orders 1..m, as (beta, rows) per curve class in lex order, the class's
-    terms an iterator of :func:`~rootstack_gw.algebra.print_row` rows in
+    terms an iterator of :func:`~rootstack_gw.series.print_row` rows in
     print order, to be read before the next class.  Every refusal comes
     first, so the iterator never raises.
 

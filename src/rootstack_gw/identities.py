@@ -28,7 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
-from .ifunctions import h0_body, infinity_slice, relative_slice
+from .h0 import h0_body
+from .ifunctions import infinity_slice, relative_slice
 from .records import Record
 from .targets import ConfigurationError, DivisorArrangement, TargetSpace, _j_chain
 

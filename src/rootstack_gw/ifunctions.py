@@ -14,12 +14,15 @@ Each closed-form family has a per-class ``<family>_slice(X, arrangement,
 [m,] beta, ctx)`` that returns one curve class's terms and leaves input
 validation to its caller; its capped builder validates and sums the slices
 over the classes in the cap.  A slice is one dense chain (the target slice
-times the divisor weights, see :class:`~rootstack_gw.algebra._Chain`),
+times the divisor weights, see :class:`~rootstack_gw.chain._Chain`),
 turned into a series once, in its sector.  The extended series are built
 from the same chains by :mod:`rootstack_gw.extended`, one body chain per
 tuple of net shifts that can reach the z floor, one curve class at a time;
 :func:`i_root_extended` and :func:`i_infinity_extended` import it when they
-are called, so a program that never builds them never loads it.
+are called, so a program that never builds them never loads it.  The
+untwisted extended limit (one body per class, every contact tiling
+attached) lives in :mod:`rootstack_gw.h0`; :func:`i_infinity_extended_h0`
+is looked up there when it is first read from this module.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -34,12 +37,8 @@ from __future__ import annotations
 
 import sys
 import warnings
-from fractions import Fraction
-from itertools import product
-from math import factorial, prod
-from typing import Iterator
 
-from .algebra import GradedSeries, SeriesContext, TermKey, _Chain, series_sum
+from .algebra import GradedSeries, SeriesContext, _Chain, series_sum
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -173,7 +172,7 @@ def _weight_degree(d: int, shift: int, r: int | None) -> int:
 
 
 # The modules whose frames a builder's warning skips.
-_BUILDER_MODULES = (__name__, f"{__package__}.extended")
+_BUILDER_MODULES = (__name__, f"{__package__}.extended", f"{__package__}.h0")
 
 
 def _outside_stacklevel() -> int:
@@ -323,140 +322,12 @@ def i_infinity_extended(
     linear step from that divisor's weight; terms with nonpositive net
     tangency keep the full product.  Sector labels are the integer net
     shifts.  The untwisted slice agrees with
-    :func:`i_infinity_extended_h0`, which is built independently.
+    :func:`~rootstack_gw.h0.i_infinity_extended_h0`, which is built
+    independently.
     """
     from .extended import _rows_series, extended_rows
 
     return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor))
-
-
-def _tilings(i: int, d: int, m: int, max_total: int) -> list[tuple[tuple, int, int]]:
-    """(xexp, total, weight) of each contact monomial prod_j x_{ij}^{e_j} of
-    divisor i with sum_j j e_j = d, every j <= m and total = sum_j e_j at
-    most max_total, where the monomial's coefficient is 1 / weight, with
-    weight = prod_j e_j!."""
-    out = []
-
-    def rec(remaining: int, j: int, xexp: tuple, total: int, weight: int):
-        if remaining == 0:
-            out.append((xexp, total, weight))
-            return
-        # the rest needs at least ceil(remaining / j) more parts
-        if j == 0 or total - (-remaining // j) > max_total:
-            return
-        for e in range(remaining // j + 1):
-            with_e = ((i, j, e),) + xexp if e else xexp
-            rec(remaining - j * e, j - 1, with_e, total + e, weight * factorial(e))
-
-    rec(d, m, (), 0, 1)
-    return out
-
-
-def h0_body(
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
-    beta: tuple[int, ...],
-    ctx: SeriesContext,
-) -> GradedSeries:
-    """Class-beta body of the untwisted extended limit series: the target
-    slice times prod_i prod_{0<a<=d_i}(D_i + a z), no contact monomial yet.
-
-    Each contact tiling moves the body whole (see :func:`h0_slice`), so one
-    tiling's coefficient can be read here without forming the others.
-    """
-    chain = _j_chain(X, beta)
-    for divisor, d in zip(arrangement.divisors, arrangement.degrees(beta)):
-        chain = ascending_product(chain, divisor.coeffs, 1, d)
-    return chain.series(ctx, beta)
-
-
-def h0_slice(
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
-    m: int,
-    beta: tuple[int, ...],
-    ctx: SeriesContext,
-) -> GradedSeries:
-    """Class-beta terms of the untwisted extended limit series: every contact
-    tiling attached to :func:`h0_body`.
-
-    Contact orders of each term must tile the intersection numbers exactly
-    (sum_j j k_{ij} = d_i), so the sum is finite without a z floor; the
-    tilings are attached by :func:`attach_tilings`.  Raises
-    ExtendedDataTooSmall when m misses an intersection number, since the
-    maximal-tangency directions would otherwise be silently missing.
-    """
-    degs = check_contact_bound(arrangement, m, beta)
-    body = h0_body(X, arrangement, beta, ctx._replace(z_floor=None))
-    return attach_tilings(body, degs, m, ctx)
-
-
-def check_contact_bound(
-    arrangement: DivisorArrangement, m: int, beta: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The intersection numbers of beta; raises ExtendedDataTooSmall when the
-    contact bound m misses one of them."""
-    degs = arrangement.degrees(beta)
-    if max(degs, default=0) > m:
-        raise ExtendedDataTooSmall(
-            f"contact bound m={m} misses tangency {max(degs)} needed at beta={beta}"
-        )
-    return degs
-
-
-def attach_tilings(
-    body: GradedSeries, degs: tuple[int, ...], m: int, ctx: SeriesContext
-) -> GradedSeries:
-    """Every contact tiling of the intersection numbers ``degs``, with contact
-    orders up to m, attached to a class body from :func:`h0_body`.
-
-    Each tiling k moves every body term to z-power zpow - |k|, with contact
-    monomial x^k and weight 1 / prod k!; the floor of ``ctx`` applies to the
-    moved terms only.
-    """
-    base = body.terms.items()
-    floor = ctx.z_floor
-    # a tiling with more parts moves every body term below the floor
-    if floor is None or body.is_zero:
-        max_total = sum(degs)
-    else:
-        max_total = max(key.zpow for key in body.terms) - floor
-    out: dict[TermKey, Fraction] = {}
-    tilings = (_tilings(i, d, m, max_total) for i, d in enumerate(degs))
-    for tiling in product(*tilings):
-        xexp = sum((t[0] for t in tiling), ())
-        total = sum(t[1] for t in tiling)
-        weight = prod(t[2] for t in tiling)
-        for key, c in base:
-            zpow = key.zpow - total
-            if floor is None or zpow >= floor:
-                out[key._replace(zpow=zpow, xexp=xexp)] = c / weight
-    return GradedSeries._trusted(ctx, out)
-
-
-def h0_slices(
-    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> tuple[SeriesContext, Iterator[GradedSeries]]:
-    """(ctx, slices): the :func:`h0_slice` of each class up to the cap, in
-    lex order, built as they are read.  Every refusal comes first, the
-    contact bound checked on every class, so the iterator never raises."""
-    _validated(X, arrangement, None)
-    if m < 1:
-        raise ConfigurationError("at least one contact order is required")
-    ctx = X.context(arrangement.n, cap)
-    betas = enumerate_curve_classes(X, cap)
-    for beta in betas:
-        check_contact_bound(arrangement, m, beta)
-    return ctx, (h0_slice(X, arrangement, m, b, ctx) for b in betas)
-
-
-def i_infinity_extended_h0(
-    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> GradedSeries:
-    """Untwisted part of the extended limit series: the sum of :func:`h0_slice`
-    over beta up to the cap, so m must reach every intersection number."""
-    ctx, slices = h0_slices(X, arrangement, m, cap)
-    return series_sum(ctx, list(slices))
 
 
 # ---------------------------------------------------------------------------
@@ -528,3 +399,14 @@ def i_local(
     ctx = X.context(arrangement.n, cap)
     betas = enumerate_curve_classes(X, cap)
     return series_sum(ctx, [local_slice(X, arrangement, b, ctx) for b in betas])
+
+
+def __getattr__(name: str):
+    """``i_infinity_extended_h0`` from :mod:`rootstack_gw.h0`, which imports
+    this module, so it is looked up on first use and kept here."""
+    if name != "i_infinity_extended_h0":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .h0 import i_infinity_extended_h0
+
+    globals()[name] = i_infinity_extended_h0
+    return i_infinity_extended_h0

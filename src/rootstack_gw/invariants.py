@@ -20,9 +20,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import CohClass, ContractError, GradedSeries, TermKey
-from .ifunctions import (
-    _tilings, check_contact_bound, h0_body, i_infinity_extended, infinity_slice, root_slice,
-)
+from .h0 import _tilings, check_contact_bound, h0_body
+from .ifunctions import i_infinity_extended, infinity_slice, root_slice
 from .mirror import (
     MirrorMapReport,
     UnsupportedMirrorMapError,
@@ -172,7 +171,7 @@ def invariant_rows(
     :func:`~rootstack_gw.ifunctions.infinity_slice`, come first; a class
     that meets no divisor has none, since its non-extended slice equals its
     h0 slice's empty tiling.  The h0 rows are read straight off the class's
-    one :func:`~rootstack_gw.ifunctions.h0_body`: a tiling of total t moves
+    one :func:`~rootstack_gw.h0.h0_body`: a tiling of total t moves
     every body cell down by t with weight 1 / prod e!, and extraction
     multiplies the weight back, so each body cell below z^t is one row with
     psi = t - zpow - 1 and the cell's own coefficient.  No tiling of d_i is

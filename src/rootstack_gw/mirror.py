@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GradedSeries, TermKey, print_key, series_sum
-from .ifunctions import attach_tilings, h0_body
+from .h0 import attach_tilings, h0_body
 from .records import Record
 from .targets import DivisorArrangement, TargetSpace, enumerate_curve_classes
 

@@ -1,8 +1,10 @@
-"""The package's immutable value objects, and exact rationals.
+"""The package's immutable value objects, exact rationals and their text.
 
 Every record type derives from :class:`Record`, so no command imports
 ``dataclasses`` or decorates a class.  :mod:`rootstack_gw.algebra`
-re-exports both names.
+re-exports ``Record`` and ``rat``.  :func:`fmt_rat` and :func:`fmt_ints`
+write a rational and an integer tuple in every report, so both
+:mod:`rootstack_gw.cli` and :mod:`rootstack_gw.report` import them here.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ from operator import attrgetter
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact rational."""
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def fmt_rat(q: Fraction, records: bool) -> str:
+    if records or q.denominator != 1:
+        return f"{q.numerator}/{q.denominator}"
+    return str(q.numerator)
+
+
+def fmt_ints(values: tuple[int, ...]) -> str:
+    return ",".join(str(v) for v in values) if values else "-"
 
 
 class Record:

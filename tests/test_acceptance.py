@@ -33,14 +33,10 @@ from rootstack_gw import (
     mirror_map,
     stabilization_check,
 )
-from rootstack_gw.algebra import (
-    CohClass,
-    GradedSeries,
-    exact_divide_linear,
-    invert_z_linear,
-)
+from rootstack_gw.algebra import CohClass, GradedSeries
 from rootstack_gw.identities import local_point_invariant
 from rootstack_gw.invariants import n_orb
+from rootstack_gw.reference import exact_divide_linear, invert_z_linear
 
 PLANE = TargetSpace((2,))
 LINE_CONIC = DivisorArrangement((Divisor("L", (1,)), Divisor("C", (2,))))

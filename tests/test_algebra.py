@@ -13,18 +13,15 @@ from rootstack_gw.algebra import (
     AmbientRing,
     CohClass,
     ContractError,
-    DivisibilityError,
     GradedSeries,
     NotInvertibleError,
     SeriesContext,
     TermKey,
-    _Chain,
-    exact_divide_linear,
-    invert_z_linear,
-    merge_xexp,
-    print_key,
     series_sum,
 )
+from rootstack_gw.chain import _Chain
+from rootstack_gw.reference import DivisibilityError, exact_divide_linear, invert_z_linear
+from rootstack_gw.series import merge_xexp, print_key
 from rootstack_gw.targets import TargetSpace, _j_chain
 
 

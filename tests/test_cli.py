@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootstack_gw import extended, ifunctions
+from rootstack_gw import extended, h0, ifunctions
 from rootstack_gw.algebra import GradedSeries
-from rootstack_gw.cli import WRITE_BATCH, run, series_records, series_table, write_lines
+from rootstack_gw.cli import WRITE_BATCH, run, write_lines
+from rootstack_gw.report import series_records, series_table
 from rootstack_gw.config import ConfigError, JobConfig, config_from_dict, parse_config
 from rootstack_gw.targets import check_coprime
 
@@ -682,14 +683,14 @@ class TestWriter:
         def unbuilt(*args, **kwargs):
             raise AssertionError("a whole series was built")
 
-        monkeypatch.setattr(ifunctions, "i_infinity_extended_h0", unbuilt)
-        monkeypatch.setattr(ifunctions, "series_sum", unbuilt)
+        monkeypatch.setattr(h0, "i_infinity_extended_h0", unbuilt)
+        monkeypatch.setattr(h0, "series_sum", unbuilt)
         assert run(args) == 0
         got = capsys.readouterr().out
         monkeypatch.undo()
         job = config_from_dict(dict(DIAGONALS_JOB, cap=8))
         X, m = job.target, job.contact_bound()
-        whole = ifunctions.i_infinity_extended_h0(X, job.arrangement, m, 8).class_rows()
+        whole = h0.i_infinity_extended_h0(X, job.arrangement, m, 8).class_rows()
         if fmt == "records":
             want = series_records(whole)
         else:

@@ -25,25 +25,26 @@ from rootstack_gw import (
     i_root_nonextended,
     enumerate_curve_classes,
 )
-from rootstack_gw import extended
-from rootstack_gw.algebra import GradedSeries, print_key, print_row
-from rootstack_gw.cli import series_records
+from rootstack_gw import extended, h0
+from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.extended import (
     MAX_CONTACT_COMBINATIONS,
     _combination_count,
     _contact_vectors,
     extended_rows,
 )
+from rootstack_gw.h0 import h0_rows, h0_slice
 from rootstack_gw.ifunctions import (
     ExtendedBudgetError,
     _body_chain,
     _weight_degree,
     ConfigurationError,
     ExtendedDataTooSmall,
-    h0_slice,
     infinity_slice,
     root_slice,
 )
+from rootstack_gw.report import series_records
+from rootstack_gw.series import print_key, print_row
 
 from oracle import extended_series
 
@@ -783,3 +784,54 @@ class TestExtendedRows:
         assert streamed_folds == whole_folds and bool(whole_folds) == folds
         assert len(streamed) == len(whole) > 20
         assert streamed == _whole_records(whole)
+
+
+H0_JOBS = [
+    ((2,), ((1,), (2,)), 6, 9),
+    ((2,), ((1,), (2,)), 8, 12),
+    ((2,), ((2,),), 8, 12),
+    ((2,), ((1,), (1,), (1,)), 4, 12),
+    ((1, 1), ((1, 1), (1, 1)), 4, 8),
+    ((3,), ((2,), (2,)), 8, 16),
+]
+H0_IDS = ["line-conic", "line-conic-m8", "conic", "three-lines", "diagonals", "quadrics"]
+
+
+class TestH0Rows:
+    """The untwisted extended series the command line writes, read off each
+    class body in print order, against the whole series the library sums."""
+
+    @pytest.mark.parametrize("factors, coeffs, m, cap", H0_JOBS, ids=H0_IDS)
+    def test_rows_are_the_whole_series_class_rows(self, factors, coeffs, m, cap):
+        X, arrangement = _job(factors, coeffs)
+        classes = [(beta, list(rows)) for beta, rows in h0_rows(X, arrangement, m, cap)]
+        assert [beta for beta, _ in classes] == enumerate_curve_classes(X, cap)
+        whole = i_infinity_extended_h0(X, arrangement, m, cap).class_rows()
+        assert [(beta, rows) for beta, rows in classes if rows] == list(whole)
+        assert sum(len(rows) for _, rows in classes) > 20
+
+    def test_rows_are_never_held(self):
+        # P^3 with two quadrics at cap 24 writes 33,305 records; holding a
+        # class as a series of Fraction terms, as h0_slice does, and sorting
+        # its rows took about 10.7 MB here
+        X, arrangement = _job((3,), ((2,), (2,)))
+        classes = h0_rows(X, arrangement, 16, 24)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in series_records(classes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 33_305
+        assert peak < 1_000_000, peak
+
+    def test_refusals_come_before_any_body(self, p2, line_conic, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a class body was built")
+
+        monkeypatch.setattr(h0, "h0_body", unread)
+        message = r"^contact bound m=3 misses tangency 4 needed at beta=\(2,\)$"
+        with pytest.raises(ExtendedDataTooSmall, match=message):
+            h0_rows(p2, line_conic, 3, 9)
+        with pytest.raises(ConfigurationError, match="at least one contact order"):
+            h0_rows(p2, line_conic, 0, 0)

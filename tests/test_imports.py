@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rootstack_gw
-from rootstack_gw.cli import COMMANDS
+from rootstack_gw.cli import COMMANDS, SERIES_CHOICES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,14 +66,12 @@ EXPORTS = {
         "n_orb",
         "stabilization_check",
     ],
+    "laurent": ["LaurentPolynomial", "PeriodSequence", "laurent_classical_period"],
     "periods": [
-        "LaurentPolynomial",
         "PeriodComparison",
         "PeriodError",
-        "PeriodSequence",
         "classical_period_orbifold",
         "compare_periods",
-        "laurent_classical_period",
         "quantum_period",
         "regularize",
     ],
@@ -142,16 +140,14 @@ def package_modules(loaded: set[str]) -> set[str]:
     return {name for name in loaded if name.split(".")[0] == "rootstack_gw"}
 
 
+# ``import rootstack_gw.cli`` loads these, and every command loads them
+BASE = {"cli", "config", "algebra", "series", "ring", "chain", "records"}
+
+
 def test_cli_import_loads_no_domain_module():
     # ``targets`` waits until a job is read
     loaded = fresh_modules("import rootstack_gw.cli")
-    assert package_modules(loaded) == {
-        "rootstack_gw",
-        "rootstack_gw.cli",
-        "rootstack_gw.config",
-        "rootstack_gw.algebra",
-        "rootstack_gw.records",
-    }
+    assert package_modules(loaded) == {"rootstack_gw", *(f"rootstack_gw.{m}" for m in BASE)}
 
 
 RUN_CODE = (
@@ -161,7 +157,7 @@ RUN_CODE = (
 )
 
 
-def command_argv(tmp_path, command: str, job: dict | None) -> list[str]:
+def command_argv(tmp_path, command: str, job: dict | None, *extra: str) -> list[str]:
     """The arguments of one job writing its table to ``tmp_path / out.txt``;
     with no job, the Laurent period of x + 1/x."""
     if job is None:
@@ -170,42 +166,138 @@ def command_argv(tmp_path, command: str, job: dict | None) -> list[str]:
         config = tmp_path / "job.json"
         config.write_text(json.dumps(job), encoding="utf-8")
         argv = ["--config", str(config)]
-    return ["--command", command, *argv, "--out", str(tmp_path / "out.txt")]
+    return ["--command", command, *argv, *extra, "--out", str(tmp_path / "out.txt")]
 
 
-# (command, job, modules it never loads, a line of its report): only the
-# commands that build an extended series load the extended builder, and
-# the period commands take their certificate without the invariant tables.
-# The Laurent period reads no job: no domain objects and no JSON.
+# (command, job, extra arguments, the package modules it loads beside BASE,
+# modules it never loads, a line of its report): only the commands that
+# build an extended series load the extended builder, the period commands
+# take their certificate without the invariant tables, and only the two
+# reports written class by class load their renderers.  No command loads
+# the sparse reference routines.  The Laurent period reads no job: no
+# domain objects and no JSON.
+NO_JOB = {"targets", "periods", "mirror", "invariants", "ifunctions", "identities", "extended"}
+
+
 @pytest.mark.parametrize(
-    "command, job, never, marker",
+    "command, job, extra, loads, never, marker",
     [
-        ("check-identity", CONIC_JOB, {"invariants", "periods", "extended"}, "ok"),
-        ("stabilize", CONIC_JOB, {"identities", "periods", "extended"}, "ok"),
-        ("period", LINE_CONIC_JOB, {"identities", "invariants", "extended"}, "quantum[0] = 1"),
-        ("compare-periods", LINE_CONIC_JOB, {"identities", "invariants", "extended"}, "ok"),
+        (
+            "ifunction",
+            LINE_CONIC_JOB,
+            ("--series", "infinity-extended-h0"),
+            {"targets", "ifunctions", "h0", "report"},
+            {"invariants", "mirror", "extended", "reference"},
+            "# series infinity-extended-h0: 7 terms",
+        ),
+        (
+            "invariants",
+            LINE_CONIC_JOB,
+            (),
+            {"targets", "ifunctions", "h0", "extended", "mirror", "invariants", "report"},
+            {"identities", "periods", "reference"},
+            "# extracted one-point invariants",
+        ),
+        (
+            "check-identity",
+            CONIC_JOB,
+            (),
+            {"targets", "ifunctions", "h0", "identities"},
+            {"invariants", "periods", "extended", "reference", "report"},
+            "ok",
+        ),
+        (
+            "stabilize",
+            CONIC_JOB,
+            (),
+            {"targets", "ifunctions", "h0", "mirror", "invariants"},
+            {"identities", "periods", "extended", "reference", "report"},
+            "ok",
+        ),
+        (
+            "period",
+            LINE_CONIC_JOB,
+            (),
+            {"targets", "ifunctions", "h0", "mirror", "laurent", "periods"},
+            {"identities", "invariants", "extended", "reference", "report"},
+            "quantum[0] = 1",
+        ),
+        (
+            "compare-periods",
+            LINE_CONIC_JOB,
+            (),
+            {"targets", "ifunctions", "h0", "mirror", "laurent", "periods"},
+            {"identities", "invariants", "extended", "reference", "report"},
+            "ok",
+        ),
         (
             "laurent-period",
             None,
-            {
-                "targets",
-                "periods",
-                "mirror",
-                "invariants",
-                "ifunctions",
-                "identities",
-                "extended",
-                "json",
-            },
+            (),
+            {"laurent"},
+            NO_JOB | {"h0", "reference", "report", "json"},
             "laurent[4] = 6",
         ),
     ],
 )
-def test_command_loads_only_what_it_runs(tmp_path, command, job, never, marker):
-    loaded = fresh_modules(RUN_CODE, *command_argv(tmp_path, command, job))
+def test_command_loads_only_what_it_runs(tmp_path, command, job, extra, loads, never, marker):
+    loaded = fresh_modules(RUN_CODE, *command_argv(tmp_path, command, job, *extra))
     ran = {name.split(".")[1] for name in package_modules(loaded) if "." in name}
+    assert ran == BASE | loads
     assert not (ran | loaded) & never
     assert marker in (tmp_path / "out.txt").read_text(encoding="utf-8")
+
+
+# Every module a command loads is compiled in its child, and with no
+# bytecode cache written (``PYTHONDONTWRITEBYTECODE=1``) from source.
+MAX_MODULE_LINES = 470
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("ifunction", ("--series", name)) for name in SERIES_CHOICES]
+    + [(command, ()) for command in COMMANDS if command != "ifunction"],
+)
+def test_no_command_compiles_a_large_module(tmp_path, command, extra):
+    """A module's compile raises a fresh interpreter's resident set by about
+    2.5 KB per source line and never gives it back; every later, smaller
+    compile and import reuses that memory.  So a child's peak resident set
+    is set by its largest single compile, and no command may load a package
+    module of more than :data:`MAX_MODULE_LINES` lines."""
+    if command == "laurent-period":
+        job = None
+    else:
+        job = CONIC_JOB if extra[1:] == ("relative",) else LINE_CONIC_JOB
+    loaded = fresh_modules(RUN_CODE, *command_argv(tmp_path, command, job, *extra))
+    sizes = {}
+    for name in package_modules(loaded):
+        parts = name.split(".")[1:] or ["__init__"]
+        source = SRC.joinpath("rootstack_gw", *parts).with_suffix(".py")
+        sizes[name] = len(source.read_text(encoding="utf-8").splitlines())
+    assert max(sizes.values()) <= MAX_MODULE_LINES, sizes
+
+
+def test_algebra_provides_the_reference_routines_on_lookup():
+    # the sparse reference routines are compiled only when first looked up,
+    # and algebra then holds the reference module's own objects
+    code = (
+        "from rootstack_gw import algebra\n"
+        "assert 'rootstack_gw.reference' not in sys.modules\n"
+        "from rootstack_gw import reference\n"
+        "for name in ('DivisibilityError', 'exact_divide_linear', 'invert_z_linear'):\n"
+        "    assert getattr(algebra, name) is getattr(reference, name), name\n"
+    )
+    assert "rootstack_gw.reference" in fresh_modules(code)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rootstack_gw.algebra.no_such_name
+
+
+def test_ifunctions_provides_the_h0_builder_on_lookup():
+    from rootstack_gw import h0, ifunctions
+
+    assert ifunctions.i_infinity_extended_h0 is h0.i_infinity_extended_h0
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ifunctions.no_such_name
 
 
 @pytest.mark.parametrize("command", [None, "compare-periods"])

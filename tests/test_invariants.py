@@ -24,10 +24,11 @@ from rootstack_gw import (
     n_orb,
     stabilization_check,
 )
-from rootstack_gw import cli, ifunctions, invariants, mirror
-from rootstack_gw.algebra import ContractError, GradedSeries, print_key
+from rootstack_gw import h0, ifunctions, invariants, mirror, records, report
+from rootstack_gw.algebra import ContractError, GradedSeries
 from rootstack_gw.cli import run
 from rootstack_gw.invariants import invariant_rows
+from rootstack_gw.series import print_key
 from rootstack_gw.targets import _j_chain
 
 
@@ -180,10 +181,10 @@ def table_by_class(X, arrangement, m, cap):
     ctx = X.context(arrangement.n, cap)
     betas = enumerate_curve_classes(X, cap)
     for beta in betas:
-        ifunctions.check_contact_bound(arrangement, m, beta)
+        h0.check_contact_bound(arrangement, m, beta)
 
     def terms(beta):
-        yield from ifunctions.h0_slice(X, arrangement, m, beta, ctx).terms.items()
+        yield from h0.h0_slice(X, arrangement, m, beta, ctx).terms.items()
         if any(d > 0 for d in arrangement.degrees(beta)):
             yield from ifunctions.infinity_slice(X, arrangement, beta, ctx).terms.items()
 
@@ -193,7 +194,7 @@ def table_by_class(X, arrangement, m, cap):
 def table_records(tables):
     """The records of :func:`table_by_class`'s tables, the flagged keys of
     all of them last, sorted."""
-    fields = cli._RecordFields()
+    fields = report._RecordFields()
     flagged = []
     for table in tables:
         for entry, value in table.ordered():
@@ -205,7 +206,7 @@ def table_records(tables):
                     fields.ints[entry.insertion],
                     str(entry.psi),
                     fields.ints[entry.sector],
-                    cli.fmt_rat(value, records=True),
+                    records.fmt_rat(value, records=True),
                 )
             )
         flagged += table.flagged
@@ -218,14 +219,14 @@ def table_human(tables, ring):
     flagged = 0
     for table in tables:
         for entry, value in table.ordered():
-            parts = [f"beta=({cli.fmt_ints(entry.beta)})"]
+            parts = [f"beta=({records.fmt_ints(entry.beta)})"]
             if entry.xexp:
-                parts.append("contacts " + cli.fmt_xexp(entry.xexp))
+                parts.append("contacts " + report.fmt_xexp(entry.xexp))
             parts.append(f"insert {ring.render_mono(entry.insertion)}")
             parts.append(f"psi^{entry.psi}")
             if any(entry.sector):
-                parts.append(f"sector ({cli.fmt_ints(entry.sector)})")
-            yield "  ".join(parts) + f"  = {cli.fmt_rat(value, records=False)}"
+                parts.append(f"sector ({records.fmt_ints(entry.sector)})")
+            yield "  ".join(parts) + f"  = {records.fmt_rat(value, records=False)}"
         flagged += len(table.flagged)
     if flagged:
         yield f"# {flagged} term(s) flagged for manual review"
@@ -316,12 +317,12 @@ class TestInvariantRows:
     @pytest.mark.parametrize("name", ROW_JOBS)
     def test_command_output_equals_the_table_path(self, name):
         X, arrangement, m, cap, _ = _job(name)
-        classes = invariant_rows(X, arrangement, m, cap, lambda q: cli.fmt_rat(q, True))
-        got = cli.invariant_records(classes)
+        classes = invariant_rows(X, arrangement, m, cap, lambda q: records.fmt_rat(q, True))
+        got = report.invariant_records(classes)
         want = table_records(table_by_class(X, arrangement, m, cap))
         assert list(got) == list(want)
-        classes = invariant_rows(X, arrangement, m, cap, lambda q: cli.fmt_rat(q, False))
-        got = cli.invariant_table(classes, X.ring)
+        classes = invariant_rows(X, arrangement, m, cap, lambda q: records.fmt_rat(q, False))
+        got = report.invariant_table(classes, X.ring)
         want = table_human(table_by_class(X, arrangement, m, cap), X.ring)
         assert list(got) == list(want)
 
@@ -352,7 +353,7 @@ class TestInvariantRows:
             monkeypatch.setattr(module, "mirror_map", counted)
         # neither the two whole series nor a class's series of tilings
         names = ("i_infinity_extended_h0", "i_infinity_nonextended", "h0_slice", "attach_tilings")
-        for module in (ifunctions, invariants, mirror):
+        for module in (ifunctions, h0, invariants, mirror):
             for name in names:
                 monkeypatch.setattr(module, name, whole_series, raising=False)
         job = {

@@ -22,8 +22,8 @@ from rootstack_gw import (
     quantum_period,
     regularize,
 )
-from rootstack_gw import ifunctions, invariants, mirror
-from rootstack_gw.ifunctions import h0_body
+from rootstack_gw import h0, invariants, mirror
+from rootstack_gw.h0 import h0_body
 from rootstack_gw.targets import _j_chain, enumerate_curve_classes
 
 
@@ -102,7 +102,7 @@ class TestClassicalPeriod:
             calls.append(beta)
             return h0_body(X, arrangement, beta, ctx)
 
-        for module in (ifunctions, invariants, mirror):
+        for module in (h0, invariants, mirror):
             monkeypatch.setattr(module, "h0_body", counted)
         classical_period_orbifold(p1p1, two_diagonals, 10)
         assert sorted(calls) == enumerate_curve_classes(p1p1, 10)
