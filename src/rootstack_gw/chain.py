@@ -101,8 +101,10 @@ class _Chain(NamedTuple):
         return _Chain(layout, p, (1,) + (0,) * (len(layout.cells) - 1), 1)
 
     def with_lam(self, lam_caps: tuple[int, ...]) -> _Chain:
-        """This lam-free chain, in a layout with lam slots up to ``lam_caps``."""
-        layout = _layout(self.layout.caps, tuple(lam_caps))
+        """This lam-free chain, in a layout with lam slots up to ``lam_caps``:
+        monomials x prod(lam_caps + 1) cells for one local class, so it is
+        built afresh and only the shared lam-free layouts are cached."""
+        layout = _layout.__wrapped__(self.layout.caps, tuple(lam_caps))
         num = [0] * len(layout.cells)
         num[:: len(layout.cells) // len(self.num)] = self.num
         return _Chain(layout, self.degree, tuple(num), self.den)

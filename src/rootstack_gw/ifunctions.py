@@ -10,19 +10,20 @@ Six families are built here, all as exact :class:`~rootstack_gw.algebra.GradedSe
   extended form is the n = 1 case of the untwisted extended limit),
 * the equivariant local series of the dual direct-sum bundle.
 
-Each closed-form family has a per-class ``<family>_slice(X, arrangement,
-[m,] beta, ctx)`` that returns one curve class's terms and leaves input
-validation to its caller; its capped builder validates and sums the slices
-over the classes in the cap.  A slice is one dense chain (the target slice
-times the divisor weights, see :class:`~rootstack_gw.chain._Chain`),
-turned into a series once, in its sector.  The extended series are built
-from the same chains by :mod:`rootstack_gw.extended`, one body chain per
-tuple of net shifts that can reach the z floor, one curve class at a time;
-:func:`i_root_extended` and :func:`i_infinity_extended` import it when they
-are called, so a program that never builds them never loads it.  The
-untwisted extended limit (one body per class, every contact tiling
-attached) lives in :mod:`rootstack_gw.h0`; :func:`i_infinity_extended_h0`
-is looked up there when it is first read from this module.
+The four closed-form families each have a per-class ``<family>_slice(X,
+arrangement, beta, ctx)`` that returns one curve class's terms and leaves
+validation to its caller; :func:`slice_classes` validates once and yields
+a family's slices class by class, and its capped builder sums them.  A
+slice is one dense chain (the target slice times the divisor weights, see
+:class:`~rootstack_gw.chain._Chain`), turned into a series once, in its
+sector.  The extended series are built from the same chains by
+:mod:`rootstack_gw.extended`, one body chain per tuple of net shifts that
+can reach the z floor, one curve class at a time; :func:`i_root_extended`
+and :func:`i_infinity_extended` import it when they are called, so a
+program that never builds them never loads it.  The untwisted extended
+limit (one body per class, every contact tiling attached) lives in
+:mod:`rootstack_gw.h0`; :func:`i_infinity_extended_h0` is looked up there
+when it is first read from this module.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from typing import Iterator
 
 from .algebra import GradedSeries, SeriesContext, _Chain, series_sum
 from .targets import (
@@ -248,10 +250,8 @@ def i_root_nonextended(
 ) -> GradedSeries:
     """Non-extended series of the root stack: the sum of
     :func:`root_slice` over beta up to the cap."""
-    _validated(X, arrangement, roots)
-    ctx = X.context(arrangement.n, cap, roots=roots.orders)
-    betas = enumerate_curve_classes(X, cap)
-    return series_sum(ctx, [root_slice(X, arrangement, b, ctx) for b in betas])
+    ctx, classes = slice_classes(X, arrangement, "root", cap, roots)
+    return series_sum(ctx, [s for _, s in classes])
 
 
 def i_root_extended(
@@ -303,10 +303,8 @@ def i_infinity_nonextended(
 ) -> GradedSeries:
     """Large-order limit of the non-extended series: the sum of
     :func:`infinity_slice` over beta up to the cap."""
-    _validated(X, arrangement, None)
-    ctx = X.context(arrangement.n, cap)
-    betas = enumerate_curve_classes(X, cap)
-    return series_sum(ctx, [infinity_slice(X, arrangement, b, ctx) for b in betas])
+    ctx, classes = slice_classes(X, arrangement, "infinity", cap)
+    return series_sum(ctx, [s for _, s in classes])
 
 
 def i_infinity_extended(
@@ -360,12 +358,8 @@ def i_relative_smooth(
 ) -> GradedSeries:
     """Relative-pair series for a single smooth divisor: the sum of
     :func:`relative_slice` over beta up to the cap."""
-    _validated(X, arrangement, None)
-    if arrangement.n != 1:
-        raise ConfigurationError("relative series needs exactly one divisor")
-    ctx = X.context(1, cap)
-    betas = enumerate_curve_classes(X, cap)
-    return series_sum(ctx, [relative_slice(X, arrangement, b, ctx) for b in betas])
+    ctx, classes = slice_classes(X, arrangement, "relative", cap)
+    return series_sum(ctx, [s for _, s in classes])
 
 
 def local_slice(
@@ -395,10 +389,32 @@ def i_local(
 ) -> GradedSeries:
     """Equivariant local series: the sum of :func:`local_slice` over beta up
     to the cap."""
-    _validated(X, arrangement, None)
-    ctx = X.context(arrangement.n, cap)
+    ctx, classes = slice_classes(X, arrangement, "local", cap)
+    return series_sum(ctx, [s for _, s in classes])
+
+
+_SLICES = dict(
+    root=root_slice, infinity=infinity_slice, relative=relative_slice, local=local_slice
+)
+
+
+def slice_classes(
+    X: TargetSpace,
+    arrangement: DivisorArrangement,
+    family: str,
+    cap: int,
+    roots: RootData | None = None,
+) -> tuple[SeriesContext, Iterator[tuple[tuple[int, ...], GradedSeries]]]:
+    """The context of the closed-form ``family`` and its (beta, slice) pairs,
+    every beta up to the cap in lex order, each slice built as it is read.
+    Every refusal is made before this returns; only ``root`` reads ``roots``."""
+    _validated(X, arrangement, roots)
+    if family == "relative" and arrangement.n != 1:
+        raise ConfigurationError("relative series needs exactly one divisor")
+    build = _SLICES[family]
+    ctx = X.context(arrangement.n, cap, roots=None if roots is None else roots.orders)
     betas = enumerate_curve_classes(X, cap)
-    return series_sum(ctx, [local_slice(X, arrangement, b, ctx) for b in betas])
+    return ctx, ((beta, build(X, arrangement, beta, ctx)) for beta in betas)
 
 
 def __getattr__(name: str):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .config import ConfigError, JobConfig
+from .config import JobConfig
 from .records import fmt_ints, fmt_rat
 
 if TYPE_CHECKING:
@@ -64,9 +64,8 @@ class _RecordFields:
 
 
 def series_records(classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]]) -> Iterator[str]:
-    """Records of a series given as (beta, rows) per class, as
-    :meth:`GradedSeries.class_rows`, :func:`extended.extended_rows` and
-    :func:`h0.h0_rows` give them."""
+    """Records of a series given as (beta, rows) per class, each class's
+    rows in print order, as :func:`_series_classes` gives them."""
     fields = _RecordFields()
     ints, xexps = fields.ints, fields.xexp
     for beta, rows in classes:
@@ -150,10 +149,10 @@ def invariant_table(classes, ring) -> Iterator[str]:
 
 
 def _series_classes(job: JobConfig, name: str):
-    """The series ``name`` as (beta, rows) per class, every refusal made.
-    The extended series come straight from their builders, one class at a
-    time, each class's rows in print order; the other families are built
-    whole, then walked by class."""
+    """The series ``name`` as (beta, rows) per class, every refusal made,
+    each class built as it is read, its rows in print order: the extended
+    rows as their builders give them, a closed-form class as its slice's
+    terms sorted into :func:`print_row` rows.  No whole series is built."""
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
     floor = -(cap + 2)
@@ -166,16 +165,9 @@ def _series_classes(job: JobConfig, name: str):
         from .h0 import h0_rows
 
         return h0_rows(X, arr, m, cap)
-    from .ifunctions import i_infinity_nonextended, i_local, i_relative_smooth, i_root_nonextended
+    from .ifunctions import slice_classes
+    from .series import print_row
 
-    if name == "root":
-        series = i_root_nonextended(X, arr, job.require_roots(), cap)
-    elif name == "infinity":
-        series = i_infinity_nonextended(X, arr, cap)
-    elif name == "relative":
-        series = i_relative_smooth(X, arr, cap)
-    elif name == "local":
-        series = i_local(X, arr, cap)
-    else:
-        raise ConfigError(f"unknown series {name!r}")
-    return series.class_rows()
+    roots = job.require_roots() if name == "root" else None
+    slices = slice_classes(X, arr, name, cap, roots)[1]
+    return ((beta, sorted(print_row(*term) for term in s.terms.items())) for beta, s in slices)

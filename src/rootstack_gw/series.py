@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, gt, mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .records import Record, rat
 from .ring import AmbientRing, CohClass, ContractError
@@ -224,19 +224,6 @@ class GradedSeries:
     def ordered_terms(self) -> list[tuple[TermKey, Fraction]]:
         """The terms in print order (see :func:`print_key`)."""
         return sorted(self.terms.items(), key=print_key)
-
-    def class_rows(self) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
-        """(beta, rows) of each curve class in lex order, the class's terms
-        as :func:`print_row` rows sorted into print order.  Only the class
-        being walked is ever held as rows."""
-        classes: dict[tuple[int, ...], list[TermKey]] = {}
-        for key in self.terms:
-            classes.setdefault(key.beta, []).append(key)
-        terms = self.terms
-        for beta in sorted(classes):
-            rows = [print_row(key, terms[key]) for key in classes.pop(beta)]
-            rows.sort()
-            yield beta, rows
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
 from rootstack_gw import Divisor, DivisorArrangement, TargetSpace
-from rootstack_gw.algebra import GradedSeries, SeriesContext, TermKey
+from rootstack_gw.algebra import GradedSeries, SeriesContext, TermKey, print_row
 
 
 @pytest.fixture
@@ -64,3 +65,13 @@ def random_series(
         )
         terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return GradedSeries(ctx, terms)
+
+
+def print_classes(series: GradedSeries) -> list[tuple[tuple[int, ...], list[tuple]]]:
+    """(beta, rows) of each class of a whole series that has terms: its
+    ``ordered_terms()`` grouped by class, each term as its print row.  The
+    oracle for the per-class rows the command line writes."""
+    return [
+        (beta, [print_row(key, c) for key, c in group])
+        for beta, group in groupby(series.ordered_terms(), key=lambda item: item[0].beta)
+    ]

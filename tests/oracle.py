@@ -177,6 +177,34 @@ def extended_series(
     return out
 
 
+def local_series(dims: tuple[int, ...], coeffs: tuple[tuple[int, ...], ...], cap: int) -> dict:
+    """Equivariant local series of the sum of the dual line bundles of the
+    divisors D_i = sum_j coeffs[i][j] P_j on prod_j P^dims[j], over the
+    classes beta of anticanonical degree at most the cap.
+
+    Keys (beta, zpow, P-exponents, lam-exponents).  Each class's target
+    slice is multiplied by prod_i prod_{0<=a<d_i} (-D_i + lam_i - a z), one
+    linear factor at a time, with lam_i a polynomial variable of its own:
+    an extra generator capped at d_i, which its d_i factors never exceed.
+    """
+    n = len(coeffs)
+    weights = tuple(k + 1 for k in dims)
+    out: dict[tuple, Fraction] = {}
+    for beta in product(*(range(cap // w + 1) for w in weights)):
+        if sum(w * b for w, b in zip(weights, beta)) > cap:
+            continue
+        degs = [sum(c * b for c, b in zip(ci, beta)) for ci in coeffs]
+        full = tuple(dims) + tuple(degs)
+        body = {(p + (0,) * n, zp): c for (p, zp), c in target_slice(dims, beta).items()}
+        for i, ci in enumerate(coeffs):
+            factor = tuple(-c for c in ci) + tuple(int(k == i) for k in range(n))
+            for a in range(degs[i]):
+                body = mul(body, linear(factor, -a), full)
+        for (p, zp), c in body.items():
+            out[(beta, zp, p[: len(dims)], p[len(dims) :])] = c
+    return out
+
+
 def _vectors(slots: int, bound: int):
     """Nonnegative integer vectors of the given length with sum <= bound."""
     if slots == 0:

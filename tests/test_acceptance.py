@@ -15,16 +15,18 @@ from math import factorial
 import pytest
 
 from conftest import random_series
-from oracle import trinomial_constant_term
+from oracle import square_lattice_constant_term, trinomial_constant_term
 from rootstack_gw import (
     Divisor,
     DivisorArrangement,
     LaurentPolynomial,
+    RefusedIdentityError,
     RootData,
     TargetSpace,
     UnsupportedMirrorMapError,
     check_identities,
     compare_periods,
+    enumerate_curve_classes,
     extract_invariants,
     i_infinity_extended,
     i_infinity_extended_h0,
@@ -44,6 +46,12 @@ CONIC = DivisorArrangement((Divisor("C", (2,)),))
 CUBIC = DivisorArrangement((Divisor("E", (3,)),))
 QUADRIC = TargetSpace((1, 1))
 DIAGONALS = DivisorArrangement((Divisor("L1", (1, 1)), Divisor("L2", (1, 1))))
+SPACE = TargetSpace((3,))
+TWO_QUADRICS = DivisorArrangement((Divisor("Q1", (2,)), Divisor("Q2", (2,))))
+THREE_LINES = DivisorArrangement(tuple(Divisor(f"L{i}", (1,)) for i in range(3)))
+
+# The largest cap a job file accepts.
+FULL_CAP = 64
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -224,3 +232,72 @@ def test_a6_property_suites():
     except UnsupportedMirrorMapError as err:
         rejected = "Birkhoff" in str(err)
     report("A6.6 rejection path for the cubic's nontrivial mirror map", rejected)
+
+
+def test_a7a_periods_at_the_full_cap():
+    """Regularized quantum = classical period at cap 64 on P^2 with a line
+    and a conic and with three lines, P^1 x P^1 with two diagonals and P^3
+    with two quadrics; the Laurent constant terms on P^2 and P^1 x P^1."""
+    ok = True
+    for X, arr in (
+        (PLANE, LINE_CONIC),
+        (PLANE, THREE_LINES),
+        (QUADRIC, DIAGONALS),
+        (SPACE, TWO_QUADRICS),
+    ):
+        outcome = compare_periods(X, arr, FULL_CAP)
+        ok = ok and outcome.ok and len(outcome.regularized.coeffs) == FULL_CAP + 1
+        if X == PLANE:
+            laurent = trinomial_constant_term
+        elif X == QUADRIC:
+            laurent = square_lattice_constant_term
+        else:
+            continue
+        ok = ok and all(outcome.regularized[m] == laurent(m) for m in range(FULL_CAP + 1))
+    report("A7a period equality at cap 64 on four arrangements", ok)
+
+
+def test_a7b_stabilization_at_the_full_cap():
+    """Stabilization at cap 64 over two order vectors above every
+    intersection number, on the same four arrangements."""
+    cases = {
+        (PLANE, LINE_CONIC): ((67, 71), (73, 79)),
+        (PLANE, THREE_LINES): ((67, 71, 73), (79, 83, 89)),
+        (QUADRIC, DIAGONALS): ((37, 41), (43, 47)),
+        (SPACE, TWO_QUADRICS): ((37, 41), (43, 47)),
+    }
+    counts = []
+    ok = True
+    for (X, arr), orders in cases.items():
+        result = stabilization_check(X, arr, [RootData(r) for r in orders], FULL_CAP)
+        ok = ok and result.ok
+        counts.append(len(result.cases))
+    ok = ok and counts == [44, 44, 1122, 34]
+    report("A7b stabilization at cap 64 on four arrangements", ok)
+
+
+def test_a7c_identities_at_the_full_cap():
+    """Every identity on every class of degree up to 64 that meets each
+    divisor; three lines through no common point are refused."""
+    counts = []
+    ok = True
+    for X, arr in (
+        (PLANE, CONIC),
+        (PLANE, CUBIC),
+        (PLANE, LINE_CONIC),
+        (QUADRIC, DIAGONALS),
+        (SPACE, TWO_QUADRICS),
+    ):
+        betas = enumerate_curve_classes(X, FULL_CAP)
+        reports = [
+            result
+            for beta in betas
+            if all(d > 0 for d in arr.degrees(beta))
+            for result in check_identities(X, arr, beta)
+        ]
+        ok = ok and all(result.ok for result in reports)
+        counts.append(len(reports))
+    ok = ok and counts == [42, 42, 42, 1120, 32]
+    with pytest.raises(RefusedIdentityError):
+        check_identities(PLANE, THREE_LINES, (1,))
+    report("A7c identities at cap 64 on five arrangements", ok)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_series
+from conftest import print_classes, random_series
 from oracle import target_slice
 from rootstack_gw.algebra import (
     AmbientRing,
@@ -288,7 +288,9 @@ class TestStructure:
             assert s.ordered_terms() == whole
             assert sorted(s.terms.items(), key=print_key) == whole
             walked = []
-            for beta, rows in s.class_rows():
+            for beta, rows in print_classes(s):
+                # a class's print rows increase strictly, so sorting them
+                # alone gives the class's share of the whole print order
                 assert all(a < b for a, b in zip(rows, rows[1:]))
                 for negz, mono, xexp, sector, lam, c in rows:
                     walked.append((TermKey(beta, -negz, xexp, sector, mono, lam), c))

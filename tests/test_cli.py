@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import print_classes
 from rootstack_gw import extended, h0, ifunctions
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.cli import WRITE_BATCH, run, write_lines
@@ -574,6 +575,25 @@ DIAGONALS_JOB = {
     "cap": 12,
 }
 
+FOUR_FIBRES_JOB = {
+    "target": {"factors": [1, 1]},
+    "divisors": [
+        {"name": "F1", "coeffs": [1, 0]},
+        {"name": "F2", "coeffs": [0, 1]},
+        {"name": "F3", "coeffs": [1, 0]},
+        {"name": "F4", "coeffs": [0, 1]},
+    ],
+    "cap": 8,
+}
+
+# The whole-series builder of each closed-form family.
+CLOSED_FORM_BUILDERS = {
+    "root": "i_root_nonextended",
+    "infinity": "i_infinity_nonextended",
+    "relative": "i_relative_smooth",
+    "local": "i_local",
+}
+
 
 class _CountingStream(io.StringIO):
     def __init__(self):
@@ -621,8 +641,29 @@ class TestWriter:
                 1,
                 "error: contact orders up to m must stay below every root order\n",
             ),
+            (
+                DIAGONALS_JOB,
+                ["--command", "ifunction", "--series", "relative"],
+                1,
+                "error: relative series needs exactly one divisor\n",
+            ),
+            (
+                DIAGONALS_JOB,
+                ["--command", "ifunction", "--series", "root"],
+                1,
+                'error: this command needs root orders; set "roots"\n',
+            ),
         ],
-        ids=["m-miss", "h0-m-miss", "mirror-map", "budget", "budget-finite", "m-at-root-order"],
+        ids=[
+            "m-miss",
+            "h0-m-miss",
+            "mirror-map",
+            "budget",
+            "budget-finite",
+            "m-at-root-order",
+            "relative-two-divisors",
+            "root-without-roots",
+        ],
     )
     def test_refusal_writes_nothing(self, tmp_path, capsys, doc, argv, status, message):
         config = write_job(tmp_path, doc)
@@ -690,13 +731,54 @@ class TestWriter:
         monkeypatch.undo()
         job = config_from_dict(dict(DIAGONALS_JOB, cap=8))
         X, m = job.target, job.contact_bound()
-        whole = h0.i_infinity_extended_h0(X, job.arrangement, m, 8).class_rows()
+        whole = print_classes(h0.i_infinity_extended_h0(X, job.arrangement, m, 8))
         if fmt == "records":
             want = series_records(whole)
         else:
             want = series_table(whole, X.ring, "infinity-extended-h0")
         assert got == "".join(line + "\n" for line in want)
         assert got.count("\n") > 500
+
+    @pytest.mark.parametrize(
+        "doc, series",
+        [
+            (dict(DIAGONALS_JOB, roots=[7, 11]), "root"),
+            (DIAGONALS_JOB, "infinity"),
+            (dict(DIAGONALS_JOB, divisors=DIAGONALS_JOB["divisors"][:1]), "relative"),
+            (FOUR_FIBRES_JOB, "local"),
+        ],
+        ids=["root", "infinity", "relative", "local"],
+    )
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    def test_closed_form_series_stream_one_class_at_a_time(
+        self, tmp_path, capsys, monkeypatch, doc, series, fmt
+    ):
+        # each class of a closed-form series is written off its own slice:
+        # no whole series is built or summed, and the output is that of the
+        # whole series the library builds
+        config = write_job(tmp_path, doc)
+        args = ["--config", config, "--command", "ifunction"]
+        args += ["--series", series, "--format", fmt]
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a whole series was built")
+
+        for name in (*CLOSED_FORM_BUILDERS.values(), "series_sum"):
+            monkeypatch.setattr(ifunctions, name, unbuilt)
+        assert run(args) == 0
+        got = capsys.readouterr().out
+        monkeypatch.undo()
+        job = config_from_dict(doc)
+        X = job.target
+        roots = (job.require_roots(),) if series == "root" else ()
+        build = getattr(ifunctions, CLOSED_FORM_BUILDERS[series])
+        whole = print_classes(build(X, job.arrangement, *roots, job.cap))
+        if fmt == "records":
+            want = series_records(whole)
+        else:
+            want = series_table(whole, X.ring, series)
+        assert got == "".join(line + "\n" for line in want)
+        assert got.count("\n") > 90
 
     def test_empty_report_is_one_newline(self, tmp_path, capsys):
         # at cap 1 the fibre job's only class is 0, which check-identity skips

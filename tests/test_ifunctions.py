@@ -4,7 +4,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction as F
-from itertools import groupby, product
+from itertools import product
 from math import lcm
 
 import pytest
@@ -27,6 +27,7 @@ from rootstack_gw import (
 )
 from rootstack_gw import extended, h0
 from rootstack_gw.algebra import GradedSeries
+from rootstack_gw.chain import _layout
 from rootstack_gw.extended import (
     MAX_CONTACT_COMBINATIONS,
     _combination_count,
@@ -41,12 +42,14 @@ from rootstack_gw.ifunctions import (
     ConfigurationError,
     ExtendedDataTooSmall,
     infinity_slice,
+    local_slice,
     root_slice,
 )
 from rootstack_gw.report import series_records
-from rootstack_gw.series import print_key, print_row
+from rootstack_gw.targets import _j_chain
 
-from oracle import extended_series
+from conftest import print_classes
+from oracle import extended_series, local_series
 
 
 class TestRootNonextended:
@@ -494,6 +497,47 @@ class TestLocal:
         assert flat == {(-1, (2,)): F(-9), (0, (1,)): F(-6)}
 
 
+# targets with two to four divisors for the local series
+LOCAL_JOBS = [
+    ((2,), ((1,), (2,)), 12),
+    ((1, 1), ((1, 1), (1, 1)), 12),
+    ((1, 1), ((1, 0), (0, 1), (1, 0), (0, 1)), 12),
+    ((3,), ((2,), (2,)), 12),
+]
+LOCAL_IDS = ["line-conic", "diagonals", "four-fibres", "two-quadrics"]
+
+
+class TestLocalOracle:
+    @pytest.mark.parametrize("factors, coeffs, cap", LOCAL_JOBS, ids=LOCAL_IDS)
+    def test_slices_are_the_oracle_series(self, factors, coeffs, cap):
+        X, arrangement = _job(factors, coeffs)
+        ctx = X.context(arrangement.n, cap)
+        got = {}
+        for beta in enumerate_curve_classes(X, cap):
+            for k, c in local_slice(X, arrangement, beta, ctx).terms.items():
+                assert k.beta == beta and not k.xexp and not any(k.sector)
+                got[(beta, k.zpow, k.mono, k.lam)] = c
+        want = local_series(factors, coeffs, cap)
+        assert got == want and any(lam[-1] for _, _, _, lam in want)
+
+    def test_lam_layouts_are_not_cached(self):
+        # a lam layout serves one class of the local series, so the layout
+        # cache keeps no more than the lam-free target slices leave in it
+        X, arrangement = _job((1, 1), ((1, 0), (0, 1), (1, 0), (0, 1)))
+        ctx = X.context(arrangement.n, 12)
+        betas = enumerate_curve_classes(X, 12)
+
+        def cached(build):
+            _layout.cache_clear()
+            _j_chain.cache_clear()
+            for beta in betas:
+                build(X, arrangement, beta, ctx)
+            return _layout.cache_info().currsize
+
+        lam_free = cached(lambda X, arrangement, beta, ctx: _j_chain(X, beta))
+        assert cached(local_slice) <= lam_free
+
+
 class TestContactBudget:
     @pytest.mark.parametrize(
         "costs, budget",
@@ -702,13 +746,8 @@ def _formed_and_counted(X, arrangement, m, cap, floor, roots, monkeypatch):
 
 
 def _whole_records(series):
-    """The records of a whole series, its terms sorted by ``print_key``."""
-    items = sorted(series.terms.items(), key=print_key)
-    classes = [
-        (beta, [print_row(key, c) for key, c in group])
-        for beta, group in groupby(items, key=lambda item: item[0].beta)
-    ]
-    return list(series_records(classes))
+    """The records of a whole series, its terms in ``ordered_terms()`` order."""
+    return list(series_records(print_classes(series)))
 
 
 class TestExtendedRows:
@@ -806,8 +845,8 @@ class TestH0Rows:
         X, arrangement = _job(factors, coeffs)
         classes = [(beta, list(rows)) for beta, rows in h0_rows(X, arrangement, m, cap)]
         assert [beta for beta, _ in classes] == enumerate_curve_classes(X, cap)
-        whole = i_infinity_extended_h0(X, arrangement, m, cap).class_rows()
-        assert [(beta, rows) for beta, rows in classes if rows] == list(whole)
+        whole = print_classes(i_infinity_extended_h0(X, arrangement, m, cap))
+        assert [(beta, rows) for beta, rows in classes if rows] == whole
         assert sum(len(rows) for _, rows in classes) > 20
 
     def test_rows_are_never_held(self):
