@@ -153,6 +153,10 @@ class _Chain(NamedTuple):
         """This chain times p / q, for nonzero integers p and q."""
         return _Chain(self.layout, self.degree, tuple(p * x for x in self.num), self.den * q)
 
+    def zero_cell(self) -> Fraction:
+        """The first cell, reduced: the coefficient of z^degree alone."""
+        return Fraction(self.num[0], self.den)
+
     def cells(self) -> dict[tuple[int, ...], int]:
         """The numerator of each nonzero cell of a chain without lam slots,
         by monomial: the cell of mono holds mono z^(degree - |mono|).
@@ -198,3 +202,14 @@ class _Chain(NamedTuple):
                 key = TermKey(beta, degree - weight, (), sector, mono, lam or no_lam)
                 out[key] = Fraction(c, den)
         return GradedSeries._trusted(ctx, out)
+
+
+def ascending_product(
+    chain: _Chain, coeffs: tuple[int, ...], lo: int, hi: int, skip: int | None = None
+) -> _Chain:
+    """``chain`` times prod_{lo <= a <= hi} (D + a z), optionally omitting one
+    integer step, where D is the class with coefficients ``coeffs``."""
+    for a in range(lo, hi + 1):
+        if a != skip:
+            chain = chain.times_linear(coeffs, a)
+    return chain

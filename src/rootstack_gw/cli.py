@@ -33,6 +33,7 @@ from .records import fmt_ints, fmt_rat
 
 import argparse
 import sys
+import warnings
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -293,34 +294,42 @@ def _load_job(args) -> JobConfig:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "laurent-period":
-            status, lines = cmd_laurent_period(args)
-        else:
-            job = _load_job(args)
-            handler = {
-                "ifunction": cmd_ifunction,
-                "invariants": cmd_invariants,
-                "stabilize": cmd_stabilize,
-                "check-identity": cmd_check_identity,
-                "period": cmd_period,
-                "compare-periods": cmd_compare_periods,
-            }[args.command]
-            status, lines = handler(job, args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return getattr(err, "exit_status", 1)
-    if args.out:
+    # a warning, raised while the lines are built or written, is written as
+    # its message alone: the frame it names is always the package's own
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
         try:
-            with open(args.out, "w", encoding="utf-8") as out:
-                write_lines(out, lines)
-        except OSError as err:
-            reason = err.strerror or err
-            print(f"error: cannot write {args.out!r}: {reason}", file=sys.stderr)
-            return 1
-    else:
-        write_lines(sys.stdout, lines)
+            if args.command == "laurent-period":
+                status, lines = cmd_laurent_period(args)
+            else:
+                job = _load_job(args)
+                handler = {
+                    "ifunction": cmd_ifunction,
+                    "invariants": cmd_invariants,
+                    "stabilize": cmd_stabilize,
+                    "check-identity": cmd_check_identity,
+                    "period": cmd_period,
+                    "compare-periods": cmd_compare_periods,
+                }[args.command]
+                status, lines = handler(job, args)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return getattr(err, "exit_status", 1)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as out:
+                    write_lines(out, lines)
+            except OSError as err:
+                reason = err.strerror or err
+                print(f"error: cannot write {args.out!r}: {reason}", file=sys.stderr)
+                return 1
+        else:
+            write_lines(sys.stdout, lines)
     return status
+
+
+def _show_warning(message, *args) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def write_lines(stream, lines: Iterable[str]) -> None:

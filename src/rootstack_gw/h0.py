@@ -10,7 +10,9 @@ without a z floor.
 The ``infinity-extended-h0`` series of the command line is written from
 :func:`h0_rows`, each class's rows read straight off its body in print
 order; :func:`i_infinity_extended_h0` sums the class slices into one
-series, and :func:`attach_tilings` serves the mirror-map certificate.
+series, and :func:`attach_tilings` names the terms of a refused mirror map.
+The body itself is :func:`~rootstack_gw.targets._class_body_chain`, which
+the period pipeline reads without this module.
 :mod:`rootstack_gw.ifunctions` provides :func:`i_infinity_extended_h0` too,
 importing this module when the name is first looked up.
 """
@@ -23,12 +25,12 @@ from math import factorial, prod
 from typing import Iterator
 
 from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
-from .ifunctions import ExtendedDataTooSmall, _validated, ascending_product
+from .ifunctions import ExtendedDataTooSmall, _validated
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
     TargetSpace,
-    _j_chain,
+    _class_body_chain,
     enumerate_curve_classes,
 )
 
@@ -67,10 +69,7 @@ def h0_body(
     Each contact tiling moves the body whole (see :func:`h0_slice`), so one
     tiling's coefficient can be read here without forming the others.
     """
-    chain = _j_chain(X, beta)
-    for divisor, d in zip(arrangement.divisors, arrangement.degrees(beta)):
-        chain = ascending_product(chain, divisor.coeffs, 1, d)
-    return chain.series(ctx, beta)
+    return _class_body_chain(X, arrangement, beta).series(ctx, beta)
 
 
 def h0_slice(

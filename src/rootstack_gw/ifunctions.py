@@ -41,6 +41,7 @@ import warnings
 from typing import Iterator
 
 from .algebra import GradedSeries, SeriesContext, _Chain, series_sum
+from .chain import ascending_product
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -73,17 +74,6 @@ class SectorFoldWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # Shared factor builders
 # ---------------------------------------------------------------------------
-
-
-def ascending_product(
-    chain: _Chain, coeffs: tuple[int, ...], lo: int, hi: int, skip: int | None = None
-) -> _Chain:
-    """``chain`` times prod_{lo <= a <= hi} (D + a z), optionally omitting one
-    integer step, where D is the class with coefficients ``coeffs``."""
-    for a in range(lo, hi + 1):
-        if a != skip:
-            chain = chain.times_linear(coeffs, a)
-    return chain
 
 
 def _upper_steps(d: int, r: int) -> list[int]:

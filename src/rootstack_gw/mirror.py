@@ -7,8 +7,9 @@ dilaton term.  Nontrivial mirror maps are detected and rejected with a
 precise diagnostic; no resummation is ever attempted.
 
 Both :mod:`rootstack_gw.invariants` and the period pipeline certify through
-this module, so ``period`` and ``compare-periods`` never load the invariant
-tables.
+this module.  The period pipeline's certificate and counts are read off one
+dense body chain per class, so ``period`` and ``compare-periods`` load
+neither the invariant tables nor any series builder.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GradedSeries, TermKey, print_key, series_sum
-from .h0 import attach_tilings, h0_body
 from .records import Record
 from .targets import DivisorArrangement, TargetSpace, enumerate_curve_classes
+from .targets import _class_body_chain
 
 
 class UnsupportedMirrorMapError(ValueError):
@@ -57,12 +58,16 @@ class MirrorMapReport(Record):
             bits.append(f"positive-z term {c} at {key}")
         return "mirror map nontrivial: " + "; ".join(bits)
 
+    def refusal(self) -> UnsupportedMirrorMapError:
+        """The error that refuses this mirror map, naming its offending terms."""
+        return UnsupportedMirrorMapError(
+            self.explain() + "; Birkhoff factorization unsupported"
+        )
+
     def require_trivial(self) -> None:
-        """Refuse a nontrivial mirror map, naming its offending terms."""
+        """Refuse a nontrivial mirror map."""
         if not self.trivial:
-            raise UnsupportedMirrorMapError(
-                self.explain() + "; Birkhoff factorization unsupported"
-            )
+            raise self.refusal()
 
 
 def _is_contact_unit(ctx, key: TermKey) -> bool:
@@ -110,25 +115,36 @@ def contact_one_counts(
 ) -> dict[tuple[int, ...], Fraction]:
     """The value :func:`~rootstack_gw.invariants.n_orb` returns for every
     class up to the cap, read without its other refusals: the untwisted z^1
-    coefficient with insertion 1 of each class body.
+    coefficient with insertion 1 of each class body: its zero-monomial
+    cell when the body has z-degree 1, and 0 otherwise.
 
     The tiling prod_i x_{i1}^{d_i} moves that body term to z^-(d-1) with
     weight 1/prod_i d_i!, and extraction multiplies the weight back.  The
     same bodies certify the mirror map of the untwisted extended limit
-    series up to the cap: only its terms at z^0 and above decide it, so
-    each body's tilings are attached at z floor 0, with contact orders up
-    to the class's own largest intersection number.  Refused unless that
-    mirror map is trivial.
+    series up to the cap, whose terms at z^0 and above decide it.  A tiling
+    with contact orders up to max(1, d) moves a body cell down by its part
+    count, at least the number of divisors meeting beta; so the series is
+    trivial exactly when no body but the beta = 0 dilaton z has a nonzero
+    cell at that count or above.  Refused unless it is trivial; only then
+    is :mod:`rootstack_gw.h0` imported, to attach the tilings at z floor 0
+    and name the offending terms.
     """
-    ctx = X.context(arrangement.n, cap)
-    floored = X.context(arrangement.n, cap, z_floor=0)
-    counts = {}
-    slices = []
+    counts, reached = {}, 0
     for beta in enumerate_curve_classes(X, cap):
-        body = h0_body(X, arrangement, beta, ctx)
-        key = ctx.zero_key()._replace(beta=beta, zpow=1)
-        counts[beta] = body.terms.get(key, Fraction(0))
-        degs = arrangement.degrees(beta)
-        slices.append(attach_tilings(body, degs, max(1, *degs), floored))
-    mirror_map(series_sum(floored, slices)).require_trivial()
+        body = _class_body_chain(X, arrangement, beta)
+        counts[beta] = body.zero_cell() if body.degree == 1 else Fraction(0)
+        top = body.degree - sum(1 for d in arrangement.degrees(beta) if d)
+        cells = zip(body.layout.cells, body.num)
+        reached += any(beta) and any(c and w <= top for (_, _, w), c in cells)
+    if reached:
+        from .h0 import attach_tilings, h0_body
+
+        ctx = X.context(arrangement.n, cap)
+        floored = X.context(arrangement.n, cap, z_floor=0)
+        slices = []
+        for beta in enumerate_curve_classes(X, cap):
+            degs = arrangement.degrees(beta)
+            body = h0_body(X, arrangement, beta, ctx)
+            slices.append(attach_tilings(body, degs, max(1, *degs), floored))
+        raise mirror_map(series_sum(floored, slices)).refusal()
     return counts

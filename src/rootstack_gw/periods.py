@@ -8,8 +8,9 @@ per divisor component of an anticanonical arrangement; the degree-d constant
 term of its d-th power expands into multinomially weighted counts with
 contact order one, which this module takes from the extended tangency
 series; :mod:`rootstack_gw.mirror` certifies the mirror map and reads the
-counts off one body per class.  The Laurent-polynomial constant-term period,
-the fully independent cross-check oracle, lives in
+counts off one dense body chain per class, as the quantum period reads each
+class's term off its target slice: neither builds a series.  The Laurent
+constant-term period, the fully independent cross-check oracle, lives in
 :mod:`rootstack_gw.laurent` and is re-exported here
 (``LaurentPolynomial``, ``PeriodSequence``, ``laurent_classical_period``).
 """
@@ -26,7 +27,7 @@ from .targets import (
     ConfigurationError,
     DivisorArrangement,
     TargetSpace,
-    base_j_function,
+    _j_chain,
     check_assumption,
     enumerate_curve_classes,
 )
@@ -41,22 +42,18 @@ class PeriodError(ValueError):
 def quantum_period(X: TargetSpace, cap: int) -> PeriodSequence:
     """Degree-m coefficients: point insertions against psi^(m-2), summed over
     classes of anticanonical degree m; degree 0 and 1 are pinned to 1 and 0.
+
+    A class's term is the zero-monomial cell of its target slice, the
+    z^(1-m) coefficient with insertion 1, read off the dense chain.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     coeffs = [Fraction(0)] * (cap + 1)
     coeffs[0] = Fraction(1)
-    ctx = X.context(0, cap)
     for beta in enumerate_curve_classes(X, cap):
-        if not any(beta):
-            continue
-        m = ctx.beta_degree(beta)
-        if m < 2:
-            continue
-        j_slice = base_j_function(X, beta, ctx)
-        coeffs[m] += j_slice.coefficient(
-            beta=beta, zpow=1 - m, mono=X.ring.zero_mono, sector=(), lam=()
-        ).scalar()
+        m = X.anticanonical_degree(beta)
+        if m >= 2:
+            coeffs[m] += _j_chain(X, beta).zero_cell()
     return PeriodSequence("quantum", tuple(coeffs))
 
 
@@ -94,8 +91,8 @@ def classical_period_orbifold(
     Requires the arrangement to be anticanonical and to satisfy the
     two-positive-pairings condition, which makes the mirror map trivial.
     :func:`~rootstack_gw.mirror.contact_one_counts` builds each class
-    body once, certifies that mirror map from the bodies at the cap and
-    reads each count, the n_orb value, off its body.
+    body chain once, certifies that mirror map from its cells at the cap
+    and reads each count, the n_orb value, off its zero-monomial cell.
     """
     assumption = check_assumption(X, arrangement, cap)
     if not arrangement.is_anticanonical(X):

@@ -12,6 +12,7 @@ import functools
 from math import gcd
 
 from .algebra import AmbientRing, CohClass, GradedSeries, SeriesContext, _Chain
+from .chain import ascending_product
 from .records import Record
 
 
@@ -229,6 +230,17 @@ def _j_chain(X: TargetSpace, beta: tuple[int, ...]) -> _Chain:
         for a in range(1, b + 1):
             for _ in range(X.factors[k] + 1):
                 chain = chain.over_linear(generator, a)
+    return chain
+
+
+def _class_body_chain(
+    X: TargetSpace, arrangement: DivisorArrangement, beta: tuple[int, ...]
+) -> _Chain:
+    """The class-beta body of the untwisted extended limit series as a dense
+    chain: the target slice times prod_i prod_{0<a<=d_i}(D_i + a z)."""
+    chain = _j_chain(X, beta)
+    for divisor, d in zip(arrangement.divisors, arrangement.degrees(beta)):
+        chain = ascending_product(chain, divisor.coeffs, 1, d)
     return chain
 
 

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,8 @@ from rootstack_gw.cli import WRITE_BATCH, run, write_lines
 from rootstack_gw.report import series_records, series_table
 from rootstack_gw.config import ConfigError, JobConfig, config_from_dict, parse_config
 from rootstack_gw.targets import check_coprime
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PLANE_JOB = {
     "target": {"factors": [2]},
@@ -462,6 +468,32 @@ class TestCommands:
                 f"error: the extended series would form up to {estimate} contact "
                 "combinations, over the limit of 2,000,000; lower the cap or m\n"
             )
+
+    def test_fold_warning_is_written_as_its_message(self, tmp_path):
+        # on the command line the frame a builder warning names is always
+        # the package's own, so only the message is written; the test
+        # configuration ignores the warning, so the command runs in its own
+        # interpreter, as it does for a user
+        doc = {"target": {"factors": [2]}, "divisors": [{"name": "C", "coeffs": [2]}]}
+        config = write_job(tmp_path, dict(doc, roots=[5], cap=18))
+        argv = ["-m", "rootstack_gw.cli", "--config", config, "--command", "ifunction"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONWARNINGS", None)
+        shown, quiet = (
+            subprocess.run(
+                [sys.executable, *flags, *argv, "--series", "root"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            for flags in ((), ("-W", "ignore"))
+        )
+        fold = "tangency shift 10 folds into the untwisted sector at root order 5"
+        assert shown.stderr.splitlines() == [f"warning: {fold}"]
+        assert "report.py" not in shown.stderr and quiet.stderr == ""
+        assert shown.stdout == quiet.stdout and "# series root" in shown.stdout
 
 
 class TestRecords:

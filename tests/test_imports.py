@@ -172,7 +172,8 @@ def command_argv(tmp_path, command: str, job: dict | None, *extra: str) -> list[
 # (command, job, extra arguments, the package modules it loads beside BASE,
 # modules it never loads, a line of its report): only the commands that
 # build an extended series load the extended builder, the period commands
-# take their certificate without the invariant tables, and only the two
+# read their numbers and their certificate off the dense class chains,
+# without the invariant tables or any series builder, and only the two
 # reports written class by class load their renderers.  No command loads
 # the sparse reference routines.  The Laurent period reads no job: no
 # domain objects and no JSON.
@@ -218,16 +219,16 @@ NO_JOB = {"targets", "periods", "mirror", "invariants", "ifunctions", "identitie
             "period",
             LINE_CONIC_JOB,
             (),
-            {"targets", "ifunctions", "h0", "mirror", "laurent", "periods"},
-            {"identities", "invariants", "extended", "reference", "report"},
+            {"targets", "mirror", "laurent", "periods"},
+            {"ifunctions", "h0", "identities", "invariants", "extended", "reference", "report"},
             "quantum[0] = 1",
         ),
         (
             "compare-periods",
             LINE_CONIC_JOB,
             (),
-            {"targets", "ifunctions", "h0", "mirror", "laurent", "periods"},
-            {"identities", "invariants", "extended", "reference", "report"},
+            {"targets", "mirror", "laurent", "periods"},
+            {"ifunctions", "h0", "identities", "invariants", "extended", "reference", "report"},
             "ok",
         ),
         (

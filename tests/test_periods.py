@@ -22,9 +22,16 @@ from rootstack_gw import (
     quantum_period,
     regularize,
 )
-from rootstack_gw import h0, invariants, mirror
-from rootstack_gw.h0 import h0_body
-from rootstack_gw.targets import _j_chain, enumerate_curve_classes
+from rootstack_gw import Divisor, DivisorArrangement, TargetSpace, h0, invariants, mirror
+from rootstack_gw.algebra import series_sum
+from rootstack_gw.h0 import attach_tilings, h0_body
+from rootstack_gw.mirror import UnsupportedMirrorMapError, contact_one_counts, mirror_map
+from rootstack_gw.targets import (
+    _class_body_chain,
+    _j_chain,
+    base_j_function,
+    enumerate_curve_classes,
+)
 
 
 class TestQuantumPeriod:
@@ -95,15 +102,21 @@ class TestClassicalPeriod:
         assert all(result.sequence[m] == 0 for m in (1, 2, 4, 5, 7, 8))
 
     def test_each_class_body_built_once(self, p1p1, two_diagonals, monkeypatch):
-        # the counts and the mirror-map certificate come from one body
+        # the counts and the mirror-map certificate come from one dense body
+        # chain per class; a trivial mirror map never builds a sparse body
         calls = []
 
-        def counted(X, arrangement, beta, ctx):
+        def counted(X, arrangement, beta):
             calls.append(beta)
-            return h0_body(X, arrangement, beta, ctx)
+            return _class_body_chain(X, arrangement, beta)
 
-        for module in (h0, invariants, mirror):
-            monkeypatch.setattr(module, "h0_body", counted)
+        def unread(*args):
+            raise AssertionError("sparse class body built on the trivial path")
+
+        for module in (h0, mirror):
+            monkeypatch.setattr(module, "_class_body_chain", counted)
+        for module in (h0, invariants):
+            monkeypatch.setattr(module, "h0_body", unread)
         classical_period_orbifold(p1p1, two_diagonals, 10)
         assert sorted(calls) == enumerate_curve_classes(p1p1, 10)
 
@@ -116,6 +129,91 @@ class TestClassicalPeriod:
     def test_condition_failure_refused(self, p2, cubic_only):
         with pytest.raises(PeriodError, match="mirror map"):
             classical_period_orbifold(p2, cubic_only, 6)
+
+
+def _sparse_counts(X, arrangement, cap):
+    """The reference for :func:`contact_one_counts`: each class body as a
+    sparse series, its count the term at (beta, z^1, mono 0), and the
+    mirror-map report of every contact tiling attached at z floor 0."""
+    ctx = X.context(arrangement.n, cap)
+    floored = X.context(arrangement.n, cap, z_floor=0)
+    counts, slices = {}, []
+    for beta in enumerate_curve_classes(X, cap):
+        body = h0_body(X, arrangement, beta, ctx)
+        counts[beta] = body.terms.get(ctx.zero_key()._replace(beta=beta, zpow=1), F(0))
+        degs = arrangement.degrees(beta)
+        slices.append(attach_tilings(body, degs, max(1, *degs), floored))
+    return counts, mirror_map(series_sum(floored, slices))
+
+
+def _sparse_quantum(X, cap):
+    """The reference for :func:`quantum_period`: each class's z^(1-m)
+    coefficient with insertion 1, read off its sparse target slice."""
+    ctx = X.context(0, cap)
+    coeffs = [F(1)] + [F(0)] * cap
+    for beta in enumerate_curve_classes(X, cap):
+        m = ctx.beta_degree(beta)
+        if m >= 2:
+            coeffs[m] += base_j_function(X, beta, ctx).coefficient(
+                beta=beta, zpow=1 - m, mono=X.ring.zero_mono, sector=(), lam=()
+            ).scalar()
+    return tuple(coeffs)
+
+
+def _arrangement(*coeffs):
+    return DivisorArrangement(tuple(Divisor(f"D{i}", c) for i, c in enumerate(coeffs)))
+
+
+# (target factors, divisor classes): the trivial mirror maps first, then
+# the P^2 cubic and a one-sided P^1 x P^1 pair, which refuse at z^0, and
+# two arrangements past the anticanonical class, which refuse at positive z
+DENSE_CASES = [
+    ((2,), ((1,), (2,))),
+    ((2,), ((2,),)),
+    ((2,), ((1,),)),
+    ((1, 1), ((1, 1), (1, 1))),
+    ((1, 1), ((0, 1),)),
+    ((3,), ((2,), (2,))),
+    ((2,), ((3,),)),
+    ((1, 1), ((2, 0), (0, 2))),
+    ((2,), ((4,),)),
+    ((2,), ((1,), (3,))),
+]
+
+
+class TestDenseReads:
+    """The period pipeline reads one dense cell per class; the sparse
+    series it replaced are the oracle."""
+
+    @pytest.mark.parametrize("cap", [1, 5, 12, 24])
+    @pytest.mark.parametrize("factors", [(2,), (1, 1), (3,)])
+    def test_quantum_period_matches_sparse_slices(self, factors, cap):
+        X = TargetSpace(factors)
+        assert quantum_period(X, cap).coeffs == _sparse_quantum(X, cap)
+
+    @pytest.mark.parametrize("cap", [0, 3, 8, 24])
+    @pytest.mark.parametrize("factors, divisors", DENSE_CASES)
+    def test_counts_and_certificate_match_sparse_series(self, factors, divisors, cap):
+        X, arrangement = TargetSpace(factors), _arrangement(*divisors)
+        want, report = _sparse_counts(X, arrangement, cap)
+        if report.trivial:
+            assert contact_one_counts(X, arrangement, cap) == want
+        else:
+            with pytest.raises(UnsupportedMirrorMapError) as refused:
+                contact_one_counts(X, arrangement, cap)
+            assert str(refused.value) == str(report.refusal())
+
+    def test_plane_cubic_refused_with_the_sparse_message(self, p2, cubic_only):
+        # classical_period_orbifold and n_orb refuse the cubic on the
+        # two-positive-pairings condition first, so only a direct call
+        # reaches the certificate
+        _, report = _sparse_counts(p2, cubic_only, 6)
+        assert not report.trivial
+        with pytest.raises(UnsupportedMirrorMapError) as refused:
+            contact_one_counts(p2, cubic_only, 6)
+        message = str(refused.value)
+        assert message == report.explain() + "; Birkhoff factorization unsupported"
+        assert message.startswith("mirror map nontrivial: z^0 term")
 
 
 class TestComparison:
