@@ -52,16 +52,14 @@ _EXPORTS = {
     ),
     "invariants": (
         "InvariantTable",
-        "MirrorMapReport",
         "StabilizationReport",
         "TableEntry",
-        "UnsupportedMirrorMapError",
         "extract_invariants",
-        "mirror_map",
         "n_orb",
         "stabilization_check",
     ),
     "laurent": ("LaurentPolynomial", "PeriodSequence", "laurent_classical_period"),
+    "mirror": ("MirrorMapReport", "UnsupportedMirrorMapError", "mirror_map"),
     "periods": (
         "PeriodComparison",
         "PeriodError",

@@ -8,6 +8,11 @@ comparisons, 2 when a nontrivial mirror map blocks invariant extraction
 two-positive-pairings condition fails).  An error sets its own status in
 ``exit_status``; any other ``ValueError`` exits 1.
 
+``COMMANDS`` maps each command to its handler; the ``--command`` choices
+and the dispatch of :func:`run` both read it.  A handler takes ``(job,
+args)``, ``job`` None for ``laurent-period``, and returns ``(status,
+lines)``; the checks and periods write each row through :func:`_lines`.
+
 Each command imports the modules it runs when it runs, so a job loads and
 compiles only those: ``laurent-period`` reads no job file and loads only
 ``config``, ``algebra`` (with ``series``, ``ring`` and ``chain``),
@@ -36,20 +41,7 @@ import sys
 import warnings
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from .targets import RootData
-
-COMMANDS = (
-    "ifunction",
-    "invariants",
-    "stabilize",
-    "check-identity",
-    "period",
-    "compare-periods",
-    "laurent-period",
-)
+from typing import Iterable
 
 # Lines joined into one ``write``: a write per line costs measurable time
 # on a report of thousands of lines, and a few hundred already make that
@@ -68,9 +60,8 @@ SERIES_CHOICES = (
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each makes every check that can refuse, then
-# returns (exit_status, lines); the lines are produced as they are written
-# and never raise a ValueError.
+# Command handlers.  Each makes every check that can refuse, then returns
+# (exit_status, lines); the lines never raise a ValueError.
 # ---------------------------------------------------------------------------
 
 
@@ -99,35 +90,35 @@ def cmd_invariants(job: JobConfig, args) -> tuple[int, Iterable[str]]:
     return 0, chain((header,), invariant_table(classes, X.ring))
 
 
-def _roots_from_args(job: JobConfig, args) -> list[RootData]:
-    if args.roots:
-        return [parse_roots(spec, job.arrangement) for spec in args.roots]
-    return [job.require_roots()]
+def _lines(args, rows, record, table) -> list[str]:
+    """Each row as the tab-joined fields ``record(*row)`` or as the text
+    ``table(*row)``, as ``--format`` asks."""
+    if args.format == "records":
+        return ["\t".join(record(*row)) for row in rows]
+    return [table(*row) for row in rows]
+
+
+def _state(report, records: bool) -> str:
+    """ok, else mismatch in a record and the first differing key in a table."""
+    if report.ok:
+        return "ok"
+    return "mismatch" if records else f"MISMATCH at {report.first_mismatch()}"
 
 
 def cmd_stabilize(job: JobConfig, args) -> tuple[int, list[str]]:
     from .invariants import stabilization_check
 
-    roots_list = _roots_from_args(job, args)
+    if args.roots:
+        roots_list = [parse_roots(spec, job.arrangement) for spec in args.roots]
+    else:
+        roots_list = [job.require_roots()]
     report = stabilization_check(job.target, job.arrangement, roots_list, job.cap)
-    lines = []
-    for case in report.cases:
-        if args.format == "records":
-            lines.append(
-                "\t".join(
-                    (
-                        "stabilize",
-                        fmt_ints(case.roots),
-                        fmt_ints(case.beta),
-                        "ok" if case.ok else "mismatch",
-                    )
-                )
-            )
-        else:
-            state = "ok" if case.ok else f"MISMATCH at {case.first_mismatch()}"
-            lines.append(
-                f"roots ({fmt_ints(case.roots)})  beta ({fmt_ints(case.beta)}): {state}"
-            )
+    lines = _lines(
+        args,
+        ((fmt_ints(case.roots), fmt_ints(case.beta), case) for case in report.cases),
+        lambda roots, beta, case: ("stabilize", roots, beta, _state(case, True)),
+        lambda roots, beta, case: f"roots ({roots})  beta ({beta}): {_state(case, False)}",
+    )
     return (0 if report.ok else 1), lines
 
 
@@ -136,56 +127,39 @@ def cmd_check_identity(job: JobConfig, args) -> tuple[int, list[str]]:
     from .targets import enumerate_curve_classes
 
     X, arr, cap = job.target, job.arrangement, job.cap
-    reports = []
-    skipped = []
+    reports, skipped = [], []
     for beta in enumerate_curve_classes(X, cap):
         degs = arr.degrees(beta)
         if not all(d > 0 for d in degs):
             if any(beta):
-                skipped.append((beta, "some divisor misses the class"))
+                skipped.append((fmt_ints(beta), "some divisor misses the class"))
             continue
         try:
             reports.extend(check_identities(X, arr, beta))
         except RefusedIdentityError as err:
-            skipped.append((beta, str(err)))
-    lines = []
-    ok = True
-    for report in reports:
-        ok = ok and report.ok
-        if args.format == "records":
-            lines.append(
-                "\t".join(
-                    (
-                        "identity",
-                        report.name,
-                        fmt_ints(report.beta),
-                        f"{report.sign:+d}",
-                        "ok" if report.ok else "mismatch",
-                    )
-                )
-            )
-        else:
-            state = "ok" if report.ok else f"MISMATCH at {report.first_mismatch()}"
-            lines.append(
-                f"{report.name}  beta ({fmt_ints(report.beta)})  "
-                f"sign {report.sign:+d}: {state}"
-            )
-    for beta, reason in skipped:
-        if args.format == "records":
-            lines.append("\t".join(("skipped", fmt_ints(beta), reason)))
-        else:
-            lines.append(f"skipped beta ({fmt_ints(beta)}): {reason}")
-    return (0 if ok else 1), lines
+            skipped.append((fmt_ints(beta), str(err)))
+    lines = _lines(
+        args,
+        ((r.name, fmt_ints(r.beta), f"{r.sign:+d}", r) for r in reports),
+        lambda name, beta, sign, r: ("identity", name, beta, sign, _state(r, True)),
+        lambda name, beta, sign, r: f"{name}  beta ({beta})  sign {sign}: {_state(r, False)}",
+    )
+    lines += _lines(
+        args,
+        skipped,
+        lambda beta, reason: ("skipped", beta, reason),
+        lambda beta, reason: f"skipped beta ({beta}): {reason}",
+    )
+    return (0 if all(r.ok for r in reports) else 1), lines
 
 
 def _period_lines(seq, args) -> list[str]:
-    lines = []
-    for m, c in enumerate(seq.coeffs):
-        if args.format == "records":
-            lines.append("\t".join(("period", seq.kind, str(m), fmt_rat(c, True))))
-        else:
-            lines.append(f"{seq.kind}[{m}] = {fmt_rat(c, False)}")
-    return lines
+    return _lines(
+        args,
+        enumerate(seq.coeffs),
+        lambda m, c: ("period", seq.kind, str(m), fmt_rat(c, True)),
+        lambda m, c: f"{seq.kind}[{m}] = {fmt_rat(c, False)}",
+    )
 
 
 def cmd_period(job: JobConfig, args) -> tuple[int, list[str]]:
@@ -197,17 +171,10 @@ def cmd_period(job: JobConfig, args) -> tuple[int, list[str]]:
     classical = classical_period_orbifold(job.target, job.arrangement, job.cap)
     lines += _period_lines(classical.sequence, args)
     if args.format == "records":
-        for beta, degs, count in classical.contributions:
-            lines.append(
-                "\t".join(
-                    (
-                        "count",
-                        fmt_ints(beta),
-                        fmt_ints(degs),
-                        fmt_rat(count, records=True),
-                    )
-                )
-            )
+        lines += [
+            "\t".join(("count", fmt_ints(beta), fmt_ints(degs), fmt_rat(count, True)))
+            for beta, degs, count in classical.contributions
+        ]
     return 0, lines
 
 
@@ -215,26 +182,20 @@ def cmd_compare_periods(job: JobConfig, args) -> tuple[int, list[str]]:
     from .periods import compare_periods
 
     outcome = compare_periods(job.target, job.arrangement, job.cap)
-    lines = []
-    for m in range(outcome.regularized.cap + 1):
-        a = outcome.regularized[m]
-        b = outcome.classical[m]
-        state = "ok" if a == b else "MISMATCH"
-        if args.format == "records":
-            lines.append(
-                "\t".join(
-                    ("compare", str(m), fmt_rat(a, True), fmt_rat(b, True), state)
-                )
-            )
-        else:
-            lines.append(
-                f"degree {m}: regularized {fmt_rat(a, False)}  "
-                f"classical {fmt_rat(b, False)}  {state}"
-            )
+    pairs = zip(outcome.regularized.coeffs, outcome.classical.coeffs)
+    lines = _lines(
+        args,
+        ((str(m), a, b, "ok" if a == b else "MISMATCH") for m, (a, b) in enumerate(pairs)),
+        lambda m, a, b, state: ("compare", m, fmt_rat(a, True), fmt_rat(b, True), state),
+        lambda m, a, b, state: (
+            f"degree {m}: regularized {fmt_rat(a, False)}  "
+            f"classical {fmt_rat(b, False)}  {state}"
+        ),
+    )
     return (0 if outcome.ok else 1), lines
 
 
-def cmd_laurent_period(args) -> tuple[int, list[str]]:
+def cmd_laurent_period(job: None, args) -> tuple[int, list[str]]:
     from .laurent import LaurentPolynomial, laurent_classical_period
 
     for flag in ("config", "roots", "series"):
@@ -247,6 +208,17 @@ def cmd_laurent_period(args) -> tuple[int, list[str]]:
     f = LaurentPolynomial.parse(args.laurent)
     seq = laurent_classical_period(f, check_cap(args.cap))
     return 0, _period_lines(seq, args)
+
+
+COMMANDS = {
+    "ifunction": cmd_ifunction,
+    "invariants": cmd_invariants,
+    "stabilize": cmd_stabilize,
+    "check-identity": cmd_check_identity,
+    "period": cmd_period,
+    "compare-periods": cmd_compare_periods,
+    "laurent-period": cmd_laurent_period,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +271,8 @@ def run(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            if args.command == "laurent-period":
-                status, lines = cmd_laurent_period(args)
-            else:
-                job = _load_job(args)
-                handler = {
-                    "ifunction": cmd_ifunction,
-                    "invariants": cmd_invariants,
-                    "stabilize": cmd_stabilize,
-                    "check-identity": cmd_check_identity,
-                    "period": cmd_period,
-                    "compare-periods": cmd_compare_periods,
-                }[args.command]
-                status, lines = handler(job, args)
+            job = None if args.command == "laurent-period" else _load_job(args)
+            status, lines = COMMANDS[args.command](job, args)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return getattr(err, "exit_status", 1)

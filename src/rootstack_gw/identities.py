@@ -106,9 +106,11 @@ def parity_sign(degrees: tuple[int, ...]) -> int:
 
 
 def _positive_degrees(
-    arrangement: DivisorArrangement, beta: tuple[int, ...]
+    X: TargetSpace, arrangement: DivisorArrangement, beta: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """The intersection numbers of beta, refused unless all are positive."""
+    """Validate the arrangement, then read the intersection numbers of
+    beta, refused unless all are positive."""
+    arrangement.validate_on(X)
     degs = arrangement.degrees(beta)
     if any(d <= 0 for d in degs):
         raise RefusedIdentityError(
@@ -120,9 +122,7 @@ def _positive_degrees(
 def _class_context(
     X: TargetSpace, arrangement: DivisorArrangement, beta: tuple[int, ...]
 ) -> SeriesContext:
-    """Validate the arrangement; the context of a one-class check, capped at
-    the class's own anticanonical degree."""
-    arrangement.validate_on(X)
+    """The context of a one-class check, capped at beta's anticanonical degree."""
     return X.context(arrangement.n, X.anticanonical_degree(beta))
 
 
@@ -157,7 +157,7 @@ def local_point_invariant(
     missing some divisor has no such weight to leave out and is refused.
     """
     beta = tuple(beta)
-    _positive_degrees(arrangement, beta)
+    _positive_degrees(X, arrangement, beta)
     ctx = _class_context(X, arrangement, beta)
     return _local_side(X, arrangement, beta, ctx).coefficient(
         beta=beta,
@@ -194,7 +194,7 @@ def check_identities(
     asserted and the check refuses to run.
     """
     beta = tuple(beta)
-    degs = _positive_degrees(arrangement, beta)
+    degs = _positive_degrees(X, arrangement, beta)
     n = arrangement.n
     meet = arrangement.intersection_class(X, tuple(range(n)))
     if meet.is_zero:

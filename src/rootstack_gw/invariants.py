@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import CohClass, ContractError, GradedSeries, TermKey
-from .h0 import _tilings, check_contact_bound, h0_body
+from .h0 import _checked_classes, _tilings, h0_body
 from .ifunctions import i_infinity_extended, infinity_slice, root_slice
 from .mirror import (
     MirrorMapReport,
@@ -179,11 +179,10 @@ def invariant_rows(
     comes in lex order of the joined contact monomials.
 
     Every refusal comes before the iterator is returned: the certificate,
-    then m against every class's intersection numbers."""
+    then, through :func:`~rootstack_gw.h0._checked_classes`, m against
+    every class's intersection numbers."""
     mirror_map(i_infinity_extended(X, arrangement, m, cap, z_floor=0)).require_trivial()
-    betas = enumerate_curve_classes(X, cap)
-    for beta in betas:
-        check_contact_bound(arrangement, m, beta)
+    betas = _checked_classes(X, arrangement, m, cap)
     ctx = X.context(arrangement.n, cap)
     dual = ctx.ring.dual_mono
     untwisted = (0,) * arrangement.n
@@ -228,11 +227,12 @@ def n_orb(
 
     This is the invariant extraction reads at the contact monomial
     prod_i x_{i1}^{d_i}; it is taken from the class body
-    (:func:`contact_one_counts`).  Refused unless the two-positive-pairings
-    condition holds and the mirror map is trivial, both up to the class's
-    anticanonical degree.
+    (:func:`contact_one_counts`).  Refused unless the arrangement is valid
+    on X, the two-positive-pairings condition holds and the mirror map is
+    trivial, the last two up to the class's anticanonical degree.
     """
     beta = tuple(beta)
+    arrangement.validate_on(X)
     if arrangement.total_degree(beta) < 2:
         raise ValueError("total contact below 2 has no interior psi insertion")
     cap = X.anticanonical_degree(beta)
@@ -316,9 +316,9 @@ def stabilization_check(
     number, so that each divisor's fractional ladder is the single step that
     carries the whole order dependence.
     """
+    arrangement.validate_on(X)
     betas = enumerate_curve_classes(X, cap)
     max_degs = arrangement.max_degrees(X, cap)
-    arrangement.validate_on(X)
     limit_ctx = X.context(arrangement.n, cap)
     limits = [infinity_slice(X, arrangement, b, limit_ctx) for b in betas]
     cases = []

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import print_classes
-from rootstack_gw import extended, h0, ifunctions
+from rootstack_gw import extended, h0, identities, ifunctions, invariants, periods
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.cli import WRITE_BATCH, run, write_lines
 from rootstack_gw.report import series_records, series_table
@@ -494,6 +494,90 @@ class TestCommands:
         assert shown.stderr.splitlines() == [f"warning: {fold}"]
         assert "report.py" not in shown.stderr and quiet.stderr == ""
         assert shown.stdout == quiet.stdout and "# series root" in shown.stdout
+
+
+class TestMismatchLines:
+    """One failing report in each check command, made by spoiling one report
+    of the library call: its record ends in ``mismatch`` (``MISMATCH`` for
+    ``compare``), its table line names the first differing key, and the
+    command exits 1 in both formats."""
+
+    def run_both(self, plane_config, capsys, command, *extra):
+        lines = {}
+        for fmt in ("records", "table"):
+            argv = ["--config", plane_config, "--command", command, "--cap", "3"]
+            assert run([*argv, "--format", fmt, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines[fmt] = captured.out.splitlines()
+        return lines["records"], lines["table"]
+
+    @staticmethod
+    def spoiled_at(lines, failing):
+        # the one line that reports a failure
+        (index,) = [i for i, line in enumerate(lines) if failing(line)]
+        return index
+
+    def test_stabilize(self, plane_config, capsys, monkeypatch):
+        original = invariants.stabilization_check
+        keys = []
+
+        def spoil(*args):
+            report = original(*args)
+            case = report.cases[-1]
+            assert case.ok and case.limit.terms
+            keys.append(min(case.limit.terms))
+            bad = case._replace(ok=False, limit=case.limit.scale(2))
+            return report._replace(cases=(*report.cases[:-1], bad))
+
+        monkeypatch.setattr(invariants, "stabilization_check", spoil)
+        records, table = self.run_both(plane_config, capsys, "stabilize", "--roots", "7,11")
+        assert records[-1] == "stabilize\t7,11\t1\tmismatch"
+        assert self.spoiled_at(records, lambda r: not r.endswith("\tok")) == len(records) - 1
+        assert table[-1] == f"roots (7,11)  beta (1): MISMATCH at {keys[0]}"
+        assert self.spoiled_at(table, lambda r: not r.endswith(": ok")) == len(table) - 1
+        assert keys[0] == keys[1]
+
+    def test_check_identity(self, plane_config, capsys, monkeypatch):
+        original = identities.check_identities
+        spoiled = []
+
+        def spoil(X, arrangement, beta):
+            first, second = original(X, arrangement, beta)
+            if beta != (1,):
+                return first, second
+            assert first.ok and first.right.terms
+            spoiled.append((first, min(first.right.terms)))
+            return first._replace(right=first.right.scale(2)), second
+
+        monkeypatch.setattr(identities, "check_identities", spoil)
+        records, table = self.run_both(plane_config, capsys, "check-identity")
+        (report, key), again = spoiled
+        assert again == (report, key)
+        sign = f"{report.sign:+d}"
+        at = self.spoiled_at(records, lambda r: r.endswith("\tmismatch"))
+        assert records[at] == f"identity\t{report.name}\t1\t{sign}\tmismatch"
+        assert self.spoiled_at(table, lambda r: "MISMATCH" in r) == at
+        assert table[at] == f"{report.name}  beta (1)  sign {sign}: MISMATCH at {key}"
+        others = records[:at] + records[at + 1 :]
+        assert all(r.endswith("\tok") for r in others if r.startswith("identity"))
+
+    def test_compare_periods(self, plane_config, capsys, monkeypatch):
+        original = periods.compare_periods
+
+        def spoil(*args):
+            outcome = original(*args)
+            coeffs = list(outcome.classical.coeffs)
+            coeffs[2] += 1
+            classical = outcome.classical._replace(coeffs=tuple(coeffs))
+            return outcome._replace(classical=classical)
+
+        monkeypatch.setattr(periods, "compare_periods", spoil)
+        records, table = self.run_both(plane_config, capsys, "compare-periods")
+        assert records[2] == "compare\t2\t0/1\t1/1\tMISMATCH"
+        assert self.spoiled_at(records, lambda r: r.endswith("\tMISMATCH")) == 2
+        assert table[2] == "degree 2: regularized 0  classical 1  MISMATCH"
+        assert self.spoiled_at(table, lambda r: r.endswith("MISMATCH")) == 2
 
 
 class TestRecords:

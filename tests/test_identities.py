@@ -14,6 +14,7 @@ from rootstack_gw import (
     divisor_derivative,
     i_infinity_nonextended,
     i_local,
+    n_orb,
     pushforward_iota,
     stabilization_check,
 )
@@ -324,15 +325,23 @@ class TestOneClassAtATime:
 
     def test_every_entry_point_validates(self, p1p1):
         # (2,-1) is not nef, yet meets (1,1) positively and the two classes
-        # still intersect, so only the arrangement check can refuse it
-        bad = DivisorArrangement((Divisor("D", (1, 1)), Divisor("E", (2, -1))))
-        single = DivisorArrangement((Divisor("E", (2, -1)),))
-        calls = [
-            lambda: check_identities(p1p1, bad, (1, 1)),
-            lambda: check_identities(p1p1, single, (1, 1)),
-            lambda: local_point_invariant(p1p1, bad, (1, 1)),
-            lambda: stabilization_check(p1p1, bad, [RootData((5, 7))], 4),
+        # still intersect, so only the arrangement check can refuse it; a
+        # divisor of one coefficient on P1 x P1 must be refused before any
+        # intersection number is read off it
+        cases = [
+            (Divisor("E", (2, -1)), "divisor 'E' not nef"),
+            (Divisor("E", (1,)), "divisor 'E': coefficient length mismatch"),
         ]
-        for call in calls:
-            with pytest.raises(ConfigurationError, match="not nef"):
-                call()
+        for divisor, message in cases:
+            bad = DivisorArrangement((Divisor("D", (1, 1)), divisor))
+            single = DivisorArrangement((divisor,))
+            calls = [
+                lambda: check_identities(p1p1, bad, (1, 1)),
+                lambda: check_identities(p1p1, single, (1, 1)),
+                lambda: local_point_invariant(p1p1, bad, (1, 1)),
+                lambda: stabilization_check(p1p1, bad, [RootData((5, 7))], 4),
+                lambda: n_orb(p1p1, bad, (1, 1)),
+            ]
+            for call in calls:
+                with pytest.raises(ConfigurationError, match=message):
+                    call()

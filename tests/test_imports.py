@@ -57,16 +57,14 @@ EXPORTS = {
     ],
     "invariants": [
         "InvariantTable",
-        "MirrorMapReport",
         "StabilizationReport",
         "TableEntry",
-        "UnsupportedMirrorMapError",
         "extract_invariants",
-        "mirror_map",
         "n_orb",
         "stabilization_check",
     ],
     "laurent": ["LaurentPolynomial", "PeriodSequence", "laurent_classical_period"],
+    "mirror": ["MirrorMapReport", "UnsupportedMirrorMapError", "mirror_map"],
     "periods": [
         "PeriodComparison",
         "PeriodError",
@@ -299,6 +297,27 @@ def test_ifunctions_provides_the_h0_builder_on_lookup():
     assert ifunctions.i_infinity_extended_h0 is h0.i_infinity_extended_h0
     with pytest.raises(AttributeError, match="no_such_name"):
         ifunctions.no_such_name
+
+
+@pytest.mark.parametrize(
+    "name, loads",
+    [
+        # the certificate's names come from mirror, which the period
+        # pipeline loads without the invariant tables or any series builder
+        ("mirror_map", {"mirror", "targets", "algebra", "series", "ring", "chain", "records"}),
+        ("laurent_classical_period", {"laurent", "records"}),
+    ],
+)
+def test_public_name_loads_only_its_source(name, loads):
+    loaded = fresh_modules(f"import rootstack_gw\nrootstack_gw.{name}")
+    assert package_modules(loaded) == {"rootstack_gw", *(f"rootstack_gw.{m}" for m in loads)}
+
+
+def test_invariants_provides_the_mirror_map_names():
+    from rootstack_gw import invariants, mirror
+
+    for name in EXPORTS["mirror"]:
+        assert getattr(invariants, name) is getattr(mirror, name), name
 
 
 @pytest.mark.parametrize("command", [None, "compare-periods"])
