@@ -75,3 +75,34 @@ def print_classes(series: GradedSeries) -> list[tuple[tuple[int, ...], list[tupl
         (beta, [print_row(key, c) for key, c in group])
         for beta, group in groupby(series.ordered_terms(), key=lambda item: item[0].beta)
     ]
+
+
+# The records layout of README, written out here apart from the package's
+# own formatting code: fields joined by tabs; an integer tuple as its
+# entries joined by commas, "-" when empty; a contact monomial as i:j^e for
+# each factor x_{ij}^e, joined by commas, "-" when there is none; a
+# rational as numerator/denominator.
+
+
+def _ints(values) -> str:
+    return ",".join(str(v) for v in values) or "-"
+
+
+def _contacts(xexp) -> str:
+    return ",".join(f"{i + 1}:{j}^{e}" for i, j, e in xexp) or "-"
+
+
+def term_record(beta, zpow, xexp, sector, mono, lam, c: Fraction) -> str:
+    fields = (_ints(beta), str(zpow), _contacts(xexp), _ints(sector), _ints(mono), _ints(lam))
+    return "\t".join(("term", *fields, f"{c.numerator}/{c.denominator}"))
+
+
+def invariant_record(beta, xexp, insertion, psi, sector, value: Fraction) -> str:
+    fields = (_ints(beta), _contacts(xexp), _ints(insertion), str(psi), _ints(sector))
+    return "\t".join(("invariant", *fields, f"{value.numerator}/{value.denominator}"))
+
+
+def flagged_record(key: TermKey) -> str:
+    beta, zpow, xexp, sector, mono, lam = key
+    fields = (_ints(beta), str(zpow), _contacts(xexp), _ints(sector), _ints(mono), _ints(lam))
+    return "\t".join(("flagged", *fields))

@@ -826,6 +826,23 @@ class TestWriter:
             terms = got.count("\n") - 1
             assert got.endswith(f"\n# series {series}: {terms} terms\n")
 
+    @pytest.mark.parametrize(
+        "doc, series",
+        [
+            (dict(PLANE_JOB, cap=4, m=4), "infinity-extended"),
+            (dict(PLANE_JOB, roots=[7, 11], cap=3, m=3), "root-extended"),
+        ],
+        ids=["infinity-extended", "root-extended"],
+    )
+    def test_table_count_is_the_records_count(self, tmp_path, capsys, doc, series):
+        config = write_job(tmp_path, doc)
+        args = ["--config", config, "--command", "ifunction", "--series", series]
+        assert run([*args, "--format", "records"]) == 0
+        count = capsys.readouterr().out.count("\n")
+        assert run([*args, "--format", "table"]) == 0
+        table = capsys.readouterr().out
+        assert table.endswith(f"\n# series {series}: {count} terms\n") and count > 1000
+
     @pytest.mark.parametrize("fmt", ["records", "table"])
     def test_h0_series_streams_one_class_at_a_time(
         self, tmp_path, capsys, monkeypatch, fmt

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 import warnings
 from collections import Counter
@@ -28,6 +29,7 @@ from rootstack_gw import (
 from rootstack_gw import extended, h0
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.chain import _layout
+from rootstack_gw.cli import run
 from rootstack_gw.extended import (
     MAX_CONTACT_COMBINATIONS,
     _combination_count,
@@ -48,7 +50,7 @@ from rootstack_gw.ifunctions import (
 from rootstack_gw.report import series_records
 from rootstack_gw.targets import _j_chain
 
-from conftest import print_classes
+from conftest import print_classes, term_record
 from oracle import extended_series, local_series
 
 
@@ -750,9 +752,45 @@ def _whole_records(series):
     return list(series_records(print_classes(series)))
 
 
+# name -> factors, divisor coefficients, root orders (None: the
+# infinite-order series), m and cap of a job whose extended records the
+# oracle checks at the command line's floor -(cap + 2)
+RECORD_JOBS = {
+    "line-conic": ((2,), ((1,), (2,)), None, 3, 3),
+    "line-conic-fold": ((2,), ((1,), (2,)), (3, 5), 1, 6),
+    "line-conic-roots": ((2,), ((1,), (2,)), (5, 7), 2, 3),
+    "diagonals": ((1, 1), ((1, 1), (1, 1)), None, 2, 4),
+}
+
+
 class TestExtendedRows:
     """The per-class rows the command line writes, against the oracle and
     against the whole series the library builds."""
+
+    @pytest.mark.parametrize("name", RECORD_JOBS)
+    def test_command_records_are_the_oracle_records(self, name, tmp_path, capsys):
+        # the oracle's terms in print order, each written by the tests' own
+        # formatter, are the command's records byte for byte
+        factors, coeffs, roots, m, cap = RECORD_JOBS[name]
+        divisors = [{"name": f"D{i}", "coeffs": list(c)} for i, c in enumerate(coeffs)]
+        doc = {"target": {"factors": list(factors)}, "divisors": divisors, "cap": cap, "m": m}
+        if roots is not None:
+            doc["roots"] = list(roots)
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        series = "infinity-extended" if roots is None else "root-extended"
+        args = ["--config", str(config), "--command", "ifunction", "--series", series]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert run([*args, "--format", "records"]) == 0
+        out, err = capsys.readouterr()
+        assert "folds into the untwisted sector" in err or not name.endswith("fold")
+        terms = extended_series(factors, coeffs, m, cap, -(cap + 2), roots)
+        # print order: class, descending z-power, monomial, contacts, sector
+        order = sorted(terms, key=lambda k: (k[0], -k[1], k[4], k[2], k[3]))
+        lam = (0,) * len(coeffs)
+        want = [term_record(b, z, x, s, mono, lam, terms[b, z, x, s, mono]) for b, z, x, s, mono in order]
+        assert out.splitlines() == want and len(want) > 90
 
     @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
     @pytest.mark.parametrize("factors, coeffs, orders", BOUND_JOBS, ids=BOUND_IDS)

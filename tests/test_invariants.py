@@ -31,6 +31,8 @@ from rootstack_gw.invariants import invariant_rows
 from rootstack_gw.series import print_key
 from rootstack_gw.targets import _j_chain
 
+from conftest import flagged_record, invariant_record
+
 
 class TestMirrorMap:
     def test_line_conic_extended_is_trivial(self, p2, line_conic):
@@ -193,25 +195,16 @@ def table_by_class(X, arrangement, m, cap):
 
 def table_records(tables):
     """The records of :func:`table_by_class`'s tables, the flagged keys of
-    all of them last, sorted."""
-    fields = report._RecordFields()
+    all of them last, sorted, each written by the tests' own formatter."""
     flagged = []
     for table in tables:
         for entry, value in table.ordered():
-            yield "\t".join(
-                (
-                    "invariant",
-                    fields.ints[entry.beta],
-                    fields.xexp(entry.xexp),
-                    fields.ints[entry.insertion],
-                    str(entry.psi),
-                    fields.ints[entry.sector],
-                    records.fmt_rat(value, records=True),
-                )
+            yield invariant_record(
+                entry.beta, entry.xexp, entry.insertion, entry.psi, entry.sector, value
             )
         flagged += table.flagged
     for key in sorted(flagged):
-        yield "flagged\t" + "\t".join(fields.key(key))
+        yield flagged_record(key)
 
 
 def table_human(tables, ring):
