@@ -29,7 +29,7 @@ from __future__ import annotations
 # by about 2.5 KB per source line, never given back, and the smaller
 # compiles and imports after it reuse that memory; so a child's peak
 # resident set is lowest when its largest compile runs on the smallest
-# heap.  That is ``series``, which ``algebra`` imports first (468 lines,
+# heap.  That is ``series``, which ``algebra`` imports first (455 lines,
 # about 1.3 MB); loading ``config`` and ``json`` before it raises the peak
 # of a ``period``, ``check-identity`` or ``stabilize`` job by about 0.2 MB.
 from . import algebra

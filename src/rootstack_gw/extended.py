@@ -25,17 +25,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import GradedSeries, SeriesContext, TermKey
 from .ifunctions import (
     ExtendedBudgetError,
     _body_chain,
+    _divisor_weight,
     _finite_sector,
     _sector_meets,
     _validated,
     _weight_degree,
 )
+from .records import fmt_ints
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -50,13 +52,13 @@ from .targets import (
 # at a time, never its terms, so the largest accepted jobs stay small in
 # memory but not in time (2-vCPU Xeon, CPython 3.11).  On the README job
 # (line + conic, roots 7, 11, m 6) the infinite-order series counts 251,940
-# at cap 5 and writes its 312,458 records in 1.6 s at a peak of 18.5 MB,
-# and 1,939,938 at cap 7, writing 2,721,572 records in 11 s at 22 MB; it
+# at cap 5 and writes its 312,458 records in 0.5 s at a peak of 18 MB, and
+# 1,939,938 at cap 7, writing 2,721,572 records in 3.5-4.5 s at 22 MB; it
 # counts 10,816,624 at cap 9, where degree zero alone keeps 2,704,156
 # terms.  The finite-order series counts 418,390 at cap 2 and writes its
-# 221,078 records in 1.6 s at 30 MB.  On P^1 x P^1 with both diagonals the
+# 221,078 records in 0.6 s at 31 MB.  On P^1 x P^1 with both diagonals the
 # infinite-order series counts 1,889,550 at cap 9 and writes 3,929,548
-# records in 18 s at 19 MB.
+# records in 4.5 s at 18 MB.
 MAX_CONTACT_COMBINATIONS = 2_000_000
 
 
@@ -72,43 +74,46 @@ class _Contacts(NamedTuple):
     total: list[int]  # sum_j e_j: the z-power the monomial divides out
     weight: list[int]  # prod_j e_j!; the monomial's coefficient is 1 / weight
     xexp: list[tuple[tuple[int, int, int], ...]]
+    text: list[str]  # its record text, "" for the empty monomial
     reduction: list[int]  # sum_j j e_j: what it takes off the intersection number
     end: list[int]  # the index past the monomial's extensions
 
 
-def _contact_vectors(i: int, costs: list[int], budget: int) -> _Contacts:
+def _contact_vectors(i, costs, budget) -> _Contacts:
     """Contact monomials of divisor i whose cost stays within the budget,
     where order j costs costs[j - 1] > 0 per unit; the first is the empty
     monomial."""
-    out = _Contacts([], [], [], [], [])
-    totals, weights, xexps, reductions, ends = out
+    out = _Contacts([], [], [], [], [], [])
+    totals, weights, xexps, texts, reductions, ends = out
+    triples = {}  # by (j, e): one (i, j, e) for every monomial
 
-    def rec(j0: int, left: int, reduction: int, total: int, denom: int, xexp: tuple):
-        # one call per monomial: record it, then extend it by one more
-        # order j >= j0 with a positive exponent
+    def rec(j0, left, reduction, total, denom, xexp, text):
+        # one call per monomial: record it, then extend it by an order j >= j0
         k = len(ends)
         totals.append(total)
         weights.append(denom)
         xexps.append(xexp)
+        texts.append(text)
         reductions.append(reduction)
         ends.append(0)
+        lead = text + "," if text else ""
         for j in range(j0, len(costs) + 1):
             cost = costs[j - 1]
             e, weight = 1, denom
             while e * cost <= left:
                 weight *= e
-                with_e = xexp + ((i, j, e),)
-                rec(j + 1, left - e * cost, reduction + j * e, total + e, weight, with_e)
+                triple = triples.setdefault((j, e), (i, j, e))
+                after = left - e * cost, reduction + j * e, total + e, weight
+                # x_{ij}^e as report.fmt_contact writes it
+                rec(j + 1, *after, xexp + (triple,), lead + "%d:%d^%d" % (i + 1, j, e))
                 e += 1
         ends[k] = len(ends)
 
-    rec(1, budget, 0, 0, 1, ())
+    rec(1, budget, 0, 0, 1, (), "")
     return out
 
 
-def _combination_count(
-    costs: list[list[int]], budget: int, steps: int
-) -> tuple[int, int] | None:
+def _combination_count(costs, budget, steps):
     """(count, steps taken): how many choices of one contact monomial per
     divisor have summed cost at most ``budget``, where divisor i's order j
     costs costs[i][j - 1] > 0 per unit.  That is the most contact
@@ -137,7 +142,7 @@ def _combination_count(
             if taken > steps:
                 return None
         ordered = sorted(counts.items())
-        pairs: dict[int, int] = {}
+        pairs = {}
         for a, ka in joint.items():
             for c, k in ordered:
                 taken += 1
@@ -150,7 +155,7 @@ def _combination_count(
     return sum(joint.values()), taken
 
 
-def _check_contact_budget(costs: list[list[int]], budgets: list[int]) -> None:
+def _check_contact_budget(costs, budgets) -> None:
     """Refuse, with the count, an extended build whose classes, at the given
     contact budgets, would form more than :data:`MAX_CONTACT_COMBINATIONS`
     contact combinations in total."""
@@ -184,13 +189,12 @@ class _Level(NamedTuple):
     by_excess: dict[int, list[int]]  # the monomials' indices by excess, in order
 
 
-def _level(contacts: _Contacts, d: int, r: int | None) -> _Level:
+def _level(contacts, d, r) -> _Level:
     """Divisor data of one class with intersection number d, root order r
     (None at infinite order)."""
     degree: dict[int, int] = {}  # the weight's z-degree by reduction
     shift, excess = [], []
-    least: dict[int, int] = {}
-    by_excess: dict[int, list[int]] = {}
+    least, by_excess = {}, {}
     for k, (total, reduction) in enumerate(zip(contacts.total, contacts.reduction)):
         s = d - reduction
         if reduction not in degree:
@@ -211,12 +215,11 @@ def _level(contacts: _Contacts, d: int, r: int | None) -> _Level:
     return _Level(contacts, shift, excess, low, least, by_excess)
 
 
-def _choices(
-    levels: list[_Level], i: int, want: int, tree: dict
-) -> Iterator[tuple[tuple, int, tuple]]:
-    """(xexp, weight, leaf) of each choice of one contact monomial for each
-    divisor from i on whose excesses sum to ``want`` and whose shifts lead
-    to a leaf of ``tree``, in lex order of xexp.
+def _choices(levels, i, want, tree) -> Iterator[tuple]:
+    """(xexp, text, weight, leaf) of each choice of one contact monomial for
+    each divisor from i on whose excesses sum to ``want`` and whose shifts
+    lead to a leaf of ``tree``, in lex order of xexp; ``text`` is the
+    monomials' record texts joined, "" for the empty choice.
 
     The last divisor's monomials are read off its excess index.  An earlier
     divisor's list is walked in order.  The choices with monomial a come
@@ -226,28 +229,30 @@ def _choices(
     triple.
     """
     level = levels[i]
-    shift, xexps, weights = level.shift, level.contacts.xexp, level.contacts.weight
+    contacts = level.contacts
+    shift, xexps, texts, weights = level.shift, contacts.xexp, contacts.text, contacts.weight
     if i + 1 == len(levels):
         for k in level.by_excess.get(want, ()):
             leaf = tree.get(shift[k])
             if leaf is not None:
-                yield xexps[k], weights[k], leaf
+                yield xexps[k], texts[k], weights[k], leaf
         return
-    excess, low, end = level.excess, level.low, level.contacts.end
+    excess, low, end = level.excess, level.low, contacts.end
     later = levels[i + 1 :]
     empty_excess = sum(after.excess[0] for after in later)
     # the largest excess that leaves the later divisors a choice
     most = want - sum(after.low[0] for after in later)
     size = len(end)
     k = 0
-    walking: list[tuple[int, dict]] = []  # monomials whose extensions come next
+    walking = []  # (monomial, subtree) whose extensions come next
     while True:
         while walking and (k == size or end[walking[-1][0]] <= k):
             p, sub = walking.pop()
             x, w = xexps[p], weights[p]
-            for rest, rest_weight, leaf in _choices(levels, i + 1, want - excess[p], sub):
+            lead = texts[p] + "," if x else ""
+            for rest, text, rest_weight, leaf in _choices(levels, i + 1, want - excess[p], sub):
                 if rest:
-                    yield x + rest, w * rest_weight, leaf
+                    yield x + rest, lead + text, w * rest_weight, leaf
         if k == size:
             return
         if low[k] > most:
@@ -262,36 +267,39 @@ def _choices(
                     if leaf is None:
                         break
                 else:
-                    yield xexps[k], weights[k], leaf
+                    yield xexps[k], texts[k], weights[k], leaf
             walking.append((k, sub))
         k += 1
 
 
-def _class_rows(
-    levels: list[_Level],
-    trees: list[tuple[tuple[int, ...], int, dict]],
-    top: int,
-    first: int,
-    last: int,
-) -> Iterator[tuple]:
+def _class_rows(levels, trees, top, first, last) -> Iterator[tuple]:
     """One class's rows in print order, -z-power from ``first`` to ``last``.
 
     ``trees`` holds (mono, |mono|, tree) in the order of the monomials, the
     tree leading by shifts to the body cells of that monomial; ``top`` is
     the target slice's z-power 1 - deg(beta).  A row's -z-power is the sum
-    of its excesses less ``top``, plus |mono|.
+    of its excesses less ``top``, plus |mono|.  A row's text joins texts made
+    once per z-power, contacts, sector, monomial and reduced coefficient.
     """
     no_lam = (0,) * len(levels)
-    reduced: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator)
+    lam = "\t" + fmt_ints(no_lam) + "\t"
+    # by denominator, then numerator: the reduced coefficient and its text
+    reduced = {}
     for negz in range(first, last + 1):
+        ztext = str(-negz) + "\t"
         for mono, size, tree in trees:
+            mtext = fmt_ints(mono) + lam
             want = negz - size + top
-            for xexp, weight, (sector, c, den) in _choices(levels, 0, want, tree):
+            for xexp, xtext, weight, leaf in _choices(levels, 0, want, tree):
+                sector, c, den, stext = leaf
                 denom = den * weight
-                q = reduced.get((c, denom))
-                if q is None:
-                    q = reduced[(c, denom)] = Fraction(c, denom)
-                yield negz, mono, xexp, sector, no_lam, q
+                by_c = reduced.get(denom) or reduced.setdefault(denom, {})
+                hit = by_c.get(c)
+                if hit is None:
+                    q = Fraction(c, denom)
+                    hit = by_c[c] = q, "%d/%d" % (q.numerator, q.denominator)
+                text = f"{ztext}{xtext or '-'}{stext}{mtext}{hit[1]}"
+                yield negz, mono, xexp, sector, no_lam, hit[0], text
 
 
 def extended_rows(
@@ -301,18 +309,18 @@ def extended_rows(
     cap: int,
     z_floor: int | None = -1,
     roots: RootData | None = None,
-) -> tuple[SeriesContext, Iterator[tuple[tuple[int, ...], Iterator[tuple]]]]:
+) -> tuple[SeriesContext, Iterator[tuple]]:
     """(ctx, classes): the extended series of the root stack at the orders
     ``roots``, or its infinite-order limit (``roots`` None), with contact
     orders 1..m, as (beta, rows) per curve class in lex order, the class's
-    terms an iterator of :func:`~rootstack_gw.series.print_row` rows in
-    print order, to be read before the next class.  Every refusal comes
-    first, so the iterator never raises.
+    terms an iterator of :func:`~rootstack_gw.series.print_row` rows, each
+    with its record text after the class, in print order, to be read before
+    the next class.  Every refusal comes first, so the iterator never raises.
 
     A contact vector k multiplies the body of its net shifts s_i = d_i -
-    sum_j j k_ij (:func:`~rootstack_gw.ifunctions._body_chain`, in the
-    sector of the negated shifts) by prod x^k / (prod k! z^|k|).  One exact
-    bound keeps the sum finite: a vector whose total |k| exceeds the highest
+    sum_j j k_ij (:func:`~rootstack_gw.ifunctions._body_chain`, in the sector
+    of the negated shifts) by prod x^k / (prod k! z^|k|).  One exact bound
+    keeps the sum finite: a vector whose total |k| exceeds the highest
     z-power of its body minus the floor has no term at or above the floor.
     The body's z-degree, the target slice's 1 - deg(beta) plus each
     divisor's :func:`~rootstack_gw.ifunctions._weight_degree`, is its top
@@ -335,11 +343,13 @@ def extended_rows(
     is skipped before its sector is labelled or its body built, so
     :class:`~rootstack_gw.ifunctions.SectorFoldWarning` names only shifts
     that can reach the floor.  The bodies of a class are built, in the
-    order of the shift tuples, when the class is reached; only their
-    nonzero cells are kept, by monomial and shift.  The contact monomial is
-    attached by moving a body cell to z-power zpow - |k|, its coefficient
-    the cell's integer numerator over the chain's denominator times
-    prod k!, reduced once per distinct pair in the class.
+    order of the shift tuples, when the class is reached, each on the
+    class's one product over all but the last divisor at its shifts there;
+    only their nonzero cells are kept, by monomial and shift, with their
+    texts.  The contact monomial is attached by moving a body cell to
+    z-power zpow - |k|, its coefficient the cell's integer numerator over
+    the chain's denominator times prod k!, reduced and written once per
+    distinct pair.
     """
     _validated(X, arrangement, roots)
     if m < 1:
@@ -361,30 +371,32 @@ def extended_rows(
     else:
         scale = lcm(*roots)
         costs = [[(r - j) * (scale // r) for j in range(1, m + 1)] for r in roots]
-    budgets = {}  # by class: (reach, budget)
+    budgets = {}  # by class: (reach, budget, intersection numbers)
     for beta in enumerate_curve_classes(X, cap):
         # the target slice's top z-power less the floor
         reach = 1 - ctx.beta_degree(beta) - floor
         degs = arrangement.degrees(beta)
         # a divisor's cost exceeds T_i less its weight degree by at most d_i w_i1
         spread = sum(d * c[0] for d, c in zip(degs, costs))
-        budgets[beta] = reach, reach * scale + spread
-    _check_contact_budget(costs, [budget for _, budget in budgets.values()])
+        budgets[beta] = reach, reach * scale + spread, degs
+    _check_contact_budget(costs, [budget for _, budget, _ in budgets.values()])
+    # the last divisor and its root order, None at infinite order
+    last, r_last = arrangement.divisors[-1], roots and roots[-1]
 
     def classes():
-        contact_cache: dict[tuple[int, int], _Contacts] = {}
-        meets: dict[tuple[bool, ...], bool] = {}  # by the sector's support
-        for beta, (reach, budget) in budgets.items():
-            degs = arrangement.degrees(beta)
+        contact_cache = {}  # by (divisor, budget)
+        meets = {}  # by the sector's support
+        for beta, (reach, budget, degs) in budgets.items():
             levels = []
             for i in range(n):
                 if (i, budget) not in contact_cache:
                     contact_cache[(i, budget)] = _contact_vectors(i, costs[i], budget)
                 r = None if roots is None else roots[i]
                 levels.append(_level(contact_cache[(i, budget)], degs[i], r))
-            # by monomial, nested dicts by shift down to the leaves
-            # (sector, numerator, den) of the bodies' nonzero cells
-            trees: dict[tuple[int, ...], dict] = {}
+            # by monomial, nested dicts by shift down to the leaves (sector,
+            # numerator, den, sector text) of the bodies' nonzero cells
+            # partial: the bodies' products over all but the last divisor
+            trees, partial = {}, {}
             top = reach + floor  # the target slice's z-power 1 - deg(beta)
             first = -floor  # the least -z-power of any row
             for shifts in product(*(level.least for level in levels)):
@@ -400,29 +412,33 @@ def extended_rows(
                     meets[support] = _sector_meets(X, arrangement, sector)
                 if not meets[support]:
                     continue
-                chain = _body_chain(X, arrangement, beta, shifts, roots)
+                head = shifts[:-1]
+                if head not in partial:
+                    partial[head] = _body_chain(X, arrangement, beta, head, roots)
+                shift = shifts[-1]
+                chain = _divisor_weight(partial[head], last, beta, shift, r_last)
                 cells = chain.cells()
                 if not cells:
                     continue
+                sector_text = "\t" + fmt_ints(sector) + "\t"
                 for mono, c in cells.items():
                     node = trees.setdefault(mono, {})
-                    for s in shifts[:-1]:
+                    for s in head:
                         node = node.setdefault(s, {})
-                    node[shifts[-1]] = (sector, c, chain.den)
+                    node[shift] = (sector, c, chain.den, sector_text)
                 first = min(first, least + min(map(sum, cells)) - top)
-            ordered = [(mono, sum(mono), trees[mono]) for mono in sorted(trees)]
+            ordered = [(mono, sum(mono), trees.pop(mono)) for mono in sorted(trees)]
             yield beta, _class_rows(levels, ordered, top, first, -floor)
+            del ordered  # the rows alone hold the cells, freed before the next class
 
     return ctx, classes()
 
 
-def _rows_series(
-    ctx: SeriesContext, classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]]
-) -> GradedSeries:
+def _rows_series(ctx, classes) -> GradedSeries:
     """The series of ``classes``, rows as :func:`extended_rows` gives them:
     within the cap, at or above the floor, every coefficient nonzero."""
-    out: dict[TermKey, Fraction] = {}
+    out = {}
     for beta, rows in classes:
-        for negz, mono, xexp, sector, lam, c in rows:
+        for negz, mono, xexp, sector, lam, c, _ in rows:
             out[TermKey(beta, -negz, xexp, sector, mono, lam)] = c
     return GradedSeries._trusted(ctx, out)

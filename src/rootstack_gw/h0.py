@@ -26,6 +26,7 @@ from typing import Iterator
 
 from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
 from .ifunctions import ExtendedDataTooSmall, _validated
+from .records import fmt_ints
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -35,16 +36,18 @@ from .targets import (
 )
 
 
-def _tilings(i: int, d: int, m: int, max_total: int) -> list[tuple[tuple, int, int]]:
-    """(xexp, total, weight) of each contact monomial prod_j x_{ij}^{e_j} of
-    divisor i with sum_j j e_j = d, every j <= m and total = sum_j e_j at
-    most max_total, where the monomial's coefficient is 1 / weight, with
-    weight = prod_j e_j!."""
+def _tilings(i: int, d: int, m: int, max_total: int) -> list[tuple[tuple, int, int, str]]:
+    """(xexp, total, weight, text) of each contact monomial prod_j
+    x_{ij}^{e_j} of divisor i with sum_j j e_j = d, every j <= m and total =
+    sum_j e_j at most max_total, where the monomial's coefficient is
+    1 / weight, with weight = prod_j e_j!, and its record text is ``text``
+    ("" for the empty monomial)."""
     out = []
 
     def rec(remaining: int, j: int, xexp: tuple, total: int, weight: int):
         if remaining == 0:
-            out.append((xexp, total, weight))
+            # each x_{ij}^e as report.fmt_contact writes it
+            out.append((xexp, total, weight, ",".join(f"{i + 1}:{j}^{e}" for i, j, e in xexp)))
             return
         # the rest needs at least ceil(remaining / j) more parts
         if j == 0 or total - (-remaining // j) > max_total:
@@ -150,6 +153,17 @@ def _checked_classes(
     return betas
 
 
+def _tiling_products(degs, m) -> Iterator[tuple]:
+    """(xexp, text, total) of each choice of one tiling of d_i per divisor
+    (:func:`_tilings`), in lex order of the joined contact monomials xexp,
+    with its record text and its total: no tiling of d_i is a prefix of
+    another, so the product of each divisor's sorted tilings keeps lex
+    order."""
+    for tiling in product(*(sorted(_tilings(i, d, m, d)) for i, d in enumerate(degs))):
+        text = ",".join([t[3] for t in tiling if t[0]]) or "-"
+        yield sum((t[0] for t in tiling), ()), text, sum(t[1] for t in tiling)
+
+
 def _class_rows(
     X: TargetSpace,
     arrangement: DivisorArrangement,
@@ -158,14 +172,16 @@ def _class_rows(
     ctx: SeriesContext,
 ) -> Iterator[tuple]:
     """The terms of :func:`h0_slice` at beta as
-    :func:`~rootstack_gw.series.print_row` rows, in print order.
+    :func:`~rootstack_gw.series.print_row` rows, in print order, each with
+    its record text after the class.
 
     A tiling of total t moves the body cell of z-power p to -zpow = t - p,
     so the rows at -zpow = s are, cell by cell in monomial order, the
     tilings of total s + p in lex order.  Those come from each divisor's
     sorted tilings in turn, the last divisor's looked up by total: no
     tiling of d_i is a prefix of another, so joining them keeps lex order.
-    Each cell's quotient by a weight is reduced once.
+    Each cell's quotient by a weight is reduced and written once, and each
+    divisor's tilings and each cell's fields are written once.
     """
     body = h0_body(X, arrangement, beta, ctx).terms
     cells = sorted((key.mono, key.zpow, c) for key, c in body.items())
@@ -177,32 +193,37 @@ def _class_rows(
     least = [sum(min(t[1] for t in ts) for ts in tilings[i:]) for i in range(len(degs) + 1)]
     most = [sum(degs[i:]) for i in range(len(degs) + 1)]
     last = len(degs) - 1
-    by_total: dict[int, list[tuple[tuple, int]]] = {}
-    for xexp, total, weight in tilings[last]:
-        by_total.setdefault(total, []).append((xexp, weight))
+    by_total = {}  # the last divisor's (xexp, text, weight) by total
+    for xexp, total, weight, text in tilings[last]:
+        by_total.setdefault(total, []).append((xexp, text, weight))
 
     def joined(i: int, total: int):
         if i == last:
             return by_total.get(total, ())
         return (
-            (xexp + tail, weight * w)
-            for xexp, t, weight in tilings[i]
+            (xexp + tail, f"{text},{rest}" if text and rest else text or rest, weight * w)
+            for xexp, t, weight, text in tilings[i]
             if least[i + 1] <= total - t <= most[i + 1]
-            for tail, w in joined(i + 1, total - t)
+            for tail, rest, w in joined(i + 1, total - t)
         )
 
     untwisted = (0,) * len(degs)
-    quotients = [{} for _ in cells]
+    zeros = "\t" + fmt_ints(untwisted) + "\t"
+    texts = [f"{zeros}{fmt_ints(mono)}{zeros}" for mono, _, _ in cells]
+    quotients = [{} for _ in cells]  # by weight: the reduced quotient and its text
     zpows = [p for _, p, _ in cells]
     for negz in range(least[0] - max(zpows), most[0] - min(zpows) + 1):
-        for (mono, zpow, c), quotient in zip(cells, quotients):
+        ztext = f"{-negz}\t"
+        for (mono, zpow, c), cell, quotient in zip(cells, texts, quotients):
             total = negz + zpow
             if least[0] <= total <= most[0]:
-                for xexp, weight in joined(0, total):
-                    q = quotient.get(weight)
-                    if q is None:
-                        q = quotient[weight] = c / weight
-                    yield negz, mono, xexp, untwisted, untwisted, q
+                for xexp, text, weight in joined(0, total):
+                    hit = quotient.get(weight)
+                    if hit is None:
+                        q = c / weight
+                        hit = quotient[weight] = q, f"{q.numerator}/{q.denominator}"
+                    row_text = f"{ztext}{text or '-'}{cell}{hit[1]}"
+                    yield negz, mono, xexp, untwisted, untwisted, hit[0], row_text
 
 
 def h0_rows(

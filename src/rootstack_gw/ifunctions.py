@@ -133,16 +133,22 @@ def _body_chain(
     roots: tuple[int, ...] | None,
 ) -> _Chain:
     """The class-beta body at the net shifts: the target slice times each
-    divisor's weight, :func:`_root_factor` at the root orders ``roots`` or
-    :func:`_limit_factor` at infinite order (``roots`` None)."""
+    divisor's :func:`_divisor_weight`, at the root orders ``roots`` (None at
+    infinite order)."""
     chain = _j_chain(X, beta)
-    degs = arrangement.degrees(beta)
-    for i, (divisor, d, shift) in enumerate(zip(arrangement.divisors, degs, shifts)):
-        if roots is None:
-            chain = _limit_factor(chain, divisor.coeffs, d, shift)
-        else:
-            chain = _root_factor(chain, divisor.coeffs, d, shift, roots[i])
+    for i, shift in enumerate(shifts):
+        r = None if roots is None else roots[i]
+        chain = _divisor_weight(chain, arrangement.divisors[i], beta, shift, r)
     return chain
+
+
+def _divisor_weight(chain, divisor, beta, shift, r) -> _Chain:
+    """``chain`` times the weight of one divisor of class beta at the net
+    shift: :func:`_root_factor` at root order r, :func:`_limit_factor` at
+    infinite order (r None)."""
+    if r is None:
+        return _limit_factor(chain, divisor.coeffs, divisor.degree(beta), shift)
+    return _root_factor(chain, divisor.coeffs, divisor.degree(beta), shift, r)
 
 
 def _weight_degree(d: int, shift: int, r: int | None) -> int:

@@ -14,13 +14,14 @@ here.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import CohClass, ContractError, GradedSeries, TermKey
-from .h0 import _checked_classes, _tilings, h0_body
+from .h0 import _checked_classes, _tiling_products, h0_body
 from .ifunctions import i_infinity_extended, infinity_slice, root_slice
 from .mirror import (
     MirrorMapReport,
@@ -28,7 +29,7 @@ from .mirror import (
     contact_one_counts,
     mirror_map,
 )
-from .records import Record
+from .records import Record, fmt_ints
 from .targets import (
     ConfigurationError,
     DivisorArrangement,
@@ -50,6 +51,10 @@ class TableEntry(NamedTuple):
     insertion: tuple[int, ...]
     psi: int
     sector: tuple[int, ...]
+
+
+# the order of a table's entries: psi comes before the insertion
+_ORDER = attrgetter("beta", "xexp", "psi", "insertion", "sector")
 
 
 class InvariantTable(Record):
@@ -80,10 +85,7 @@ class InvariantTable(Record):
         return self.entries.get(key, Fraction(0))
 
     def ordered(self) -> list[tuple[TableEntry, Fraction]]:
-        return sorted(
-            self.entries.items(),
-            key=lambda kv: (kv[0].beta, kv[0].xexp, kv[0].psi, kv[0].insertion, kv[0].sector),
-        )
+        return sorted(self.entries.items(), key=lambda kv: _ORDER(kv[0]))
 
 
 def extract_invariants(
@@ -104,14 +106,14 @@ def extract_invariants(
     return _read_invariants(series.ctx, series.terms.items(), X, arrangement)
 
 
-def _read_invariants(
-    ctx, terms: Iterable[tuple[TermKey, Fraction]], X: TargetSpace, arrangement
-) -> InvariantTable:
+def _read_invariants(ctx, terms, X: TargetSpace, arrangement) -> InvariantTable:
     """The reading of :func:`extract_invariants`, without its mirror-map
-    check, over the terms of one or more series in the context ``ctx``."""
+    check, over the terms of one or more series in the context ``ctx``;
+    each support's intersection class, and its product with each inserted
+    monomial, is formed once."""
     ring = ctx.ring
-    entries: dict[TableEntry, Fraction] = {}
-    flagged: list[TermKey] = []
+    entries, flagged = {}, []
+    cuts = {}  # by support: its intersection class and its products by monomial
 
     def add(entry: TableEntry, value: Fraction) -> None:
         if value:
@@ -128,25 +130,23 @@ def _read_invariants(
         for _, _, e in key.xexp:
             weight *= factorial(e)
         if not any(key.sector):
-            add(
-                TableEntry(key.beta, key.xexp, ring.dual_mono(key.mono), psi, key.sector),
-                weight,
-            )
+            add(TableEntry(key.beta, key.xexp, ring.dual_mono(key.mono), psi, key.sector), weight)
             continue
         if ctx.roots is not None or key.xexp:
             flagged.append(key)
             continue
         support = tuple(i for i, s in enumerate(key.sector) if s)
-        inserted = CohClass(ring, {key.mono: Fraction(1)})
-        paired = arrangement.intersection_class(X, support) * inserted
+        if support not in cuts:
+            cuts[support] = arrangement.intersection_class(X, support), {}
+        cut, paired_by = cuts[support]
+        if key.mono not in paired_by:
+            paired_by[key.mono] = cut * CohClass(ring, {key.mono: Fraction(1)})
+        paired = paired_by[key.mono]
         if paired.is_zero:
             flagged.append(key)
             continue
         for mono, coeff in paired.items():
-            add(
-                TableEntry(key.beta, (), ring.dual_mono(mono), psi, key.sector),
-                weight * coeff,
-            )
+            add(TableEntry(key.beta, (), ring.dual_mono(mono), psi, key.sector), weight * coeff)
     return InvariantTable(entries, flagged)
 
 
@@ -156,14 +156,15 @@ def invariant_rows(
     m: int,
     cap: int,
     fmt: Callable[[Fraction], object] | None = None,
-) -> Iterator[tuple[tuple[int, ...], Iterator[tuple], tuple[TermKey, ...]]]:
+) -> Iterator[tuple]:
     """The one-point invariants of the untwisted extended and the
     non-extended limit series, as (beta, rows, flagged) per curve class in
-    lex order.  A row is (xexp, psi, insertion, sector, value); the rows of
-    a class are sorted, the order of :meth:`InvariantTable.ordered`, and
-    ``flagged`` holds the class's terms flagged for review.  A value is
-    ``fmt(value)`` when ``fmt`` is given, formed once per body cell and
-    shared by the rows of every tiling.
+    lex order.  A row is (xexp, psi, insertion, sector, value, text), with
+    ``text`` its record fields after the class; the rows of a class are
+    sorted, the order of :meth:`InvariantTable.ordered`, and ``flagged``
+    holds the class's terms flagged for review.  A value is ``fmt(value)``
+    when ``fmt`` is given, formed, like the row's text after its contacts,
+    once per body cell and tiling total.
 
     Both series are slices of the extended limit series, its zero-shift and
     its contact-free terms, so its certificate at z floor 0 covers both.
@@ -171,12 +172,11 @@ def invariant_rows(
     :func:`~rootstack_gw.ifunctions.infinity_slice`, come first; a class
     that meets no divisor has none, since its non-extended slice equals its
     h0 slice's empty tiling.  The h0 rows are read straight off the class's
-    one :func:`~rootstack_gw.h0.h0_body`: a tiling of total t moves
-    every body cell down by t with weight 1 / prod e!, and extraction
-    multiplies the weight back, so each body cell below z^t is one row with
-    psi = t - zpow - 1 and the cell's own coefficient.  No tiling of d_i is
-    a prefix of another, so the product of each divisor's sorted tilings
-    comes in lex order of the joined contact monomials.
+    one :func:`~rootstack_gw.h0.h0_body`: a tiling of total t moves every
+    body cell down by t with weight 1 / prod e!, and extraction multiplies
+    the weight back, so each body cell below z^t is one row with psi = t -
+    zpow - 1 and the cell's own coefficient, the same for every tiling of
+    total t but for the contacts (:func:`~rootstack_gw.h0._tiling_products`).
 
     Every refusal comes before the iterator is returned: the certificate,
     then, through :func:`~rootstack_gw.h0._checked_classes`, m against
@@ -188,17 +188,25 @@ def invariant_rows(
     untwisted = (0,) * arrangement.n
     fmt = fmt or (lambda q: q)
 
+    def row(psi, insertion, sector, q, contacts=""):
+        # a row but for its contacts, then its record text from them on
+        return psi, insertion, sector, fmt(q), (
+            f"{contacts}\t{fmt_ints(insertion)}\t{psi}\t"
+            f"{fmt_ints(sector)}\t{q.numerator}/{q.denominator}"
+        )
+
     def h0_rows(beta, degs):
         body = h0_body(X, arrangement, beta, ctx).terms.items()
         # by (-zpow, insertion): the print order of every tiling's rows
-        cells = sorted((-key.zpow, dual(key.mono), fmt(c)) for key, c in body)
-        tilings = [sorted(_tilings(i, d, m, d)) for i, d in enumerate(degs)]
-        for tiling in product(*tilings):
-            xexp = sum((t[0] for t in tiling), ())
-            total = sum(t[1] for t in tiling)
-            for negz, insertion, c in cells:
-                if negz > -total:
-                    yield xexp, total + negz - 1, insertion, untwisted, c
+        cells = sorted((-key.zpow, dual(key.mono), c) for key, c in body)
+        tails = {}  # by total: the rows every tiling of that total shares
+        for xexp, text, total in _tiling_products(degs, m):
+            if total not in tails:
+                tails[total] = [
+                    row(total + z - 1, i, untwisted, c) for z, i, c in cells if z > -total
+                ]
+            for psi, insertion, sector, value, after in tails[total]:
+                yield xexp, psi, insertion, sector, value, text + after
 
     def classes():
         for beta in betas:
@@ -207,8 +215,8 @@ def invariant_rows(
             if any(degs):
                 terms = infinity_slice(X, arrangement, beta, ctx).terms.items()
                 table = _read_invariants(ctx, terms, X, arrangement)
-                tangency = (
-                    (e.xexp, e.psi, e.insertion, e.sector, fmt(v))
+                tangency = (  # the non-extended slice has no contacts
+                    (e.xexp, *row(e.psi, e.insertion, e.sector, v, "-"))
                     for e, v in table.ordered()
                 )
                 rows, flagged = chain(tangency, rows), table.flagged
@@ -329,20 +337,12 @@ def stabilization_check(
             raise ContractError(f"orders {roots.orders}: {err}") from err
         for r, dmax in zip(roots.orders, max_degs):
             if dmax > 0 and r <= dmax:
-                raise ContractError(
-                    f"order {r} must exceed the largest intersection number {dmax}"
-                )
+                raise ContractError(f"order {r} must exceed the largest intersection number {dmax}")
         ctx = X.context(arrangement.n, cap, roots=roots.orders)
         for beta, expected in zip(betas, limits):
             finite = root_slice(X, arrangement, beta, ctx)
             rescaled = rescale_to_limit(finite, X, arrangement, beta, limit_ctx)
             cases.append(
-                StabilizationCase(
-                    roots=roots.orders,
-                    beta=beta,
-                    ok=rescaled == expected,
-                    rescaled=rescaled,
-                    limit=expected,
-                )
+                StabilizationCase(roots.orders, beta, rescaled == expected, rescaled, expected)
             )
     return StabilizationReport(cases=tuple(cases))

@@ -1,8 +1,9 @@
 """The text of the ``ifunction`` and ``invariants`` reports.
 
 Each report is rendered one curve class at a time, as its rows come from
-the builders, so no report is held whole.  Only those two commands import
-this module; the others never compile it.
+the builders, so no report is held whole.  Every row ends with its record
+text after the class, so a record is the class's head and that text.  Only
+those two commands import this module; the others never compile it.
 """
 
 from __future__ import annotations
@@ -40,41 +41,28 @@ class _Memo(dict):
 
 
 class _RecordFields:
-    """Record fields formatted once per distinct value.
-
-    The rows of one report repeat few curve classes, sectors, monomials and
-    contact triples, so each of those strings is kept for the report; a
-    row's whole line never is.  Coefficients are formatted row by row:
-    hashing a ``Fraction`` costs more than formatting it.
-    """
+    """The record text of term keys, each integer tuple and contact triple
+    formatted once: the rows of a closed-form series and the flagged keys
+    repeat few classes, sectors, monomials and triples."""
 
     def __init__(self):
         self.ints = _Memo(fmt_ints)
         self.contact = _Memo(fmt_contact).__getitem__
 
-    def xexp(self, xexp: tuple[tuple[int, int, int], ...]) -> str:
-        return ",".join(map(self.contact, xexp)) if xexp else "-"
-
-    def key(self, key: TermKey) -> tuple[str, ...]:
+    def key(self, zpow: int, xexp: tuple, sector: tuple, mono: tuple, lam: tuple) -> str:
+        """A term key's fields after its class."""
         ints = self.ints
-        beta, zpow, xexp, sector, mono, lam = key
-        return (
-            ints[beta], str(zpow), self.xexp(xexp), ints[sector], ints[mono], ints[lam]
-        )
+        contacts = ",".join(map(self.contact, xexp)) if xexp else "-"
+        return f"{zpow}\t{contacts}\t{ints[sector]}\t{ints[mono]}\t{ints[lam]}"
 
 
 def series_records(classes: Iterable[tuple[tuple[int, ...], Iterable[tuple]]]) -> Iterator[str]:
     """Records of a series given as (beta, rows) per class, each class's
     rows in print order, as :func:`_series_classes` gives them."""
-    fields = _RecordFields()
-    ints, xexps = fields.ints, fields.xexp
     for beta, rows in classes:
-        head = "term\t" + ints[beta] + "\t"
-        for negz, mono, xexp, sector, lam, c in rows:
-            yield (
-                f"{head}{-negz}\t{xexps(xexp)}\t{ints[sector]}\t{ints[mono]}\t"
-                f"{ints[lam]}\t{c.numerator}/{c.denominator}"
-            )
+        head = "term\t" + fmt_ints(beta) + "\t"
+        for row in rows:
+            yield head + row[6]
 
 
 def series_table(
@@ -85,7 +73,7 @@ def series_table(
     count = 0
     for beta, rows in classes:
         head = "Q^(" + fmt_ints(beta) + ")" if any(beta) else None
-        for negz, mono, xexp, sector, lam, c in rows:
+        for negz, mono, xexp, sector, lam, c, _ in rows:
             count += 1
             bits = [fmt_rat(c, records=False)]
             if head:
@@ -108,23 +96,17 @@ def series_table(
 
 def invariant_records(classes) -> Iterator[str]:
     """Records of the (beta, rows, flagged) classes of
-    :func:`invariants.invariant_rows`, their values formatted by
-    ``fmt_rat(value, records=True)``; the flagged keys of all of them
+    :func:`invariants.invariant_rows`; the flagged keys of all of them
     follow, sorted, at the end."""
-    fields = _RecordFields()
-    ints, xexps = fields.ints, fields.xexp
     flagged = []
     for beta, rows, flags in classes:
-        head = "invariant\t" + ints[beta] + "\t"
-        last = None
-        for xexp, psi, insertion, sector, value in rows:
-            # the rows of one contact monomial come together
-            if xexp is not last:
-                last, lead = xexp, head + xexps(xexp) + "\t"
-            yield f"{lead}{ints[insertion]}\t{psi}\t{ints[sector]}\t{value}"
+        head = "invariant\t" + fmt_ints(beta) + "\t"
+        for row in rows:
+            yield head + row[5]
         flagged += flags
-    for key in sorted(flagged):
-        yield "flagged\t" + "\t".join(fields.key(key))
+    fields = _RecordFields()
+    for beta, zpow, *key in sorted(flagged):
+        yield f"flagged\t{fields.ints[beta]}\t{fields.key(zpow, *key)}"
 
 
 def invariant_table(classes, ring) -> Iterator[str]:
@@ -134,7 +116,7 @@ def invariant_table(classes, ring) -> Iterator[str]:
     flagged = 0
     for beta, rows, flags in classes:
         head = f"beta=({fmt_ints(beta)})"
-        for xexp, psi, insertion, sector, value in rows:
+        for xexp, psi, insertion, sector, value, _ in rows:
             parts = [head]
             if xexp:
                 parts.append("contacts " + fmt_xexp(xexp))
@@ -152,7 +134,8 @@ def _series_classes(job: JobConfig, name: str):
     """The series ``name`` as (beta, rows) per class, every refusal made,
     each class built as it is read, its rows in print order: the extended
     rows as their builders give them, a closed-form class as its slice's
-    terms sorted into :func:`print_row` rows.  No whole series is built."""
+    terms sorted into :func:`print_row` rows, each with its record text.
+    No whole series is built."""
     X, arr, cap = job.target, job.arrangement, job.cap
     m = job.contact_bound()
     floor = -(cap + 2)
@@ -170,4 +153,11 @@ def _series_classes(job: JobConfig, name: str):
 
     roots = job.require_roots() if name == "root" else None
     slices = slice_classes(X, arr, name, cap, roots)[1]
-    return ((beta, sorted(print_row(*term) for term in s.terms.items())) for beta, s in slices)
+    key = _RecordFields().key
+
+    def rows(s):
+        for negz, mono, xexp, sector, lam, c in sorted(print_row(*t) for t in s.terms.items()):
+            text = f"{key(-negz, xexp, sector, mono, lam)}\t{c.numerator}/{c.denominator}"
+            yield negz, mono, xexp, sector, lam, c, text
+
+    return ((beta, rows(s)) for beta, s in slices)

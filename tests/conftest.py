@@ -69,10 +69,11 @@ def random_series(
 
 def print_classes(series: GradedSeries) -> list[tuple[tuple[int, ...], list[tuple]]]:
     """(beta, rows) of each class of a whole series that has terms: its
-    ``ordered_terms()`` grouped by class, each term as its print row.  The
-    oracle for the per-class rows the command line writes."""
+    ``ordered_terms()`` grouped by class, each term as its print row and
+    then its record text after the class, as :func:`term_record` writes
+    it.  The oracle for the per-class rows the command line writes."""
     return [
-        (beta, [print_row(key, c) for key, c in group])
+        (beta, [(*print_row(key, c), term_record(*key, c).split("\t", 2)[2]) for key, c in group])
         for beta, group in groupby(series.ordered_terms(), key=lambda item: item[0].beta)
     ]
 

@@ -292,7 +292,7 @@ class TestStructure:
                 # a class's print rows increase strictly, so sorting them
                 # alone gives the class's share of the whole print order
                 assert all(a < b for a, b in zip(rows, rows[1:]))
-                for negz, mono, xexp, sector, lam, c in rows:
+                for negz, mono, xexp, sector, lam, c, _ in rows:
                     walked.append((TermKey(beta, -negz, xexp, sector, mono, lam), c))
             assert walked == whole
 

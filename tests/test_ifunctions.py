@@ -40,6 +40,7 @@ from rootstack_gw.h0 import h0_rows, h0_slice
 from rootstack_gw.ifunctions import (
     ExtendedBudgetError,
     _body_chain,
+    _divisor_weight,
     _weight_degree,
     ConfigurationError,
     ExtendedDataTooSmall,
@@ -339,12 +340,7 @@ class TestExtendedEdges:
         # sector is labelled, so (every sector meeting here) each folded
         # shift of a body built is warned about once, and nothing else is
         built = []
-
-        def counting(X, arrangement, beta, shifts, roots):
-            built.append(shifts)
-            return _body_chain(X, arrangement, beta, shifts, roots)
-
-        monkeypatch.setattr(extended, "_body_chain", counting)
+        _count_bodies(monkeypatch, lambda beta, shifts: built.append(shifts))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             i_root_extended(p2, line_conic, RootData((7, 11)), 2, 4, z_floor=-6)
@@ -629,6 +625,26 @@ BOUND_JOBS = [
 BOUND_IDS = ["line-conic", "diagonals", "two-quadrics"]
 
 
+def _count_bodies(monkeypatch, record):
+    """Have the extended builder call ``record(beta, shifts)`` for each body
+    it builds: its product over all but the last divisor, from
+    ``_body_chain``, times the last divisor's ``_divisor_weight``."""
+    # by id: each head product, kept so that the id stays its own, and its shifts
+    heads = {}
+
+    def head(X, arrangement, beta, shifts, roots):
+        chain = _body_chain(X, arrangement, beta, shifts, roots)
+        heads[id(chain)] = chain, shifts
+        return chain
+
+    def weight(chain, divisor, beta, shift, r):
+        record(beta, heads[id(chain)][1] + (shift,))
+        return _divisor_weight(chain, divisor, beta, shift, r)
+
+    monkeypatch.setattr(extended, "_body_chain", head)
+    monkeypatch.setattr(extended, "_divisor_weight", weight)
+
+
 def _job(factors, coeffs):
     X = TargetSpace(factors)
     divisors = tuple(Divisor(f"D{i}", c) for i, c in enumerate(coeffs))
@@ -672,12 +688,7 @@ class TestTopZBound:
     ):
         X, arrangement = _job(factors, coeffs)
         built = []
-
-        def counting(X, arrangement, beta, shifts, roots):
-            built.append((beta, tuple(-s for s in shifts)))
-            return _body_chain(X, arrangement, beta, shifts, roots)
-
-        monkeypatch.setattr(extended, "_body_chain", counting)
+        _count_bodies(monkeypatch, lambda beta, s: built.append((beta, tuple(-x for x in s))))
         series = i_infinity_extended(X, arrangement, 3, 6, z_floor=floor)
         # at infinite order the sector is the negated shift tuple
         yielding = {(k.beta, k.sector) for k in series.terms}
@@ -689,12 +700,7 @@ class TestTopZBound:
         # the invariants command's certificate on the diagonals at cap 8
         # (m 4): 9 of the 375 shift tuples in the contact budget reach z^0
         built = []
-
-        def counting(*args):
-            built.append(args[2:4])
-            return _body_chain(*args)
-
-        monkeypatch.setattr(extended, "_body_chain", counting)
+        _count_bodies(monkeypatch, lambda beta, shifts: built.append((beta, shifts)))
         series = i_infinity_extended(p1p1, two_diagonals, 4, 8, z_floor=0)
         assert len(built) == len(series) == 9
         tuples = _budget_tuples(p1p1, two_diagonals, 4, 8, 0, None)
@@ -789,7 +795,10 @@ class TestExtendedRows:
         # print order: class, descending z-power, monomial, contacts, sector
         order = sorted(terms, key=lambda k: (k[0], -k[1], k[4], k[2], k[3]))
         lam = (0,) * len(coeffs)
-        want = [term_record(b, z, x, s, mono, lam, terms[b, z, x, s, mono]) for b, z, x, s, mono in order]
+        want = [
+            term_record(b, z, x, s, mono, lam, terms[b, z, x, s, mono])
+            for b, z, x, s, mono in order
+        ]
         assert out.splitlines() == want and len(want) > 90
 
     @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
@@ -809,8 +818,10 @@ class TestExtendedRows:
             rows = list(rows)
             # keys are unique within a class, so the rows increase strictly
             assert all(a < b for a, b in zip(rows, rows[1:])), beta
-            for negz, mono, xexp, sector, lam, c in rows:
+            for negz, mono, xexp, sector, lam, c, text in rows:
                 assert lam == (0,) * arrangement.n
+                record = term_record(beta, -negz, xexp, sector, mono, lam, c)
+                assert text == record.split("\t", 2)[2]
                 got[(beta, -negz, xexp, sector, mono)] = c
         assert betas == enumerate_curve_classes(X, 4)
         assert got == extended_series(factors, coeffs, 2, 4, -2, roots)
