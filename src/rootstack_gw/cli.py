@@ -80,11 +80,8 @@ def cmd_invariants(job: JobConfig, args) -> tuple[int, Iterable[str]]:
     from .report import invariant_records, invariant_table
 
     X = job.target
-    records = args.format == "records"
-    classes = invariant_rows(
-        X, job.arrangement, job.contact_bound(), job.cap, lambda q: fmt_rat(q, records)
-    )
-    if records:
+    classes = invariant_rows(X, job.arrangement, job.contact_bound(), job.cap)
+    if args.format == "records":
         return 0, invariant_records(classes)
     header = "# extracted one-point invariants"
     return 0, chain((header,), invariant_table(classes, X.ring))

@@ -28,10 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GradedSeries, SeriesContext, TermKey, series_sum
-from .h0 import h0_body
 from .ifunctions import infinity_slice, relative_slice
 from .records import Record
 from .targets import ConfigurationError, DivisorArrangement, TargetSpace, _j_chain
+from .targets import _class_body_chain
 
 
 class RefusedIdentityError(ValueError):
@@ -223,7 +223,7 @@ def check_identities(
         name="local-tangency-extended",
         beta=beta,
         sign=sign,
-        left=h0_body(X, arrangement, beta, ctx).shift_z(-n),
+        left=_class_body_chain(X, arrangement, beta).series(ctx, beta).shift_z(-n),
         right=derived.scale(sign),
     )
     return first, second

@@ -18,10 +18,10 @@ from itertools import chain
 from math import factorial, prod
 from types import MappingProxyType
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import CohClass, ContractError, GradedSeries, TermKey
-from .h0 import _checked_classes, _tiling_products, h0_body
+from .h0 import _checked_classes, _tiling_products
 from .ifunctions import i_infinity_extended, infinity_slice, root_slice
 from .mirror import (
     MirrorMapReport,
@@ -35,6 +35,7 @@ from .targets import (
     DivisorArrangement,
     RootData,
     TargetSpace,
+    _class_body_chain,
     check_assumption,
     enumerate_curve_classes,
 )
@@ -155,16 +156,14 @@ def invariant_rows(
     arrangement: DivisorArrangement,
     m: int,
     cap: int,
-    fmt: Callable[[Fraction], object] | None = None,
 ) -> Iterator[tuple]:
     """The one-point invariants of the untwisted extended and the
     non-extended limit series, as (beta, rows, flagged) per curve class in
     lex order.  A row is (xexp, psi, insertion, sector, value, text), with
-    ``text`` its record fields after the class; the rows of a class are
-    sorted, the order of :meth:`InvariantTable.ordered`, and ``flagged``
-    holds the class's terms flagged for review.  A value is ``fmt(value)``
-    when ``fmt`` is given, formed, like the row's text after its contacts,
-    once per body cell and tiling total.
+    ``value`` a Fraction and ``text`` its record fields after the class,
+    formed but for its contacts once per body cell and tiling total; the
+    rows of a class are sorted, the order of :meth:`InvariantTable.ordered`,
+    and ``flagged`` holds the class's terms flagged for review.
 
     Both series are slices of the extended limit series, its zero-shift and
     its contact-free terms, so its certificate at z floor 0 covers both.
@@ -172,11 +171,12 @@ def invariant_rows(
     :func:`~rootstack_gw.ifunctions.infinity_slice`, come first; a class
     that meets no divisor has none, since its non-extended slice equals its
     h0 slice's empty tiling.  The h0 rows are read straight off the class's
-    one :func:`~rootstack_gw.h0.h0_body`: a tiling of total t moves every
-    body cell down by t with weight 1 / prod e!, and extraction multiplies
-    the weight back, so each body cell below z^t is one row with psi = t -
-    zpow - 1 and the cell's own coefficient, the same for every tiling of
-    total t but for the contacts (:func:`~rootstack_gw.h0._tiling_products`).
+    one body, :func:`~rootstack_gw.targets._class_body_chain`: a tiling of
+    total t moves every body cell down by t with weight 1 / prod e!, and
+    extraction multiplies the weight back, so each body cell below z^t is
+    one row with psi = t - zpow - 1 and the cell's own coefficient, the
+    same for every tiling of total t but for the contacts
+    (:func:`~rootstack_gw.h0._tiling_products`).
 
     Every refusal comes before the iterator is returned: the certificate,
     then, through :func:`~rootstack_gw.h0._checked_classes`, m against
@@ -186,17 +186,16 @@ def invariant_rows(
     ctx = X.context(arrangement.n, cap)
     dual = ctx.ring.dual_mono
     untwisted = (0,) * arrangement.n
-    fmt = fmt or (lambda q: q)
 
     def row(psi, insertion, sector, q, contacts=""):
         # a row but for its contacts, then its record text from them on
-        return psi, insertion, sector, fmt(q), (
+        return psi, insertion, sector, q, (
             f"{contacts}\t{fmt_ints(insertion)}\t{psi}\t"
             f"{fmt_ints(sector)}\t{q.numerator}/{q.denominator}"
         )
 
     def h0_rows(beta, degs):
-        body = h0_body(X, arrangement, beta, ctx).terms.items()
+        body = _class_body_chain(X, arrangement, beta).series(ctx, beta).terms.items()
         # by (-zpow, insertion): the print order of every tiling's rows
         cells = sorted((-key.zpow, dual(key.mono), c) for key, c in body)
         tails = {}  # by total: the rows every tiling of that total shares

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedSeries, TermKey, print_key, series_sum
+from .algebra import GradedSeries, TermKey, print_key
 from .records import Record
 from .targets import DivisorArrangement, TargetSpace, enumerate_curve_classes
 from .targets import _class_body_chain
@@ -122,12 +122,12 @@ def contact_one_counts(
     weight 1/prod_i d_i!, and extraction multiplies the weight back.  The
     same bodies certify the mirror map of the untwisted extended limit
     series up to the cap, whose terms at z^0 and above decide it.  A tiling
-    with contact orders up to max(1, d) moves a body cell down by its part
-    count, at least the number of divisors meeting beta; so the series is
-    trivial exactly when no body but the beta = 0 dilaton z has a nonzero
-    cell at that count or above.  Refused unless it is trivial; only then
-    is :mod:`rootstack_gw.h0` imported, to attach the tilings at z floor 0
-    and name the offending terms.
+    moves a body cell down by its part count, at least the number of
+    divisors meeting beta; so the series is trivial exactly when no body
+    but the beta = 0 dilaton z has a nonzero cell at that count or above.
+    Refused unless it is trivial; only then is :mod:`rootstack_gw.h0`
+    imported, to name the offending terms off the rows of
+    :func:`~rootstack_gw.h0.h0_rows` at z^0 and above.
     """
     counts, reached = {}, 0
     for beta in enumerate_curve_classes(X, cap):
@@ -137,14 +137,14 @@ def contact_one_counts(
         cells = zip(body.layout.cells, body.num)
         reached += any(beta) and any(c and w <= top for (_, _, w), c in cells)
     if reached:
-        from .h0 import attach_tilings, h0_body
+        from itertools import takewhile
 
-        ctx = X.context(arrangement.n, cap)
-        floored = X.context(arrangement.n, cap, z_floor=0)
-        slices = []
-        for beta in enumerate_curve_classes(X, cap):
-            degs = arrangement.degrees(beta)
-            body = h0_body(X, arrangement, beta, ctx)
-            slices.append(attach_tilings(body, degs, max(1, *degs), floored))
-        raise mirror_map(series_sum(floored, slices)).refusal()
+        from .extended import _rows_series
+        from .h0 import h0_rows
+
+        # a class's rows come in print order, those at z^0 and above first,
+        # so each class is read only up to its first row below
+        classes = h0_rows(X, arrangement, max(1, *arrangement.max_degrees(X, cap)), cap)
+        above = ((beta, takewhile(lambda row: row[0] <= 0, rows)) for beta, rows in classes)
+        raise mirror_map(_rows_series(X.context(arrangement.n, cap), above)).refusal()
     return counts

@@ -6,7 +6,7 @@ from itertools import groupby
 
 import pytest
 
-from rootstack_gw import Divisor, DivisorArrangement, TargetSpace
+from rootstack_gw import Divisor, DivisorArrangement, TargetSpace, i_infinity_extended
 from rootstack_gw.algebra import GradedSeries, SeriesContext, TermKey, print_row
 
 
@@ -65,6 +65,14 @@ def random_series(
         )
         terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return GradedSeries(ctx, terms)
+
+
+def untwisted_extended(X, arrangement, m: int, cap: int, floor: int) -> GradedSeries:
+    """The sector-0 terms of the extended limit series at the z floor,
+    built apart from :mod:`rootstack_gw.h0`: the oracle for the untwisted
+    extended series at the floor and above."""
+    series = i_infinity_extended(X, arrangement, m, cap, z_floor=floor)
+    return GradedSeries(series.ctx, {k: c for k, c in series.terms.items() if not any(k.sector)})
 
 
 def print_classes(series: GradedSeries) -> list[tuple[tuple[int, ...], list[tuple]]]:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import print_classes
-from rootstack_gw import extended, h0, identities, ifunctions, invariants, periods
+from conftest import print_classes, untwisted_extended
+from rootstack_gw import extended, identities, ifunctions, invariants, periods
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw.cli import WRITE_BATCH, run, write_lines
 from rootstack_gw.report import series_records, series_table
@@ -583,7 +583,7 @@ class TestMismatchLines:
 class TestRecords:
     def test_fibre_identity_records(self, tmp_path, capsys):
         # beta (1,1) meets the fibre once and beta (0,2) twice; each extended
-        # check builds h0 for its own class only, with m its own tangency
+        # check reads the body of its own class only
         config = write_job(tmp_path, FIBRE_JOB)
         args = ["--command", "check-identity", "--format", "records"]
         assert run(["--config", config, *args]) == 0
@@ -847,30 +847,34 @@ class TestWriter:
     def test_h0_series_streams_one_class_at_a_time(
         self, tmp_path, capsys, monkeypatch, fmt
     ):
-        # the untwisted extended series is written one class slice at a
-        # time: no whole series is built or summed, and the output is that
-        # of the whole series
+        # the untwisted extended series is written one class at a time off
+        # its class bodies, with no GradedSeries made, and from the floor -6
+        # up its output is that of the untwisted terms of the extended series
         config = write_job(tmp_path, dict(DIAGONALS_JOB, cap=8))
         args = ["--config", config, "--command", "ifunction"]
         args += ["--series", "infinity-extended-h0", "--format", fmt]
 
         def unbuilt(*args, **kwargs):
-            raise AssertionError("a whole series was built")
+            raise AssertionError("a series was built")
 
-        monkeypatch.setattr(h0, "i_infinity_extended_h0", unbuilt)
-        monkeypatch.setattr(h0, "series_sum", unbuilt)
+        monkeypatch.setattr(GradedSeries, "__init__", unbuilt)
+        monkeypatch.setattr(GradedSeries, "_trusted", classmethod(unbuilt))
         assert run(args) == 0
-        got = capsys.readouterr().out
+        got = capsys.readouterr().out.splitlines()
         monkeypatch.undo()
         job = config_from_dict(dict(DIAGONALS_JOB, cap=8))
         X, m = job.target, job.contact_bound()
-        whole = print_classes(h0.i_infinity_extended_h0(X, job.arrangement, m, 8))
+        whole = print_classes(untwisted_extended(X, job.arrangement, m, 8, -6))
         if fmt == "records":
-            want = series_records(whole)
+            want = list(series_records(whole))
+            zpow = [int(line.split("\t")[2]) for line in got]
         else:
-            want = series_table(whole, X.ring, "infinity-extended-h0")
-        assert got == "".join(line + "\n" for line in want)
-        assert got.count("\n") > 500
+            want = list(series_table(whole, X.ring, "infinity-extended-h0"))[:-1]
+            assert got.pop() == "# series infinity-extended-h0: 623 terms"
+            # a table line names z^k unless k is 0
+            zpow = [next((int(b[2:]) for b in line.split() if b[:2] == "z^"), 0) for line in got]
+        assert len(got) == 623 and len(want) == 550
+        assert [line for line, k in zip(got, zpow) if k >= -6] == want
 
     @pytest.mark.parametrize(
         "doc, series",

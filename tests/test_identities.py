@@ -12,6 +12,7 @@ from rootstack_gw import (
     RootData,
     check_identities,
     divisor_derivative,
+    i_infinity_extended_h0,
     i_infinity_nonextended,
     i_local,
     n_orb,
@@ -20,7 +21,6 @@ from rootstack_gw import (
 )
 from rootstack_gw.algebra import GradedSeries
 from rootstack_gw import algebra, identities, ifunctions, reference
-from rootstack_gw.h0 import h0_slice
 from rootstack_gw.identities import local_point_invariant, parity_sign
 from rootstack_gw.ifunctions import infinity_slice, local_slice, relative_slice
 from rootstack_gw.reference import exact_divide_linear
@@ -176,11 +176,11 @@ class TestExtended:
 
     def test_left_side_is_the_maximal_tangency_coefficient(self, p2, line_conic):
         # read off the body, the left side equals the prod_i x_{i,d_i}
-        # coefficient of the tiled slice
+        # coefficient of the untwisted extended series, every tiling attached
         for beta in ((1,), (3,), (5,)):
             degs = line_conic.degrees(beta)
-            ctx = p2.context(2, p2.anticanonical_degree(beta))
-            tiled = h0_slice(p2, line_conic, max(degs), beta, ctx)
+            cap = p2.anticanonical_degree(beta)
+            tiled = i_infinity_extended_h0(p2, line_conic, max(degs), cap).beta_slice(beta)
             expected = tiled.coefficient(xexp=((0, degs[0], 1), (1, degs[1], 1)))
             report = check_identities(p2, line_conic, beta)[1]
             assert not expected.is_zero and report.left == expected

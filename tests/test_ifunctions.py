@@ -36,7 +36,7 @@ from rootstack_gw.extended import (
     _contact_vectors,
     extended_rows,
 )
-from rootstack_gw.h0 import h0_rows, h0_slice
+from rootstack_gw.h0 import h0_rows
 from rootstack_gw.ifunctions import (
     ExtendedBudgetError,
     _body_chain,
@@ -51,7 +51,7 @@ from rootstack_gw.ifunctions import (
 from rootstack_gw.report import series_records
 from rootstack_gw.targets import _j_chain
 
-from conftest import print_classes, term_record
+from conftest import print_classes, term_record, untwisted_extended
 from oracle import extended_series, local_series
 
 
@@ -273,47 +273,6 @@ class TestSlices:
         assert infinity_slice(p2, three, (1,), ctx) == GradedSeries.zero(ctx)
         finite = p2.context(3, 3, roots=(2, 3, 5))
         assert root_slice(p2, three, (1,), finite) == GradedSeries.zero(finite)
-
-    def test_h0_slice_checks_only_its_own_class(self, p2, line_conic):
-        ctx = p2.context(2, 6)
-        with pytest.raises(ExtendedDataTooSmall, match=r"beta=\(2,\)"):
-            h0_slice(p2, line_conic, 3, (2,), ctx)
-        capped = i_infinity_extended_h0(p2, line_conic, 2, 3).beta_slice((1,))
-        assert h0_slice(p2, line_conic, 2, (1,), ctx) == capped.in_context(ctx)
-
-    def test_h0_slice_floor_applies_after_the_tilings(
-        self, p2, p1p1, line_conic, two_diagonals
-    ):
-        # the target slice's z powers below the floor come back up through the
-        # ascending products, so only the tiled terms may be cut, and tilings
-        # are pruned only past the floor; on the two anticanonical pairs every
-        # class but 0 keeps nothing at z >= 0, the other arrangements keep
-        # terms there (the quartic at the most parts the floor allows)
-        conics = DivisorArrangement((Divisor("A", (2,)), Divisor("B", (2,))))
-        mixed = DivisorArrangement((Divisor("A", (1, 1)), Divisor("B", (1, 2))))
-        quartic = DivisorArrangement((Divisor("Q", (4,)),))
-        cases = (
-            (p2, line_conic, 9, 0),
-            (p1p1, two_diagonals, 8, 0),
-            (p2, conics, 6, 2),
-            (p1p1, mixed, 6, 6),
-            (p2, quartic, 6, 2),
-        )
-        for X, arrangement, cap, kept_classes in cases:
-            full = X.context(arrangement.n, cap)
-            floored = X.context(arrangement.n, cap, z_floor=0)
-            kept = 0
-            for beta in enumerate_curve_classes(X, cap):
-                m = max(1, *arrangement.degrees(beta))
-                unfloored = h0_slice(X, arrangement, m, beta, full)
-                expected = GradedSeries(
-                    floored,
-                    {k: c for k, c in unfloored.terms.items() if k.zpow >= 0},
-                )
-                got = h0_slice(X, arrangement, m, beta, floored)
-                assert got == expected, (X, beta)
-                kept += any(beta) and not expected.is_zero
-            assert kept == kept_classes, X
 
 
 class TestExtendedEdges:
@@ -874,34 +833,43 @@ class TestExtendedRows:
         assert streamed == _whole_records(whole)
 
 
+# (target factors, divisor classes, m, cap, z floor): each floor keeps the
+# extended series of the job to a few seconds
 H0_JOBS = [
-    ((2,), ((1,), (2,)), 6, 9),
-    ((2,), ((1,), (2,)), 8, 12),
-    ((2,), ((2,),), 8, 12),
-    ((2,), ((1,), (1,), (1,)), 4, 12),
-    ((1, 1), ((1, 1), (1, 1)), 4, 8),
-    ((3,), ((2,), (2,)), 8, 16),
+    ((2,), ((1,), (2,)), 6, 9, -6),
+    ((2,), ((1,), (2,)), 8, 12, -4),
+    ((2,), ((2,),), 8, 12, -7),
+    ((2,), ((1,), (1,), (1,)), 4, 12, -5),
+    ((1, 1), ((1, 1), (1, 1)), 4, 8, -6),
+    ((3,), ((2,), (2,)), 8, 16, -5),
 ]
 H0_IDS = ["line-conic", "line-conic-m8", "conic", "three-lines", "diagonals", "quadrics"]
 
 
 class TestH0Rows:
     """The untwisted extended series the command line writes, read off each
-    class body in print order, against the whole series the library sums."""
+    class body in print order, against the untwisted sector of the extended
+    series and the whole series the library folds from the same rows."""
 
-    @pytest.mark.parametrize("factors, coeffs, m, cap", H0_JOBS, ids=H0_IDS)
-    def test_rows_are_the_whole_series_class_rows(self, factors, coeffs, m, cap):
+    @pytest.mark.parametrize("factors, coeffs, m, cap, floor", H0_JOBS, ids=H0_IDS)
+    def test_rows_are_the_whole_series_class_rows(self, factors, coeffs, m, cap, floor):
         X, arrangement = _job(factors, coeffs)
         classes = [(beta, list(rows)) for beta, rows in h0_rows(X, arrangement, m, cap)]
         assert [beta for beta, _ in classes] == enumerate_curve_classes(X, cap)
+        # every row once, in print order, with the tests' own record text
         whole = print_classes(i_infinity_extended_h0(X, arrangement, m, cap))
         assert [(beta, rows) for beta, rows in classes if rows] == whole
-        assert sum(len(rows) for _, rows in classes) > 20
+        # both ways: the rows at the floor and above are the untwisted terms
+        # of the extended series there
+        above = [(beta, [row for row in rows if -row[0] >= floor]) for beta, rows in classes]
+        want = print_classes(untwisted_extended(X, arrangement, m, cap, floor))
+        assert [(beta, rows) for beta, rows in above if rows] == want
+        assert sum(len(rows) for _, rows in above) > 20
 
     def test_rows_are_never_held(self):
         # P^3 with two quadrics at cap 24 writes 33,305 records; holding a
-        # class as a series of Fraction terms, as h0_slice does, and sorting
-        # its rows took about 10.7 MB here
+        # class as a series of Fraction terms and sorting its rows took about
+        # 10.7 MB here
         X, arrangement = _job((3,), ((2,), (2,)))
         classes = h0_rows(X, arrangement, 16, 24)
         tracemalloc.start()
@@ -917,7 +885,7 @@ class TestH0Rows:
         def unread(*args):
             raise AssertionError("a class body was built")
 
-        monkeypatch.setattr(h0, "h0_body", unread)
+        monkeypatch.setattr(h0, "_class_body_chain", unread)
         message = r"^contact bound m=3 misses tangency 4 needed at beta=\(2,\)$"
         with pytest.raises(ExtendedDataTooSmall, match=message):
             h0_rows(p2, line_conic, 3, 9)

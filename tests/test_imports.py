@@ -201,8 +201,8 @@ NO_JOB = {"targets", "periods", "mirror", "invariants", "ifunctions", "identitie
             "check-identity",
             CONIC_JOB,
             (),
-            {"targets", "ifunctions", "h0", "identities"},
-            {"invariants", "periods", "extended", "reference", "report"},
+            {"targets", "ifunctions", "identities"},
+            {"h0", "invariants", "periods", "extended", "reference", "report"},
             "ok",
         ),
         (
@@ -376,3 +376,21 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         rootstack_gw.no_such_name
+
+
+def test_readme_library_example_prints_what_it_says(tmp_path):
+    # the python block under "## Library", run as written in a fresh
+    # interpreter, prints the values its comments give
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.splitlines() == ["2", "True"]

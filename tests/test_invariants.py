@@ -176,17 +176,16 @@ def table_by_class(X, arrangement, m, cap):
     """The table path of the ``invariants`` command, kept here as the oracle
     of :func:`invariants.invariant_rows`: after the floor-0 certificate,
     one table per class in lex order, :func:`invariants._read_invariants`
-    over the class's whole h0 slice (every tiling as its own series, with
-    its Fraction weights) and, when the class meets a divisor, its
-    non-extended slice."""
+    over the class's slice of the whole untwisted extended series (every
+    tiling's terms, with their Fraction weights) and, when the class meets
+    a divisor, its non-extended slice."""
     mirror_map(i_infinity_extended(X, arrangement, m, cap, z_floor=0)).require_trivial()
     ctx = X.context(arrangement.n, cap)
     betas = enumerate_curve_classes(X, cap)
-    for beta in betas:
-        h0.check_contact_bound(arrangement, m, beta)
+    untwisted = i_infinity_extended_h0(X, arrangement, m, cap)
 
     def terms(beta):
-        yield from h0.h0_slice(X, arrangement, m, beta, ctx).terms.items()
+        yield from untwisted.beta_slice(beta).terms.items()
         if any(d > 0 for d in arrangement.degrees(beta)):
             yield from ifunctions.infinity_slice(X, arrangement, beta, ctx).terms.items()
 
@@ -312,12 +311,10 @@ class TestInvariantRows:
     @pytest.mark.parametrize("name", ROW_JOBS)
     def test_command_output_equals_the_table_path(self, name):
         X, arrangement, m, cap, _ = _job(name)
-        classes = invariant_rows(X, arrangement, m, cap, lambda q: records.fmt_rat(q, True))
-        got = report.invariant_records(classes)
+        got = report.invariant_records(invariant_rows(X, arrangement, m, cap))
         want = table_records(table_by_class(X, arrangement, m, cap))
         assert list(got) == list(want)
-        classes = invariant_rows(X, arrangement, m, cap, lambda q: records.fmt_rat(q, False))
-        got = report.invariant_table(classes, X.ring)
+        got = report.invariant_table(invariant_rows(X, arrangement, m, cap), X.ring)
         want = table_human(table_by_class(X, arrangement, m, cap), X.ring)
         assert list(got) == list(want)
 
@@ -327,7 +324,7 @@ class TestInvariantRows:
         def unread(*args):
             raise AssertionError("a class was read")
 
-        monkeypatch.setattr(invariants, "h0_body", unread)
+        monkeypatch.setattr(invariants, "_class_body_chain", unread)
         monkeypatch.setattr(invariants, "infinity_slice", unread)
         message = r"^contact bound m=3 misses tangency 4 needed at beta=\(2,\)$"
         with pytest.raises(ExtendedDataTooSmall, match=message):
@@ -346,8 +343,8 @@ class TestInvariantRows:
 
         for module in (invariants, mirror):
             monkeypatch.setattr(module, "mirror_map", counted)
-        # neither the two whole series nor a class's series of tilings
-        names = ("i_infinity_extended_h0", "i_infinity_nonextended", "h0_slice", "attach_tilings")
+        # neither of the two whole series
+        names = ("i_infinity_extended_h0", "i_infinity_nonextended")
         for module in (ifunctions, h0, invariants, mirror):
             for name in names:
                 monkeypatch.setattr(module, name, whole_series, raising=False)

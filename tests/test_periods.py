@@ -18,13 +18,12 @@ from rootstack_gw import (
     PeriodError,
     classical_period_orbifold,
     compare_periods,
+    i_infinity_extended_h0,
     laurent_classical_period,
     quantum_period,
     regularize,
 )
-from rootstack_gw import Divisor, DivisorArrangement, TargetSpace, h0, invariants, mirror
-from rootstack_gw.algebra import series_sum
-from rootstack_gw.h0 import attach_tilings, h0_body
+from rootstack_gw import Divisor, DivisorArrangement, TargetSpace, h0, mirror
 from rootstack_gw.mirror import UnsupportedMirrorMapError, contact_one_counts, mirror_map
 from rootstack_gw.targets import (
     _class_body_chain,
@@ -103,7 +102,8 @@ class TestClassicalPeriod:
 
     def test_each_class_body_built_once(self, p1p1, two_diagonals, monkeypatch):
         # the counts and the mirror-map certificate come from one dense body
-        # chain per class; a trivial mirror map never builds a sparse body
+        # chain per class; a trivial mirror map never reads the rows of the
+        # untwisted extended series
         calls = []
 
         def counted(X, arrangement, beta):
@@ -111,12 +111,10 @@ class TestClassicalPeriod:
             return _class_body_chain(X, arrangement, beta)
 
         def unread(*args):
-            raise AssertionError("sparse class body built on the trivial path")
+            raise AssertionError("untwisted extended rows read on the trivial path")
 
-        for module in (h0, mirror):
-            monkeypatch.setattr(module, "_class_body_chain", counted)
-        for module in (h0, invariants):
-            monkeypatch.setattr(module, "h0_body", unread)
+        monkeypatch.setattr(mirror, "_class_body_chain", counted)
+        monkeypatch.setattr(h0, "h0_rows", unread)
         classical_period_orbifold(p1p1, two_diagonals, 10)
         assert sorted(calls) == enumerate_curve_classes(p1p1, 10)
 
@@ -134,16 +132,15 @@ class TestClassicalPeriod:
 def _sparse_counts(X, arrangement, cap):
     """The reference for :func:`contact_one_counts`: each class body as a
     sparse series, its count the term at (beta, z^1, mono 0), and the
-    mirror-map report of every contact tiling attached at z floor 0."""
+    mirror-map report of the untwisted extended series with every contact
+    order up to the largest intersection number."""
     ctx = X.context(arrangement.n, cap)
-    floored = X.context(arrangement.n, cap, z_floor=0)
-    counts, slices = {}, []
+    counts = {}
     for beta in enumerate_curve_classes(X, cap):
-        body = h0_body(X, arrangement, beta, ctx)
+        body = _class_body_chain(X, arrangement, beta).series(ctx, beta)
         counts[beta] = body.terms.get(ctx.zero_key()._replace(beta=beta, zpow=1), F(0))
-        degs = arrangement.degrees(beta)
-        slices.append(attach_tilings(body, degs, max(1, *degs), floored))
-    return counts, mirror_map(series_sum(floored, slices))
+    m = max(1, *arrangement.max_degrees(X, cap))
+    return counts, mirror_map(i_infinity_extended_h0(X, arrangement, m, cap))
 
 
 def _sparse_quantum(X, cap):
@@ -202,6 +199,52 @@ class TestDenseReads:
             with pytest.raises(UnsupportedMirrorMapError) as refused:
                 contact_one_counts(X, arrangement, cap)
             assert str(refused.value) == str(report.refusal())
+
+    @pytest.mark.parametrize(
+        "factors, divisors, cap, kept",
+        [
+            ((2,), ((1,), (2,)), 9, 0),
+            ((1, 1), ((1, 1), (1, 1)), 8, 0),
+            ((2,), ((2,), (2,)), 6, 2),
+            ((1, 1), ((1, 1), (1, 2)), 6, 6),
+            ((2,), ((4,),), 6, 2),
+        ],
+        ids=["line-conic", "diagonals", "two-conics", "mixed", "quartic"],
+    )
+    def test_terms_at_z_zero_and_above_decide_the_certificate(
+        self, factors, divisors, cap, kept
+    ):
+        # the certificate reads only the dense bodies, but the terms of the
+        # untwisted extended series at z >= 0 decide it: the anticanonical
+        # pairs keep none there but class 0's dilaton and are certified, the
+        # others keep some in ``kept`` classes and are refused with the
+        # message of that series
+        X, arrangement = TargetSpace(factors), _arrangement(*divisors)
+        m = max(1, *arrangement.max_degrees(X, cap))
+        series = i_infinity_extended_h0(X, arrangement, m, cap)
+        assert len({key.beta for key in series.terms if key.zpow >= 0 and any(key.beta)}) == kept
+        if not kept:
+            counts = contact_one_counts(X, arrangement, cap)
+            assert list(counts) == enumerate_curve_classes(X, cap)
+            return
+        with pytest.raises(UnsupportedMirrorMapError) as refused:
+            contact_one_counts(X, arrangement, cap)
+        assert str(refused.value) == str(mirror_map(series).refusal())
+
+    def test_refusal_reads_no_class_past_its_first_row_below_z0(self, p2, monkeypatch):
+        # only the rows at z^0 and above decide the refusal; the other rows
+        # of P^2 with two conics at cap 12 are about ten times as many
+        real, pulled = h0.h0_rows, []
+
+        def counted(*args):
+            for beta, rows in real(*args):
+                yield beta, (pulled.append(row) or row for row in rows)
+
+        monkeypatch.setattr(h0, "h0_rows", counted)
+        with pytest.raises(UnsupportedMirrorMapError):
+            contact_one_counts(p2, _arrangement((2,), (2,)), 12)
+        below = sum(1 for row in pulled if row[0] > 0)
+        assert 0 < below <= len(enumerate_curve_classes(p2, 12)) < len(pulled)
 
     def test_plane_cubic_refused_with_the_sparse_message(self, p2, cubic_only):
         # classical_period_orbifold and n_orb refuse the cubic on the
