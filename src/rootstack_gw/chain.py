@@ -5,10 +5,10 @@ factors) is built as a :class:`_Chain`: integer numerators over one common
 denominator, in the manner of FLINT's ``fmpq_poly``.  A chain is reduced
 once, when :meth:`_Chain.series` turns it into a
 :class:`~rootstack_gw.series.GradedSeries` at the slice boundary; the cap,
-the z floor and the sector label apply there too.  The extended builder
-reads a body's cells unreduced (:meth:`_Chain.cells`) and multiplies the
-common denominator by each contact monomial's integer weight prod k!, so
-each term's coefficient is reduced once, as one ``Fraction``, and one
+the z floor, the sector and the equivariant labels apply there too.  The
+extended builder reads a body's cells unreduced (:meth:`_Chain.cells`) and
+multiplies the common denominator by each contact monomial's integer
+weight prod k!, so each term is reduced once, as one ``Fraction``, and one
 reduction serves every term with the same numerator and denominator.
 """
 
@@ -28,65 +28,43 @@ class NotInvertibleError(ValueError):
 
 
 class _Layout(NamedTuple):
-    """Cell numbering of a chain: every ring monomial within ``caps`` times
-    every lam exponent vector within ``lam_caps``, lam varying fastest.
-
-    Multiplying a cell by a generator or a lam parameter always moves it to
-    a larger index, so one pass in index order sees a cell's sources first.
-    """
+    """Cell numbering of a chain, every ring monomial within ``caps``: a
+    generator moves a cell to a larger index, so one pass in index order
+    sees a cell's sources first."""
 
     caps: tuple[int, ...]
-    lam_caps: tuple[int, ...]
-    cells: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]  # mono, lam, |mono|+|lam|
+    cells: tuple[tuple[tuple[int, ...], int], ...]  # mono, |mono|
     gen_moves: tuple[tuple[tuple[int, int], ...], ...]  # per generator k: (cell * P_k, cell)
-    lam_moves: tuple[tuple[tuple[int, int], ...], ...]  # per lam slot i: (cell * lam_i, cell)
     below: tuple[tuple[tuple[int, int], ...], ...]  # per cell: (k, source) with source * P_k
     top: int  # the largest monomial degree; a degree-one class to top + 1 vanishes
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(caps: tuple[int, ...], lam_caps: tuple[int, ...]) -> _Layout:
-    cells = [
-        (mono, lam, sum(mono) + sum(lam))
-        for mono in product(*(range(c + 1) for c in caps))
-        for lam in product(*(range(c + 1) for c in lam_caps))
-    ]
-    index = {(mono, lam): i for i, (mono, lam, _) in enumerate(cells)}
+def _layout(caps: tuple[int, ...]) -> _Layout:
+    cells = [(mono, sum(mono)) for mono in product(*(range(c + 1) for c in caps))]
+    index = {mono: i for i, (mono, _) in enumerate(cells)}
     gen_moves: list[list[tuple[int, int]]] = [[] for _ in caps]
-    lam_moves: list[list[tuple[int, int]]] = [[] for _ in lam_caps]
     below: list[list[tuple[int, int]]] = [[] for _ in cells]
-    for src, (mono, lam, _) in enumerate(cells):
+    for src, (mono, _) in enumerate(cells):
         for k, cap in enumerate(caps):
             if mono[k] < cap:
-                up = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
-                dst = index[(up, lam)]
+                dst = index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]
                 gen_moves[k].append((dst, src))
                 below[dst].append((k, src))
-        for i, cap in enumerate(lam_caps):
-            if lam[i] < cap:
-                up = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
-                lam_moves[i].append((index[(mono, up)], src))
     return _Layout(
-        caps,
-        lam_caps,
-        tuple(cells),
-        tuple(map(tuple, gen_moves)),
-        tuple(map(tuple, lam_moves)),
-        tuple(map(tuple, below)),
-        sum(caps),
+        caps, tuple(cells), tuple(map(tuple, gen_moves)), tuple(map(tuple, below)), sum(caps)
     )
 
 
 class _Chain(NamedTuple):
     """A product of linear factors at one curve class, held densely.
 
-    Every factor, (D + a z), (D + a z)^-1 or (-D + lam_i - a z) with D a
-    degree-one class sum_k c_k P_k, is homogeneous of degree +1 or -1 in the
-    generators, z and lam.  So a chain of total degree ``degree`` needs no z
-    index: cell (mono, lam) holds the coefficient of
-    mono * lam * z^(degree - |mono| - |lam|), as the integer ``num[cell]``
-    over the common denominator ``den``.  Nothing is reduced until
-    :meth:`series`.  A chain is a tuple, so a cached one cannot change.
+    Every factor, (D + a z) or (D + a z)^-1 with D a degree-one class
+    sum_k c_k P_k, is homogeneous of degree +1 or -1 in the generators and
+    z.  So a chain of total degree ``degree`` needs no z index: the cell of
+    mono holds the coefficient of mono * z^(degree - |mono|), as the integer
+    ``num[cell]`` over the common denominator ``den``.  Nothing is reduced
+    until :meth:`series`.  A chain is a tuple, so a cached one cannot change.
     """
 
     layout: _Layout
@@ -96,36 +74,18 @@ class _Chain(NamedTuple):
 
     @staticmethod
     def z_power(caps: tuple[int, ...], p: int) -> _Chain:
-        """The chain z^p over the ring with exponent caps ``caps``, no lam slots."""
-        layout = _layout(tuple(caps), ())
+        """The chain z^p over the ring with exponent caps ``caps``."""
+        layout = _layout(tuple(caps))
         return _Chain(layout, p, (1,) + (0,) * (len(layout.cells) - 1), 1)
 
-    def with_lam(self, lam_caps: tuple[int, ...]) -> _Chain:
-        """This lam-free chain, in a layout with lam slots up to ``lam_caps``:
-        monomials x prod(lam_caps + 1) cells for one local class, so it is
-        built afresh and only the shared lam-free layouts are cached."""
-        layout = _layout.__wrapped__(self.layout.caps, tuple(lam_caps))
-        num = [0] * len(layout.cells)
-        num[:: len(layout.cells) // len(self.num)] = self.num
-        return _Chain(layout, self.degree, tuple(num), self.den)
-
-    def times_linear(
-        self, coeffs: tuple[int, ...], a: int, lam: int | None = None
-    ) -> _Chain:
-        """This chain times (D + a z), plus lam_``lam`` when it is given.
-
-        ``lam`` slots must have room: a chain meant for k such factors of
-        slot i needs ``lam_caps[i] >= k``.
-        """
+    def times_linear(self, coeffs: tuple[int, ...], a: int) -> _Chain:
+        """This chain times (D + a z)."""
         layout, num = self.layout, self.num
         out = [a * x for x in num]
         for moves, c in zip(layout.gen_moves, coeffs):
             if c:
                 for dst, src in moves:
                     out[dst] += c * num[src]
-        if lam is not None:
-            for dst, src in layout.lam_moves[lam]:
-                out[dst] += num[src]
         return _Chain(layout, self.degree + 1, tuple(out), self.den)
 
     def over_linear(self, coeffs: tuple[int, ...], k: int) -> _Chain:
@@ -158,49 +118,47 @@ class _Chain(NamedTuple):
         return Fraction(self.num[0], self.den)
 
     def cells(self) -> dict[tuple[int, ...], int]:
-        """The numerator of each nonzero cell of a chain without lam slots,
-        by monomial: the cell of mono holds mono z^(degree - |mono|).
+        """The numerator of each nonzero cell, by monomial: the cell of mono
+        holds mono z^(degree - |mono|).
 
         A cell's coefficient is its numerator over ``den``, not reduced: a
         caller that scales the cells before they become series terms (the
         extended builder's contact weights) reduces each product once.
         """
-        return {mono: c for (mono, _, _), c in zip(self.layout.cells, self.num) if c}
+        return {mono: c for (mono, _), c in zip(self.layout.cells, self.num) if c}
 
     def series(
         self,
         ctx: SeriesContext,
         beta: tuple[int, ...],
         sector: tuple[int, ...] | None = None,
+        lam: tuple[int, ...] | None = None,
     ) -> GradedSeries:
-        """The chain as the class-``beta`` terms of ``ctx`` in ``sector``
-        (the untwisted one by default), each coefficient reduced once.
+        """The chain as the class-``beta`` terms of ``ctx`` in ``sector`` (the
+        untwisted one by default) with the equivariant exponents ``lam``
+        (none by default), each coefficient reduced once.
 
         The cap and the z floor of ``ctx`` apply here, to the finished
         product only.
         """
-        layout = self.layout
-        n = ctx.divisors
-        beta = tuple(beta)
+        layout, n, beta = self.layout, ctx.divisors, tuple(beta)
         sector = (0,) * n if sector is None else tuple(sector)
+        lam = (0,) * n if lam is None else tuple(lam)
         if (
             ctx.ring.caps != layout.caps
             or len(beta) != len(ctx.beta_weights)
             or any(b < 0 for b in beta)
-            or len(sector) != n
-            or (layout.lam_caps and len(layout.lam_caps) != n)
+            or (len(sector), len(lam)) != (n, n)
         ):
             raise ContractError("chain does not fit the series context")
         if ctx.beta_cap is not None and ctx.beta_degree(beta) > ctx.beta_cap:
             return GradedSeries._trusted(ctx, {})
         floor = ctx.z_floor
-        no_lam = (0,) * n
         degree, den = self.degree, self.den
         out: dict[TermKey, Fraction] = {}
-        for (mono, lam, weight), c in zip(layout.cells, self.num):
+        for (mono, weight), c in zip(layout.cells, self.num):
             if c and (floor is None or degree - weight >= floor):
-                key = TermKey(beta, degree - weight, (), sector, mono, lam or no_lam)
-                out[key] = Fraction(c, den)
+                out[TermKey(beta, degree - weight, (), sector, mono, lam)] = Fraction(c, den)
         return GradedSeries._trusted(ctx, out)
 
 

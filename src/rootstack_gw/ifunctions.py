@@ -11,19 +11,19 @@ Six families are built here, all as exact :class:`~rootstack_gw.algebra.GradedSe
 * the equivariant local series of the dual direct-sum bundle.
 
 The four closed-form families each have a per-class ``<family>_slice(X,
-arrangement, beta, ctx)`` that returns one curve class's terms and leaves
-validation to its caller; :func:`slice_classes` validates once and yields
-a family's slices class by class, and its capped builder sums them.  A
-slice is one dense chain (the target slice times the divisor weights, see
-:class:`~rootstack_gw.chain._Chain`), turned into a series once, in its
-sector.  The extended series are built from the same chains by
-:mod:`rootstack_gw.extended`, one body chain per tuple of net shifts that
-can reach the z floor, one curve class at a time; :func:`i_root_extended`
-and :func:`i_infinity_extended` import it when they are called, so a
-program that never builds them never loads it.  The untwisted extended
-limit (one body per class, every contact tiling attached) lives in
+arrangement, beta, ctx)``, which leaves validation to its caller;
+:func:`slice_classes` validates once and yields a family's slices class by
+class, and its capped builder sums them.  A slice is one dense chain (see
+:class:`~rootstack_gw.chain._Chain`) turned into a series in its sector;
+the local one, a chain per vector of equivariant exponents, is built in
+:mod:`rootstack_gw.local`.  :mod:`rootstack_gw.extended` builds the
+extended series from the same chains, one body chain per tuple of net
+shifts that can reach the z floor; :func:`i_root_extended` and
+:func:`i_infinity_extended` import it when called, as :func:`slice_classes`
+imports the local module, so a program that never builds those series
+never loads either.  The untwisted extended limit lives in
 :mod:`rootstack_gw.h0`; :func:`i_infinity_extended_h0` is looked up there
-when it is first read from this module.
+when first read here.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -87,7 +87,7 @@ def _lower_steps(m: int, r: int) -> list[int]:
     """Integers k with k = m mod r and m/r < k/r <= 0, for negative shifts m."""
     rem = m % r
     start = rem - r if rem else 0
-    return [k for k in range(start, m, -r) if k > m]
+    return list(range(start, m, -r))
 
 
 def _root_factor(
@@ -358,40 +358,13 @@ def i_relative_smooth(
     return series_sum(ctx, [s for _, s in classes])
 
 
-def local_slice(
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
-    beta: tuple[int, ...],
-    ctx: SeriesContext,
-) -> GradedSeries:
-    """Class-beta terms of the equivariant series of the sum of dual line
-    bundles of the divisors.
-
-    Weight per divisor: prod_{0<=a<d_i}(-D_i + lam_i - a z), the equivariant
-    parameters carried symbolically.  No sectors appear; states live on the
-    target itself.
-    """
-    degs = arrangement.degrees(beta)
-    chain = _j_chain(X, beta).with_lam(degs)
-    for i, (divisor, d) in enumerate(zip(arrangement.divisors, degs)):
-        negated = tuple(-c for c in divisor.coeffs)
-        for a in range(d):
-            chain = chain.times_linear(negated, -a, lam=i)
-    return chain.series(ctx, beta)
-
-
 def i_local(
     X: TargetSpace, arrangement: DivisorArrangement, cap: int
 ) -> GradedSeries:
-    """Equivariant local series: the sum of :func:`local_slice` over beta up
-    to the cap."""
+    """Equivariant local series: the sum of
+    :func:`~rootstack_gw.local.local_slice` over beta up to the cap."""
     ctx, classes = slice_classes(X, arrangement, "local", cap)
     return series_sum(ctx, [s for _, s in classes])
-
-
-_SLICES = dict(
-    root=root_slice, infinity=infinity_slice, relative=relative_slice, local=local_slice
-)
 
 
 def slice_classes(
@@ -407,7 +380,10 @@ def slice_classes(
     _validated(X, arrangement, roots)
     if family == "relative" and arrangement.n != 1:
         raise ConfigurationError("relative series needs exactly one divisor")
-    build = _SLICES[family]
+    if family == "local":
+        from .local import local_slice as build
+    else:
+        build = dict(root=root_slice, infinity=infinity_slice, relative=relative_slice)[family]
     ctx = X.context(arrangement.n, cap, roots=None if roots is None else roots.orders)
     betas = enumerate_curve_classes(X, cap)
     return ctx, ((beta, build(X, arrangement, beta, ctx)) for beta in betas)

@@ -135,7 +135,7 @@ def contact_one_counts(
         counts[beta] = body.zero_cell() if body.degree == 1 else Fraction(0)
         top = body.degree - sum(1 for d in arrangement.degrees(beta) if d)
         cells = zip(body.layout.cells, body.num)
-        reached += any(beta) and any(c and w <= top for (_, _, w), c in cells)
+        reached += any(beta) and any(c and w <= top for (_, w), c in cells)
     if reached:
         from itertools import takewhile
 

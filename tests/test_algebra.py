@@ -520,9 +520,9 @@ def test_ring_operations_match_validated_references(data):
 
 @st.composite
 def chain_jobs(draw):
-    """A ring (P^2, P^3 or P^1 x P^1), a context with lam and sector slots
-    and optional cap and floor, a curve class, a sector, a starting z-power
-    and up to six factors of the three shapes the slice builders use."""
+    """A ring (P^2, P^3 or P^1 x P^1), a context with sector slots and
+    optional cap and floor, a curve class, a sector, a starting z-power and
+    up to six factors of the two shapes the slice builders use."""
     caps = draw(st.sampled_from([(2,), (3,), (1, 1)]))
     n = draw(st.integers(1, 2))
     cap, floor = draw(
@@ -552,25 +552,14 @@ def chain_jobs(draw):
             st.integers(-4, 4).filter(bool),
             scale,
         ),
-        st.tuples(st.just("local"), coeffs, st.integers(0, n - 1), st.integers(0, 4)),
     )
     start = draw(st.integers(-1, 2))
     return ctx, beta, sector, start, draw(st.lists(factor, max_size=6))
 
 
 def kernel_product(ctx, beta, sector, start, factors) -> GradedSeries:
-    lam_caps = [0] * ctx.divisors
-    for shape, _, slot, _ in factors:
-        if shape == "local":
-            lam_caps[slot] += 1
     chain = _Chain.z_power(ctx.ring.caps, start)
-    if any(lam_caps):
-        chain = chain.with_lam(tuple(lam_caps))
     for shape, coeffs, step, extra in factors:
-        if shape == "local":
-            negated = tuple(-c for c in coeffs)
-            chain = chain.times_linear(negated, -extra, lam=step)
-            continue
         if shape == "linear":
             chain = chain.times_linear(coeffs, step)
         else:
@@ -590,14 +579,7 @@ def sparse_product(ctx, beta, sector, start, factors) -> GradedSeries:
             ring,
             {tuple(int(i == k) for i in range(ring.rank)): c for k, c in enumerate(coeffs)},
         )
-        if shape == "local":
-            lam = tuple(int(i == step) for i in range(ctx.divisors))
-            factor = (
-                GradedSeries.from_class(full, -cls)
-                + GradedSeries.term(full, 1, lam=lam)
-                + GradedSeries.term(full, -extra, zpow=1)
-            )
-        elif shape == "linear":
+        if shape == "linear":
             factor = GradedSeries.from_class(full, cls) + GradedSeries.term(
                 full, step, zpow=1
             )
@@ -638,6 +620,6 @@ def test_kernel_refuses_a_mismatched_context():
     with pytest.raises(ContractError):
         chain.series(plane_ctx(1), (0,), sector=(0, 0))
     with pytest.raises(ContractError):
-        chain.with_lam((1,)).series(plane_ctx(2), (0,))
+        chain.series(plane_ctx(2), (0,), lam=(1,))
     with pytest.raises(NotInvertibleError):
         chain.over_linear((1,), 0)

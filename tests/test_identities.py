@@ -20,9 +20,10 @@ from rootstack_gw import (
     stabilization_check,
 )
 from rootstack_gw.algebra import GradedSeries
-from rootstack_gw import algebra, identities, ifunctions, reference
+from rootstack_gw import algebra, identities, ifunctions, local, reference
 from rootstack_gw.identities import local_point_invariant, parity_sign
-from rootstack_gw.ifunctions import infinity_slice, local_slice, relative_slice
+from rootstack_gw.ifunctions import infinity_slice, relative_slice
+from rootstack_gw.local import local_slice
 from rootstack_gw.reference import exact_divide_linear
 from rootstack_gw.targets import TargetSpace, _j_chain, enumerate_curve_classes
 
@@ -301,7 +302,7 @@ class TestOneClassAtATime:
         def unreachable(*args):
             raise AssertionError("equivariant slice or exact division called")
 
-        for module in (ifunctions, algebra, reference, identities):
+        for module in (ifunctions, local, algebra, reference, identities):
             for name in ("local_slice", "exact_divide_linear"):
                 monkeypatch.setattr(module, name, unreachable, raising=False)
         calls = []

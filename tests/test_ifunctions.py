@@ -45,9 +45,9 @@ from rootstack_gw.ifunctions import (
     ConfigurationError,
     ExtendedDataTooSmall,
     infinity_slice,
-    local_slice,
     root_slice,
 )
+from rootstack_gw.local import local_slice
 from rootstack_gw.report import series_records
 from rootstack_gw.targets import _j_chain
 
@@ -460,8 +460,9 @@ LOCAL_JOBS = [
     ((1, 1), ((1, 1), (1, 1)), 12),
     ((1, 1), ((1, 0), (0, 1), (1, 0), (0, 1)), 12),
     ((3,), ((2,), (2,)), 12),
+    ((2,), ((3,),), 15),
 ]
-LOCAL_IDS = ["line-conic", "diagonals", "four-fibres", "two-quadrics"]
+LOCAL_IDS = ["line-conic", "diagonals", "four-fibres", "two-quadrics", "cubic"]
 
 
 class TestLocalOracle:
@@ -477,9 +478,9 @@ class TestLocalOracle:
         want = local_series(factors, coeffs, cap)
         assert got == want and any(lam[-1] for _, _, _, lam in want)
 
-    def test_lam_layouts_are_not_cached(self):
-        # a lam layout serves one class of the local series, so the layout
-        # cache keeps no more than the lam-free target slices leave in it
+    def test_local_builds_only_the_target_layouts(self):
+        # each lam vector of a class is a lam-free chain, so the layout
+        # cache keeps no more than the target slices leave in it
         X, arrangement = _job((1, 1), ((1, 0), (0, 1), (1, 0), (0, 1)))
         ctx = X.context(arrangement.n, 12)
         betas = enumerate_curve_classes(X, 12)
@@ -492,7 +493,7 @@ class TestLocalOracle:
             return _layout.cache_info().currsize
 
         lam_free = cached(lambda X, arrangement, beta, ctx: _j_chain(X, beta))
-        assert cached(local_slice) <= lam_free
+        assert cached(local_slice) == lam_free
 
 
 class TestContactBudget:

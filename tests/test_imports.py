@@ -169,18 +169,34 @@ def command_argv(tmp_path, command: str, job: dict | None, *extra: str) -> list[
 
 # (command, job, extra arguments, the package modules it loads beside BASE,
 # modules it never loads, a line of its report): only the commands that
-# build an extended series load the extended builder, the period commands
-# read their numbers and their certificate off the dense class chains,
-# without the invariant tables or any series builder, and only the two
-# reports written class by class load their renderers.  No command loads
-# the sparse reference routines.  The Laurent period reads no job: no
-# domain objects and no JSON.
+# build an extended series load the extended builder, only the local series
+# loads its closed form, the period commands read their numbers and their
+# certificate off the dense class chains, without the invariant tables or
+# any series builder, and only the two reports written class by class load
+# their renderers.  No command loads the sparse reference routines.  The
+# Laurent period reads no job: no domain objects and no JSON.
 NO_JOB = {"targets", "periods", "mirror", "invariants", "ifunctions", "identities", "extended"}
 
 
 @pytest.mark.parametrize(
     "command, job, extra, loads, never, marker",
     [
+        (
+            "ifunction",
+            LINE_CONIC_JOB,
+            ("--series", "local"),
+            {"targets", "ifunctions", "local", "report"},
+            {"invariants", "mirror", "extended", "h0", "reference"},
+            "# series local: 14 terms",
+        ),
+        (
+            "ifunction",
+            LINE_CONIC_JOB,
+            ("--series", "root"),
+            {"targets", "ifunctions", "report"},
+            {"local", "invariants", "mirror", "extended", "h0", "reference"},
+            "# series root: 3 terms",
+        ),
         (
             "ifunction",
             LINE_CONIC_JOB,
@@ -262,7 +278,8 @@ def test_no_command_compiles_a_large_module(tmp_path, command, extra):
     2.5 KB per source line and never gives it back; every later, smaller
     compile and import reuses that memory.  So a child's peak resident set
     is set by its largest single compile, and no command may load a package
-    module of more than :data:`MAX_MODULE_LINES` lines."""
+    module of more than :data:`MAX_MODULE_LINES` lines.  Only the local
+    series compiles :mod:`rootstack_gw.local`."""
     if command == "laurent-period":
         job = None
     else:
@@ -274,6 +291,7 @@ def test_no_command_compiles_a_large_module(tmp_path, command, extra):
         source = SRC.joinpath("rootstack_gw", *parts).with_suffix(".py")
         sizes[name] = len(source.read_text(encoding="utf-8").splitlines())
     assert max(sizes.values()) <= MAX_MODULE_LINES, sizes
+    assert ("rootstack_gw.local" in loaded) == (extra == ("--series", "local"))
 
 
 def test_algebra_provides_the_reference_routines_on_lookup():
