@@ -12,8 +12,10 @@ without a z floor.
 off its body in print order: the ``infinity-extended-h0`` series of the
 command line writes them, :func:`i_infinity_extended_h0` folds them into
 one series, and a refused mirror map names its terms at z^0 and above
-(:func:`~rootstack_gw.mirror.contact_one_counts`).  The period pipeline
-reads the class bodies without this module.
+(:func:`~rootstack_gw.mirror.contact_one_counts`).  They and the invariant
+rows read one enumerator: :func:`_tilings` walks a divisor's tilings in a
+window of totals, lazily in lex order, and :func:`_joined` joins a class's.
+The period pipeline reads the class bodies without this module.
 :mod:`rootstack_gw.ifunctions` provides :func:`i_infinity_extended_h0`
 too, importing this module when the name is first looked up.
 """
@@ -21,9 +23,9 @@ too, importing this module when the name is first looked up.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import factorial
-from typing import Iterator
+from functools import partial
+from math import factorial, inf
+from typing import Callable, Iterable, Iterator
 
 from .algebra import GradedSeries
 from .ifunctions import ExtendedDataTooSmall, _validated
@@ -37,27 +39,56 @@ from .targets import (
 )
 
 
-def _tilings(i: int, d: int, m: int) -> list[tuple[tuple, int, int, str]]:
+def _tilings(i, d, m, lo=0, hi=inf, j=1, xexp=(), total=0, weight=1, text="") -> Iterator[tuple]:
     """(xexp, total, weight, text) of each contact monomial prod_j
-    x_{ij}^{e_j} of divisor i with sum_j j e_j = d and every j <= m, where
-    total = sum_j e_j, the monomial's coefficient is 1 / weight, with
-    weight = prod_j e_j!, and its record text is ``text`` ("" for the empty
-    monomial)."""
-    out = []
+    x_{ij}^{e_j} of divisor i with sum_j j e_j = d, parts j..m and total
+    sum_j e_j in [lo, hi], after the given one, walked lazily in lex order:
+    its coefficient is 1 / weight, weight = prod_j e_j!, and text is its
+    record text, as report.fmt_contact writes it ("-" for the empty one)."""
+    if not d and lo <= 0 <= hi:
+        yield xexp, total, weight, text or "-"
+    # no branch whose total cannot land in the window is entered: the least
+    # part p, taken e times, leaves r = d - p e to ceil(r/m)..r//(p+1) parts
+    hi = min(hi, d)
+    for part in range(j, min(m, d // max(lo, 1)) + 1):
+        most = (hi * m - d) // (m - part) if part < m else hi
+        for e in range(max(1, lo * (part + 1) - d), min(d // part, most) + 1):
+            r = d - part * e
+            if -(-r // m) <= r // (part + 1):
+                head = (*xexp, (i, part, e)), total + e, weight * factorial(e)
+                here = f"{text},{i + 1}:{part}^{e}" if text else f"{i + 1}:{part}^{e}"
+                yield from _tilings(i, r, m, lo - e, hi - e, part + 1, *head, here)
 
-    def rec(remaining: int, j: int, xexp: tuple, total: int, weight: int):
-        if remaining == 0:
-            # each x_{ij}^e as report.fmt_contact writes it
-            out.append((xexp, total, weight, ",".join(f"{i + 1}:{j}^{e}" for i, j, e in xexp)))
-            return
-        if j == 0:
-            return
-        for e in range(remaining // j + 1):
-            with_e = ((i, j, e),) + xexp if e else xexp
-            rec(remaining - j * e, j - 1, with_e, total + e, weight * factorial(e))
 
-    rec(d, m, (), 0, 1)
-    return out
+def _joined(degs: list[int], m: int) -> Callable[..., Iterable[tuple]]:
+    """The function (lo=0, hi=inf) -> a class's contact monomials of total
+    in [lo, hi] as :func:`_tilings` gives them, one tiling per d_i joined in
+    lex order (no tiling of d_i is a prefix of another).  A lone divisor's
+    tilings are walked, never listed; joined divisors' are listed once, the
+    last one's also by total, each passed over when the rest cannot fit."""
+    met = [(i, d) for i, d in enumerate(degs) if d] or [(0, 0)]
+    if len(met) == 1:
+        return partial(_tilings, *met[0], m)
+    *listed, last = [list(_tilings(i, d, m)) for i, d in met]
+    by_total = {}
+    for tiling in last:
+        by_total.setdefault(tiling[1], []).append(tiling)
+    # the least and the greatest total of the divisors from k on
+    least = [sum(-(-d // m) for _, d in met[k:]) for k in range(len(met))]
+    most = [sum(d for _, d in met[k:]) for k in range(len(met))]
+
+    def tilings(lo=0, hi=inf, k=0):
+        if k == len(listed):
+            return by_total.get(lo, ()) if lo == hi else [t for t in last if lo <= t[1] <= hi]
+        low, high = lo - most[k + 1], hi - least[k + 1]  # this divisor's totals
+        return (
+            (xexp + tail, total + t, weight * w, f"{text},{rest}")
+            for xexp, total, weight, text in listed[k]
+            if low <= total <= high
+            for tail, t, w, rest in tilings(lo - total, hi - total, k + 1)
+        )
+
+    return tilings
 
 
 def _checked_classes(
@@ -80,34 +111,18 @@ def _checked_classes(
     return betas
 
 
-def _tiling_products(degs, m) -> Iterator[tuple]:
-    """(xexp, text, total) of each choice of one tiling of d_i per divisor
-    (:func:`_tilings`), in lex order of the joined contact monomials xexp,
-    with its record text and its total: no tiling of d_i is a prefix of
-    another, so the product of each divisor's sorted tilings keeps lex
-    order."""
-    for tiling in product(*(sorted(_tilings(i, d, m)) for i, d in enumerate(degs))):
-        text = ",".join([t[3] for t in tiling if t[0]]) or "-"
-        yield sum((t[0] for t in tiling), ()), text, sum(t[1] for t in tiling)
-
-
 def _class_rows(
-    X: TargetSpace,
-    arrangement: DivisorArrangement,
-    m: int,
-    beta: tuple[int, ...],
+    X: TargetSpace, arrangement: DivisorArrangement, m: int, beta: tuple[int, ...]
 ) -> Iterator[tuple]:
-    """The class-beta terms of the series, read off the cells of the class
-    body, as :func:`~rootstack_gw.series.print_row` rows, in print order,
-    each with its record text after the class.
+    """The class-beta terms of the series off the cells of its body, as
+    :func:`~rootstack_gw.series.print_row` rows in print order, each with
+    its record text after the class.
 
     A tiling of total t moves the body cell of z-power p to -zpow = t - p,
     so the rows at -zpow = s are, cell by cell in monomial order, the
-    tilings of total s + p in lex order.  Those come from each divisor's
-    sorted tilings in turn, the last divisor's looked up by total: no
-    tiling of d_i is a prefix of another, so joining them keeps lex order.
-    Each cell's quotient by a weight is reduced and written once, and each
-    divisor's tilings and each cell's fields are written once.
+    tilings of total s + p in lex order, read off the class's one join
+    (:func:`_joined`) by that exact total.  Each cell's quotient by a
+    weight is reduced and written once, and so are each cell's fields.
     """
     body = _class_body_chain(X, arrangement, beta)
     cells = sorted(
@@ -116,42 +131,27 @@ def _class_rows(
     if not cells:
         return
     degs = arrangement.degrees(beta)
-    tilings = [sorted(_tilings(i, d, m)) for i, d in enumerate(degs)]
-    # the least and the greatest total of the divisors from i on
-    least = [sum(min(t[1] for t in ts) for ts in tilings[i:]) for i in range(len(degs) + 1)]
-    most = [sum(degs[i:]) for i in range(len(degs) + 1)]
-    last = len(degs) - 1
-    by_total = {}  # the last divisor's (xexp, text, weight) by total
-    for xexp, total, weight, text in tilings[last]:
-        by_total.setdefault(total, []).append((xexp, text, weight))
-
-    def joined(i: int, total: int):
-        if i == last:
-            return by_total.get(total, ())
-        return (
-            (xexp + tail, f"{text},{rest}" if text and rest else text or rest, weight * w)
-            for xexp, t, weight, text in tilings[i]
-            if least[i + 1] <= total - t <= most[i + 1]
-            for tail, rest, w in joined(i + 1, total - t)
-        )
-
+    # a lone divisor's tilings of a total are walked once, kept while later z-powers read them
+    tilings, walked, lone = _joined(degs, m), {}, sum(map(bool, degs)) < 2
     untwisted = (0,) * len(degs)
     zeros = "\t" + fmt_ints(untwisted) + "\t"
     texts = [f"{zeros}{fmt_ints(mono)}{zeros}" for mono, _, _ in cells]
     quotients = [{} for _ in cells]  # by weight: the reduced quotient and its text
     zpows = [p for _, p, _ in cells]
-    for negz in range(least[0] - max(zpows), most[0] - min(zpows) + 1):
+    for negz in range(-max(zpows), sum(degs) - min(zpows) + 1):
+        walked.pop(negz + min(zpows) - 1, None)  # read by no later z-power
         ztext = f"{-negz}\t"
         for (mono, zpow, c), cell, quotient in zip(cells, texts, quotients):
             total = negz + zpow
-            if least[0] <= total <= most[0]:
-                for xexp, text, weight in joined(0, total):
-                    hit = quotient.get(weight)
-                    if hit is None:
-                        q = c / weight
-                        hit = quotient[weight] = q, f"{q.numerator}/{q.denominator}"
-                    row_text = f"{ztext}{text or '-'}{cell}{hit[1]}"
-                    yield negz, mono, xexp, untwisted, untwisted, hit[0], row_text
+            if lone and total not in walked:
+                walked[total] = list(tilings(total, total))
+            for xexp, _, weight, text in walked[total] if lone else tilings(total, total):
+                hit = quotient.get(weight)
+                if hit is None:
+                    q = c / weight
+                    hit = quotient[weight] = q, f"{q.numerator}/{q.denominator}"
+                row_text = f"{ztext}{text}{cell}{hit[1]}"
+                yield negz, mono, xexp, untwisted, untwisted, hit[0], row_text
 
 
 def h0_rows(

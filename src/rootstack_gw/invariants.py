@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .algebra import CohClass, ContractError, GradedSeries, TermKey
-from .h0 import _checked_classes, _tiling_products
+from .h0 import _checked_classes, _joined
 from .ifunctions import i_infinity_extended, infinity_slice, root_slice
 from .mirror import (
     MirrorMapReport,
@@ -116,7 +116,7 @@ def _read_invariants(ctx, terms, X: TargetSpace, arrangement) -> InvariantTable:
     entries, flagged = {}, []
     cuts = {}  # by support: its intersection class and its products by monomial
 
-    def add(entry: TableEntry, value: Fraction) -> None:
+    def add(entry, value):
         if value:
             entries[entry] = entries.get(entry, Fraction(0)) + value
 
@@ -175,8 +175,8 @@ def invariant_rows(
     total t moves every body cell down by t with weight 1 / prod e!, and
     extraction multiplies the weight back, so each body cell below z^t is
     one row with psi = t - zpow - 1 and the cell's own coefficient, the
-    same for every tiling of total t but for the contacts
-    (:func:`~rootstack_gw.h0._tiling_products`).
+    same for every tiling of total t but for the contacts, read in lex
+    order over all totals off the class's :func:`~rootstack_gw.h0._joined`.
 
     Every refusal comes before the iterator is returned: the certificate,
     then, through :func:`~rootstack_gw.h0._checked_classes`, m against
@@ -199,7 +199,7 @@ def invariant_rows(
         # by (-zpow, insertion): the print order of every tiling's rows
         cells = sorted((-key.zpow, dual(key.mono), c) for key, c in body)
         tails = {}  # by total: the rows every tiling of that total shares
-        for xexp, text, total in _tiling_products(degs, m):
+        for xexp, total, _, text in _joined(degs, m)():
             if total not in tails:
                 tails[total] = [
                     row(total + z - 1, i, untwisted, c) for z, i, c in cells if z > -total

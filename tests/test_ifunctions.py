@@ -6,9 +6,11 @@ import warnings
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
+from math import factorial, inf, lcm, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootstack_gw import (
     Divisor,
@@ -36,7 +38,7 @@ from rootstack_gw.extended import (
     _contact_vectors,
     extended_rows,
 )
-from rootstack_gw.h0 import h0_rows
+from rootstack_gw.h0 import _joined, _tilings, h0_rows
 from rootstack_gw.ifunctions import (
     ExtendedBudgetError,
     _body_chain,
@@ -51,7 +53,7 @@ from rootstack_gw.local import local_slice
 from rootstack_gw.report import series_records
 from rootstack_gw.targets import _j_chain
 
-from conftest import print_classes, term_record, untwisted_extended
+from conftest import _contacts, print_classes, term_record, untwisted_extended
 from oracle import extended_series, local_series
 
 
@@ -832,6 +834,58 @@ class TestExtendedRows:
         assert streamed_folds == whole_folds and bool(whole_folds) == folds
         assert len(streamed) == len(whole) > 20
         assert streamed == _whole_records(whole)
+
+
+def _brute_tilings(degs, m, lo, hi):
+    """Every contact monomial of a class with intersection numbers degs,
+    by itertools: per divisor every exponent vector (e_1, ..., e_m) with
+    sum_j j e_j = d_i, one per divisor joined, those of total in [lo, hi],
+    sorted, as (xexp, total, prod e!, record text)."""
+    per_divisor = [
+        [
+            tuple((i, j, e) for j, e in enumerate(es, 1) if e)
+            for es in product(*(range(d // j + 1) for j in range(1, m + 1)))
+            if sum(j * e for j, e in enumerate(es, 1)) == d
+        ]
+        for i, d in enumerate(degs)
+    ]
+    joined = sorted(sum(choice, ()) for choice in product(*per_divisor))
+    rows = [
+        (xexp, sum(e for *_, e in xexp), prod(factorial(e) for *_, e in xexp), _contacts(xexp))
+        for xexp in joined
+    ]
+    return [row for row in rows if lo <= row[1] <= hi]
+
+
+WINDOWS = st.tuples(st.integers(-1, 8), st.one_of(st.integers(-1, 8), st.just(inf)))
+
+
+class TestTilings:
+    """The walk of one divisor's tilings and the join of a class's, against
+    an itertools enumeration: the same monomials in lex order, with their
+    totals, weights and record texts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2), st.integers(0, 9), st.integers(1, 9), WINDOWS)
+    @example(0, 0, 1, (0, 0))
+    @example(1, 0, 3, (1, inf))
+    @example(0, 9, 9, (3, 3))
+    def test_walk_is_the_brute_enumeration(self, i, d, m, window):
+        degs = [0] * i + [d]
+        assert list(_tilings(i, d, m, *window)) == _brute_tilings(degs, m, *window)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=3), st.integers(1, 8), WINDOWS)
+    @example([0, 5], 5, (2, 2))
+    @example([4, 0, 3], 4, (0, inf))
+    @example([0, 0, 0], 2, (0, 0))
+    @example([3, 2, 4], 4, (4, 6))
+    def test_join_is_the_brute_enumeration(self, degs, m, window):
+        assert list(_joined(degs, m)(*window)) == _brute_tilings(degs, m, *window)
+
+    def test_join_reads_every_total_by_default(self):
+        degs = [2, 0, 3]
+        assert list(_joined(degs, 3)()) == _brute_tilings(degs, 3, 0, inf)
 
 
 # (target factors, divisor classes, m, cap, z floor): each floor keeps the

@@ -231,20 +231,37 @@ class TestDenseReads:
             contact_one_counts(X, arrangement, cap)
         assert str(refused.value) == str(mirror_map(series).refusal())
 
-    def test_refusal_reads_no_class_past_its_first_row_below_z0(self, p2, monkeypatch):
+    @pytest.mark.parametrize(
+        "divisors, cap", [(((2,), (2,)), 12), (((3,),), 45)], ids=["two-conics", "cubic"]
+    )
+    def test_refusal_reads_no_class_past_its_first_row_below_z0(
+        self, p2, divisors, cap, monkeypatch
+    ):
         # only the rows at z^0 and above decide the refusal; the other rows
-        # of P^2 with two conics at cap 12 are about ten times as many
-        real, pulled = h0.h0_rows, []
+        # of P^2 with two conics at cap 12 are about ten times as many.  The
+        # tilings made are of the order of the rows read (the cubic's of one
+        # total are kept together while read): listing every tiling of the
+        # cubic's top class alone made p(45) = 89,134 of them
+        real_rows, pulled = h0.h0_rows, []
+        real_tilings, made = h0._tilings, []
 
         def counted(*args):
-            for beta, rows in real(*args):
+            for beta, rows in real_rows(*args):
                 yield beta, (pulled.append(row) or row for row in rows)
 
+        def walked(*args):
+            # the walk recurses through this name with its prefix after the
+            # window, so only the tilings of the outer calls are counted
+            tilings = real_tilings(*args)
+            return tilings if len(args) > 5 else (made.append(t) or t for t in tilings)
+
         monkeypatch.setattr(h0, "h0_rows", counted)
+        monkeypatch.setattr(h0, "_tilings", walked)
         with pytest.raises(UnsupportedMirrorMapError):
-            contact_one_counts(p2, _arrangement((2,), (2,)), 12)
+            contact_one_counts(p2, _arrangement(*divisors), cap)
         below = sum(1 for row in pulled if row[0] > 0)
-        assert 0 < below <= len(enumerate_curve_classes(p2, 12)) < len(pulled)
+        assert 0 < below <= len(enumerate_curve_classes(p2, cap)) < len(pulled)
+        assert len(made) < 10 * len(pulled)
 
     def test_plane_cubic_refused_with_the_sparse_message(self, p2, cubic_only):
         # classical_period_orbifold and n_orb refuse the cubic on the
