@@ -496,6 +496,68 @@ class TestCommands:
         assert shown.stdout == quiet.stdout and "# series root" in shown.stdout
 
 
+def cli_process(argv, env=(), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python -m rootstack_gw.cli`` in its own interpreter, as a user runs
+    it, its stdout block-buffered as when redirected; stdout and stderr are
+    bytes."""
+    environ = dict(os.environ, PYTHONPATH=str(SRC))
+    environ.pop("PYTHONUNBUFFERED", None)
+    environ.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "rootstack_gw.cli", *argv],
+        env=environ,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=120,
+    )
+
+
+class TestProcess:
+    """Each job ends through ``main``, which flushes and skips interpreter
+    teardown: the process writes what :func:`run` writes and exits with the
+    status it returns."""
+
+    def test_ok_job_writes_what_run_writes(self, plane_config, tmp_path, capsys):
+        argv = ["--config", plane_config, "--command", "compare-periods"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        job = cli_process(argv)
+        assert (job.returncode, job.stdout, job.stderr) == (0, expected, b"")
+        target = tmp_path / "report.txt"
+        sunk = cli_process([*argv, "--out", str(target)])
+        assert (sunk.returncode, sunk.stdout, sunk.stderr) == (0, b"", b"")
+        assert target.read_bytes() == expected
+
+    def test_refusal_is_status_two(self, cubic_config, capsys):
+        argv = ["--config", cubic_config, "--command", "invariants", "--cap", "4"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mirror map nontrivial: ")
+        job = cli_process(argv)
+        assert (job.returncode, job.stdout, job.stderr.decode()) == (2, b"", err)
+
+    def test_error_statuses(self, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        missing = cli_process(["--config", absent, "--command", "invariants"])
+        assert (missing.returncode, missing.stdout) == (1, b"")
+        assert missing.stderr.decode().startswith("error: config: no such file ")
+        usage = cli_process(["--command", "nope"])
+        assert (usage.returncode, usage.stdout) == (2, b"")
+        assert usage.stderr.decode().startswith("usage: rootstack-gw ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["final-flush", "write"])
+    def test_failed_write_is_never_status_zero(self, unbuffered):
+        # block-buffered, the short report fails in main's flush; unbuffered,
+        # in write_lines
+        argv = ["--command", "laurent-period", "--laurent", "x+1/x", "--cap", "2"]
+        env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+        with open("/dev/full", "w") as full:
+            job = cli_process(argv, env=env, stdout=full)
+        assert job.returncode != 0
+        assert "OSError: [Errno 28] No space left on device" in job.stderr.decode()
+
+
 class TestMismatchLines:
     """One failing report in each check command, made by spoiling one report
     of the library call: its record ends in ``mismatch`` (``MISMATCH`` for
