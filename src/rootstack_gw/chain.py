@@ -5,11 +5,11 @@ factors) is built as a :class:`_Chain`: integer numerators over one common
 denominator, in the manner of FLINT's ``fmpq_poly``.  A chain is reduced
 once, when :meth:`_Chain.series` turns it into a
 :class:`~rootstack_gw.series.GradedSeries` at the slice boundary; the cap,
-the z floor, the sector and the equivariant labels apply there too.  The
-extended builder reads a body's cells unreduced (:meth:`_Chain.cells`) and
-multiplies the common denominator by each contact monomial's integer
-weight prod k!, so each term is reduced once, as one ``Fraction``, and one
-reduction serves every term with the same numerator and denominator.
+the z floor and the sector apply there too.  The extended builder reads a
+body's cells unreduced (:meth:`_Chain.cells`) and multiplies the common
+denominator by each contact monomial's integer weight prod k!, so each
+term is reduced once, as one ``Fraction``, and one reduction serves every
+term with the same numerator and denominator.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class _Chain(NamedTuple):
     z.  So a chain of total degree ``degree`` needs no z index: the cell of
     mono holds the coefficient of mono * z^(degree - |mono|), as the integer
     ``num[cell]`` over the common denominator ``den``.  Nothing is reduced
-    until :meth:`series`.  A chain is a tuple, so a cached one cannot change.
+    until the cells become terms.  A chain is a tuple, so a cached one
+    cannot change.
     """
 
     layout: _Layout
@@ -128,27 +129,23 @@ class _Chain(NamedTuple):
         return {mono: c for (mono, _), c in zip(self.layout.cells, self.num) if c}
 
     def series(
-        self,
-        ctx: SeriesContext,
-        beta: tuple[int, ...],
-        sector: tuple[int, ...] | None = None,
-        lam: tuple[int, ...] | None = None,
+        self, ctx: SeriesContext, beta: tuple[int, ...], sector: tuple[int, ...] | None = None
     ) -> GradedSeries:
         """The chain as the class-``beta`` terms of ``ctx`` in ``sector`` (the
-        untwisted one by default) with the equivariant exponents ``lam``
-        (none by default), each coefficient reduced once.
+        untwisted one by default), no equivariant exponents, each coefficient
+        reduced once.
 
         The cap and the z floor of ``ctx`` apply here, to the finished
         product only.
         """
         layout, n, beta = self.layout, ctx.divisors, tuple(beta)
-        sector = (0,) * n if sector is None else tuple(sector)
-        lam = (0,) * n if lam is None else tuple(lam)
+        untwisted = (0,) * n
+        sector = untwisted if sector is None else tuple(sector)
         if (
             ctx.ring.caps != layout.caps
             or len(beta) != len(ctx.beta_weights)
             or any(b < 0 for b in beta)
-            or (len(sector), len(lam)) != (n, n)
+            or len(sector) != n
         ):
             raise ContractError("chain does not fit the series context")
         if ctx.beta_cap is not None and ctx.beta_degree(beta) > ctx.beta_cap:
@@ -158,7 +155,7 @@ class _Chain(NamedTuple):
         out: dict[TermKey, Fraction] = {}
         for (mono, weight), c in zip(layout.cells, self.num):
             if c and (floor is None or degree - weight >= floor):
-                out[TermKey(beta, degree - weight, (), sector, mono, lam)] = Fraction(c, den)
+                out[TermKey(beta, degree - weight, (), sector, mono, untwisted)] = Fraction(c, den)
         return GradedSeries._trusted(ctx, out)
 
 

@@ -9,10 +9,11 @@ one lam-free chain: the target slice times one such polynomial per divisor.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .algebra import GradedSeries, SeriesContext, _Chain
+from .algebra import GradedSeries, SeriesContext, TermKey, _Chain
 from .targets import DivisorArrangement, TargetSpace, _j_chain
 
 
@@ -40,8 +41,9 @@ def local_slice(
 ) -> GradedSeries:
     """Class-beta terms of the local series, no sectors: the lam vectors
     walked depth first, divisor by divisor, each prefix's chain shared and a
-    vanishing one ending its branch."""
-    target = _j_chain(X, beta)
+    vanishing one ending its branch.  A leaf's cells are its terms, so
+    ``ctx`` must keep all of them: beta within its cap and no z floor."""
+    target, untwisted = _j_chain(X, beta), (0,) * arrangement.n
     weights = [
         (tuple(-c for c in divisor.coeffs), _lambda_part(d, target.layout.top))
         for divisor, d in zip(arrangement.divisors, arrangement.degrees(beta))
@@ -51,7 +53,10 @@ def local_slice(
     while stack:
         chain, lam = stack.pop()
         if len(lam) == len(weights):
-            out.update(chain.series(ctx, beta, lam=lam).terms)
+            degree, den = chain.degree, chain.den
+            for (mono, w), c in zip(chain.layout.cells, chain.num):
+                if c:
+                    out[TermKey(beta, degree - w, (), untwisted, mono, lam)] = Fraction(c, den)
             continue
         negated, parts = weights[len(lam)]
         powers = [chain]

@@ -6,19 +6,20 @@ target by anticanonical degree.  Its regularization multiplies degree m by
 m!.  On the mirror side the superpotential is the sum of one theta function
 per divisor component of an anticanonical arrangement; the degree-d constant
 term of its d-th power expands into multinomially weighted counts with
-contact order one, which this module takes from the extended tangency
-series; :mod:`rootstack_gw.mirror` certifies the mirror map and reads the
-counts off one dense body chain per class, as the quantum period reads each
-class's term off its target slice: neither builds a series.  The Laurent
-constant-term period, the fully independent cross-check oracle, lives in
-:mod:`rootstack_gw.laurent` and is re-exported here
+contact order one, one per curve class, which this module takes from the
+extended tangency series (a contact tuple no class realizes has no count
+and is not listed); :mod:`rootstack_gw.mirror` certifies the mirror map and
+reads the counts off one dense body chain per class, as the quantum period
+reads each class's term off its target slice: neither builds a series.  The
+Laurent constant-term period, the fully independent cross-check oracle,
+lives in :mod:`rootstack_gw.laurent` and is re-exported here
 (``LaurentPolynomial``, ``PeriodSequence``, ``laurent_classical_period``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .laurent import LaurentPolynomial, PeriodSequence, laurent_classical_period
 from .mirror import contact_one_counts
@@ -71,12 +72,12 @@ class ClassicalPeriod(Record):
     """Classical period plus its mixed-grading breakdown.
 
     ``contributions`` keeps each class's contact tuple and count before the
-    Novikov specialization to the single degree variable, for debugging.
+    Novikov specialization to the single degree variable, for debugging; a
+    contact tuple no class realizes has no entry.
     """
 
     sequence: PeriodSequence
     contributions: tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]
-    skipped_tuples: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def classical_period_orbifold(
@@ -86,8 +87,8 @@ def classical_period_orbifold(
 
     Degree d collects d!/(d_1! ... d_n!) times the count with d_i
     contact-order-one markings per divisor, over classes beta whose
-    intersection numbers realize the contact tuple; formal tuples realized
-    by no class carry no defined count and are skipped (and reported).
+    intersection numbers realize the contact tuple; a formal tuple realized
+    by no class carries no defined count and adds nothing.
     Requires the arrangement to be anticanonical and to satisfy the
     two-positive-pairings condition, which makes the mirror map trivial.
     :func:`~rootstack_gw.mirror.contact_one_counts` builds each class
@@ -105,49 +106,24 @@ def classical_period_orbifold(
     counts = contact_one_counts(X, arrangement, cap)
     coeffs = [Fraction(0)] * (cap + 1)
     coeffs[0] = Fraction(1)
-    realized: dict[int, set[tuple[int, ...]]] = {}
     contributions = []
     for beta in enumerate_curve_classes(X, cap):
-        if not any(beta):
-            continue
+        # anticanonical, so d is beta's anticanonical degree: 0 only at beta = 0
         degs = arrangement.degrees(beta)
         d = sum(degs)
-        if d < 2 or d > cap:
-            continue
-        realized.setdefault(d, set()).add(degs)
-        weight = Fraction(factorial(d))
-        for d_i in degs:
-            weight /= factorial(d_i)
-        count = counts[beta]
-        contributions.append((beta, degs, count))
-        coeffs[d] += weight * count
-    skipped = []
-    for d in range(2, cap + 1):
-        seen = realized.get(d, set())
-        for combo in _compositions(d, arrangement.n):
-            if combo not in seen:
-                skipped.append((d, combo))
+        if d >= 2:
+            count = counts[beta]
+            contributions.append((beta, degs, count))
+            coeffs[d] += factorial(d) // prod(map(factorial, degs)) * count
     return ClassicalPeriod(
         sequence=PeriodSequence("classical", tuple(coeffs)),
         contributions=tuple(contributions),
-        skipped_tuples=tuple(skipped),
     )
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 class PeriodComparison(Record):
     regularized: PeriodSequence
     classical: PeriodSequence
-    skipped_tuples: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def ok(self) -> bool:
@@ -167,8 +143,4 @@ def compare_periods(
     with the classical period, two independent pipelines."""
     classical = classical_period_orbifold(X, arrangement, cap)
     regularized = regularize(quantum_period(X, cap))
-    return PeriodComparison(
-        regularized=regularized,
-        classical=classical.sequence,
-        skipped_tuples=classical.skipped_tuples,
-    )
+    return PeriodComparison(regularized=regularized, classical=classical.sequence)

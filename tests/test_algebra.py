@@ -619,7 +619,5 @@ def test_kernel_refuses_a_mismatched_context():
         chain.series(SeriesContext(AmbientRing.for_product((1, 1)), 0, (2, 2)), (0, 0))
     with pytest.raises(ContractError):
         chain.series(plane_ctx(1), (0,), sector=(0, 0))
-    with pytest.raises(ContractError):
-        chain.series(plane_ctx(2), (0,), lam=(1,))
     with pytest.raises(NotInvertibleError):
         chain.over_linear((1,), 0)

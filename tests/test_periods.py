@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -90,11 +91,27 @@ class TestClassicalPeriod:
         # 6!/(2! 4!) * N = 90 forces N = 6 for the degree-two count
         assert result.sequence[6] == 90
 
-    def test_unrealized_tuples_reported(self, p2, line_conic):
+    def test_contributions_carry_only_realized_tuples(self, p2, line_conic):
+        # a tuple no class realizes has no entry: at degree 3 the line class
+        # meets the line once and the conic twice, and (3, 0), (0, 3) never occur
         result = classical_period_orbifold(p2, line_conic, 6)
-        skipped = set(result.skipped_tuples)
-        assert (3, (3, 0)) in skipped and (3, (0, 3)) in skipped
-        assert (3, (1, 2)) not in skipped
+        tuples = {degs for _, degs, _ in result.contributions}
+        assert ((1,), (1, 2), 2) in result.contributions
+        assert (3, 0) not in tuples and (0, 3) not in tuples
+        assert tuples == {(1, 2), (2, 4)}
+
+    def test_five_hyperplanes_stay_under_a_megabyte(self):
+        # five hyperplanes of P^4 have C(d+4, 4) formal tuples per degree and
+        # realize one; listing every unrealized tuple peaked at 49.5 MB here
+        X = TargetSpace((4,))
+        arrangement = DivisorArrangement(tuple(Divisor(f"H{i}", (1,)) for i in range(5)))
+        tracemalloc.start()
+        try:
+            result = compare_periods(X, arrangement, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ok and peak < 1 << 20
 
     def test_gaps_are_zero(self, p2, line_conic):
         result = classical_period_orbifold(p2, line_conic, 9)
