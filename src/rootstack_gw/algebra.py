@@ -11,7 +11,7 @@ a job's peak memory.
 * :mod:`rootstack_gw.chain`: the dense kernel :class:`_Chain` that builds
   every closed-form slice.
 
-This module re-exports them, and ``Record`` and ``rat`` from
+This module re-exports them, and ``Record`` from
 :mod:`rootstack_gw.records`, as the same objects.  The sparse reference
 routines :func:`invert_z_linear` and :func:`exact_divide_linear`, and
 ``DivisibilityError``, live in :mod:`rootstack_gw.reference`, which no
@@ -26,13 +26,12 @@ from .series import (
     GradedSeries,
     SeriesContext,
     TermKey,
-    merge_xexp,
     print_key,
     print_row,
     series_sum,
 )
 from .chain import NotInvertibleError, _Chain
-from .records import Record, rat
+from .records import Record
 from .ring import AmbientRing, CohClass, ContractError
 
 _REFERENCE = ("DivisibilityError", "exact_divide_linear", "invert_z_linear")

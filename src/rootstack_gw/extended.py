@@ -27,7 +27,7 @@ from itertools import product
 from math import lcm
 from typing import Iterator, NamedTuple
 
-from .algebra import GradedSeries, SeriesContext, TermKey
+from .algebra import SeriesContext
 from .ifunctions import (
     ExtendedBudgetError,
     _body_chain,
@@ -385,7 +385,6 @@ def extended_rows(
 
     def classes():
         contact_cache = {}  # by (divisor, budget)
-        meets = {}  # by the sector's support
         for beta, (reach, budget, degs) in budgets.items():
             levels = []
             for i in range(n):
@@ -407,10 +406,7 @@ def extended_rows(
                     sector = tuple(-s for s in shifts)
                 else:
                     sector = _finite_sector(shifts, roots)
-                support = tuple(map(bool, sector))
-                if support not in meets:
-                    meets[support] = _sector_meets(X, arrangement, sector)
-                if not meets[support]:
+                if not _sector_meets(X, arrangement, sector):
                     continue
                 head = shifts[:-1]
                 if head not in partial:
@@ -433,12 +429,3 @@ def extended_rows(
 
     return ctx, classes()
 
-
-def _rows_series(ctx, classes) -> GradedSeries:
-    """The series of ``classes``, rows as :func:`extended_rows` gives them:
-    within the cap, at or above the floor, every coefficient nonzero."""
-    out = {}
-    for beta, rows in classes:
-        for negz, mono, xexp, sector, lam, c, _ in rows:
-            out[TermKey(beta, -negz, xexp, sector, mono, lam)] = c
-    return GradedSeries._trusted(ctx, out)

@@ -10,14 +10,13 @@ without a z floor.
 
 :func:`h0_rows` is its one construction, each class's rows read straight
 off its body in print order: the ``infinity-extended-h0`` series of the
-command line writes them, :func:`i_infinity_extended_h0` folds them into
-one series, and a refused mirror map names its terms at z^0 and above
-(:func:`~rootstack_gw.mirror.contact_one_counts`).  They and the invariant
-rows read one enumerator: :func:`_tilings` walks a divisor's tilings in a
-window of totals, lazily in lex order, and :func:`_joined` joins a class's.
-The period pipeline reads the class bodies without this module.
-:mod:`rootstack_gw.ifunctions` provides :func:`i_infinity_extended_h0`
-too, importing this module when the name is first looked up.
+command line writes them, its entry point in :mod:`rootstack_gw.ifunctions`
+folds them into one series, and a refused mirror map names its terms at z^0
+and above (:func:`~rootstack_gw.mirror.contact_one_counts`).  They and the
+invariant rows read one enumerator: :func:`_tilings` walks a divisor's
+tilings in a window of totals, lazily in lex order, and :func:`_joined`
+joins a class's.  The period pipeline reads the class bodies without this
+module.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from functools import partial
 from math import factorial, inf
 from typing import Callable, Iterable, Iterator
 
-from .algebra import GradedSeries
 from .ifunctions import ExtendedDataTooSmall, _validated
 from .records import fmt_ints
 from .targets import (
@@ -163,13 +161,3 @@ def h0_rows(
     betas = _checked_classes(X, arrangement, m, cap)
     return ((beta, _class_rows(X, arrangement, m, beta)) for beta in betas)
 
-
-def i_infinity_extended_h0(
-    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
-) -> GradedSeries:
-    """Untwisted part of the extended limit series up to the cap: the rows
-    of :func:`h0_rows` as one series, so m must reach every intersection
-    number."""
-    from .extended import _rows_series
-
-    return _rows_series(X.context(arrangement.n, cap), h0_rows(X, arrangement, m, cap))

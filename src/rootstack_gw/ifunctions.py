@@ -1,6 +1,7 @@
 """Hypergeometric generating series for multi-root stacks.
 
-Six families are built here, all as exact :class:`~rootstack_gw.algebra.GradedSeries`:
+Six families have their entry points here, each an exact
+:class:`~rootstack_gw.algebra.GradedSeries`:
 
 * the non-extended and contact-variable-extended series of the root stack
   for finite root orders,
@@ -16,14 +17,13 @@ arrangement, beta, ctx)``, which leaves validation to its caller;
 class, and its capped builder sums them.  A slice is one dense chain (see
 :class:`~rootstack_gw.chain._Chain`) turned into a series in its sector;
 the local one, a chain per vector of equivariant exponents, is built in
-:mod:`rootstack_gw.local`.  :mod:`rootstack_gw.extended` builds the
-extended series from the same chains, one body chain per tuple of net
-shifts that can reach the z floor; :func:`i_root_extended` and
-:func:`i_infinity_extended` import it when called, as :func:`slice_classes`
-imports the local module, so a program that never builds those series
-never loads either.  The untwisted extended limit lives in
-:mod:`rootstack_gw.h0`; :func:`i_infinity_extended_h0` is looked up there
-when first read here.
+:mod:`rootstack_gw.local`.  The extended series and their limit are built
+as rows, class by class, in :mod:`rootstack_gw.extended` from the same
+chains, and the untwisted extended limit in :mod:`rootstack_gw.h0`; their
+entry points here import the row builder when called, as
+:func:`slice_classes` imports the local module, and fold the rows with
+:func:`_rows_series`, so a program that never builds those series never
+loads those modules.
 
 Conventions.  A term of curve class beta meets divisor i in d_i points.  The
 hypergeometric weight of divisor i is a ratio of linear factors (D_i + a z);
@@ -40,7 +40,7 @@ import sys
 import warnings
 from typing import Iterator
 
-from .algebra import GradedSeries, SeriesContext, _Chain, series_sum
+from .algebra import GradedSeries, SeriesContext, TermKey, _Chain, series_sum
 from .chain import ascending_product
 from .targets import (
     ConfigurationError,
@@ -264,7 +264,7 @@ def i_root_extended(
     bit for bit.  Richer extended data (contact orders tied to divisor
     intersections, or orders at or above a root order) is rejected.
     """
-    from .extended import _rows_series, extended_rows
+    from .extended import extended_rows
 
     return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor, roots))
 
@@ -315,13 +315,34 @@ def i_infinity_extended(
     Terms whose net tangency to some divisor is positive lose exactly one
     linear step from that divisor's weight; terms with nonpositive net
     tangency keep the full product.  Sector labels are the integer net
-    shifts.  The untwisted slice agrees with
-    :func:`~rootstack_gw.h0.i_infinity_extended_h0`, which is built
-    independently.
+    shifts.  The untwisted slice agrees with :func:`i_infinity_extended_h0`,
+    which is built independently.
     """
-    from .extended import _rows_series, extended_rows
+    from .extended import extended_rows
 
     return _rows_series(*extended_rows(X, arrangement, m, cap, z_floor))
+
+
+def i_infinity_extended_h0(
+    X: TargetSpace, arrangement: DivisorArrangement, m: int, cap: int
+) -> GradedSeries:
+    """Untwisted part of the extended limit series up to the cap: the rows
+    of :func:`~rootstack_gw.h0.h0_rows` as one series, so m must reach every
+    intersection number."""
+    from .h0 import h0_rows
+
+    return _rows_series(X.context(arrangement.n, cap), h0_rows(X, arrangement, m, cap))
+
+
+def _rows_series(ctx, classes) -> GradedSeries:
+    """The series of ``classes``, (beta, rows) per curve class with rows as
+    :func:`~rootstack_gw.extended.extended_rows` gives them: within the cap,
+    at or above the floor, every coefficient nonzero."""
+    out = {}
+    for beta, rows in classes:
+        for negz, mono, xexp, sector, lam, c, _ in rows:
+            out[TermKey(beta, -negz, xexp, sector, mono, lam)] = c
+    return GradedSeries._trusted(ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +409,3 @@ def slice_classes(
     betas = enumerate_curve_classes(X, cap)
     return ctx, ((beta, build(X, arrangement, beta, ctx)) for beta in betas)
 
-
-def __getattr__(name: str):
-    """``i_infinity_extended_h0`` from :mod:`rootstack_gw.h0`, which imports
-    this module, so it is looked up on first use and kept here."""
-    if name != "i_infinity_extended_h0":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .h0 import i_infinity_extended_h0
-
-    globals()[name] = i_infinity_extended_h0
-    return i_infinity_extended_h0

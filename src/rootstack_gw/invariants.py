@@ -110,11 +110,11 @@ def extract_invariants(
 def _read_invariants(ctx, terms, X: TargetSpace, arrangement) -> InvariantTable:
     """The reading of :func:`extract_invariants`, without its mirror-map
     check, over the terms of one or more series in the context ``ctx``;
-    each support's intersection class, and its product with each inserted
-    monomial, is formed once."""
+    each support's intersection class times each inserted monomial is
+    formed once."""
     ring = ctx.ring
     entries, flagged = {}, []
-    cuts = {}  # by support: its intersection class and its products by monomial
+    paired_by = {}  # by (support, monomial)
 
     def add(entry, value):
         if value:
@@ -137,12 +137,10 @@ def _read_invariants(ctx, terms, X: TargetSpace, arrangement) -> InvariantTable:
             flagged.append(key)
             continue
         support = tuple(i for i, s in enumerate(key.sector) if s)
-        if support not in cuts:
-            cuts[support] = arrangement.intersection_class(X, support), {}
-        cut, paired_by = cuts[support]
-        if key.mono not in paired_by:
-            paired_by[key.mono] = cut * CohClass(ring, {key.mono: Fraction(1)})
-        paired = paired_by[key.mono]
+        if (support, key.mono) not in paired_by:
+            point = CohClass(ring, {key.mono: Fraction(1)})
+            paired_by[support, key.mono] = arrangement.intersection_class(X, support) * point
+        paired = paired_by[support, key.mono]
         if paired.is_zero:
             flagged.append(key)
             continue
@@ -195,9 +193,12 @@ def invariant_rows(
         )
 
     def h0_rows(beta, degs):
-        body = _class_body_chain(X, arrangement, beta).series(ctx, beta).terms.items()
+        body = _class_body_chain(X, arrangement, beta)
         # by (-zpow, insertion): the print order of every tiling's rows
-        cells = sorted((-key.zpow, dual(key.mono), c) for key, c in body)
+        cells = sorted(
+            (sum(mono) - body.degree, dual(mono), Fraction(c, body.den))
+            for mono, c in body.cells().items()
+        )
         tails = {}  # by total: the rows every tiling of that total shares
         for xexp, total, _, text in _joined(degs, m)():
             if total not in tails:

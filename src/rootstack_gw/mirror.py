@@ -125,9 +125,10 @@ def contact_one_counts(
     moves a body cell down by its part count, at least the number of
     divisors meeting beta; so the series is trivial exactly when no body
     but the beta = 0 dilaton z has a nonzero cell at that count or above.
-    Refused unless it is trivial; only then is :mod:`rootstack_gw.h0`
-    imported, to name the offending terms off the rows of
-    :func:`~rootstack_gw.h0.h0_rows` at z^0 and above.
+    Refused unless it is trivial; only then are :mod:`rootstack_gw.h0` and
+    :mod:`rootstack_gw.ifunctions` imported, to name the offending terms off
+    the rows of :func:`~rootstack_gw.h0.h0_rows` at z^0 and above, folded by
+    :func:`~rootstack_gw.ifunctions._rows_series`.
     """
     counts, reached = {}, 0
     for beta in enumerate_curve_classes(X, cap):
@@ -139,8 +140,8 @@ def contact_one_counts(
     if reached:
         from itertools import takewhile
 
-        from .extended import _rows_series
         from .h0 import h0_rows
+        from .ifunctions import _rows_series
 
         # a class's rows come in print order, those at z^0 and above first,
         # so each class is read only up to its first row below

@@ -9,6 +9,7 @@ coefficient is an exact ``fractions.Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .records import Record, rat
@@ -78,12 +79,12 @@ class AmbientRing(Record):
 
 
 class CohClass:
-    """A cohomology class: finite rational combination of ring monomials."""
+    """A cohomology class: finite rational combination of ring monomials,
+    immutable, with ``coeffs`` a read-only view, so one class can be shared."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: AmbientRing, coeffs: dict[tuple[int, ...], Fraction]):
-        self.ring = ring
         clean: dict[tuple[int, ...], Fraction] = {}
         for mono, c in coeffs.items():
             if not ring.mono_ok(mono):
@@ -91,7 +92,15 @@ class CohClass:
             c = rat(c)
             if c:
                 clean[mono] = c
-        self.coeffs = clean
+        # object.__setattr__ passes by the refusing __setattr__ below
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CohClass is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CohClass is immutable")
 
     @staticmethod
     def zero(ring: AmbientRing) -> CohClass:

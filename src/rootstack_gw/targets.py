@@ -169,6 +169,9 @@ class DivisorArrangement(Record):
     def is_anticanonical(self, X: TargetSpace) -> bool:
         return self.total_coeffs(X) == X.anticanonical_weights
 
+    # cached, since a class's coefficients are read-only, so no caller can
+    # change the shared class; an arrangement of n divisors has 2^n supports
+    @functools.lru_cache(maxsize=1024)
     def intersection_class(self, X: TargetSpace, support: tuple[int, ...]) -> CohClass:
         """Product of the classes of the supported divisors (1 for empty support)."""
         out = CohClass.one(X.ring)
@@ -176,9 +179,6 @@ class DivisorArrangement(Record):
             out = out * self.divisors[i].cls(X)
         return out
 
-    # cached, since the answer is a bool that no caller can change; an
-    # arrangement of n divisors has 2^n supports
-    @functools.lru_cache(maxsize=1024)
     def intersection_nonempty(self, X: TargetSpace, support: tuple[int, ...]) -> bool:
         """Generic-position test: nonzero class product iff nonempty intersection."""
         return not self.intersection_class(X, support).is_zero

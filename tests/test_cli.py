@@ -877,7 +877,7 @@ class TestWriter:
 
         for name in ("i_root_extended", "i_infinity_extended"):
             monkeypatch.setattr(ifunctions, name, unbuilt)
-        monkeypatch.setattr(extended, "_rows_series", unbuilt)
+        monkeypatch.setattr(ifunctions, "_rows_series", unbuilt)
         monkeypatch.setattr(GradedSeries, "__init__", unbuilt)
         monkeypatch.setattr(GradedSeries, "_trusted", classmethod(unbuilt))
         assert run(args) == 0

@@ -318,6 +318,19 @@ class TestOneClassAtATime:
             assert all(r.ok for r in check_identities(p2, line_conic, beta))
         assert calls == betas
 
+    def test_each_support_class_formed_once(self, p1p1, two_diagonals):
+        # the tangency side's pushforward, its sector test and the common
+        # intersection all read the one cached class of each support
+        DivisorArrangement.intersection_class.cache_clear()
+        supports = set()
+        for beta in enumerate_curve_classes(p1p1, 10):
+            degs = two_diagonals.degrees(beta)
+            if all(degs):
+                assert all(r.ok for r in check_identities(p1p1, two_diagonals, beta))
+                supports |= {tuple(i for i, d in enumerate(degs) if d), (0, 1)}
+        info = DivisorArrangement.intersection_class.cache_info()
+        assert info.misses == len(supports) and info.hits > info.misses
+
     def test_sides_match_the_capped_series(self, p1p1, two_diagonals):
         report = check_identities(p1p1, two_diagonals, (2, 1))[0]
         capped = i_infinity_nonextended(p1p1, two_diagonals, 6).beta_slice((2, 1))

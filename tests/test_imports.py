@@ -309,12 +309,43 @@ def test_algebra_provides_the_reference_routines_on_lookup():
         rootstack_gw.algebra.no_such_name
 
 
-def test_ifunctions_provides_the_h0_builder_on_lookup():
+def test_ifunctions_defines_the_h0_builder():
+    # the untwisted extended limit's entry point is an ordinary function of
+    # ifunctions, beside the other builders; h0 holds only its rows
     from rootstack_gw import h0, ifunctions
 
-    assert ifunctions.i_infinity_extended_h0 is h0.i_infinity_extended_h0
-    with pytest.raises(AttributeError, match="no_such_name"):
-        ifunctions.no_such_name
+    assert ifunctions.i_infinity_extended_h0.__module__ == "rootstack_gw.ifunctions"
+    assert not hasattr(h0, "i_infinity_extended_h0")
+    assert "__getattr__" not in vars(ifunctions)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import rootstack_gw\n"
+        "X = rootstack_gw.TargetSpace((2,))\n"
+        "D = rootstack_gw.Divisor\n"
+        "line_conic = rootstack_gw.DivisorArrangement((D('L', (1,)), D('C', (2,))))\n"
+        "series = rootstack_gw.i_infinity_extended_h0(X, line_conic, 2, 3)\n"
+        "assert len(series.terms) == 7, len(series.terms)\n",
+        "from rootstack_gw.mirror import UnsupportedMirrorMapError, contact_one_counts\n"
+        "from rootstack_gw.targets import Divisor as D, DivisorArrangement, TargetSpace\n"
+        "squares = DivisorArrangement((D('A', (2, 0)), D('B', (0, 2))))\n"
+        "try:\n"
+        "    contact_one_counts(TargetSpace((1, 1)), squares, 4)\n"
+        "except UnsupportedMirrorMapError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the mirror map was not refused')\n",
+    ],
+    ids=["h0-series", "mirror-refusal"],
+)
+def test_h0_rows_fold_without_the_extended_builder(code):
+    # the untwisted extended limit and a refused mirror map both fold the
+    # h0 rows with ifunctions._rows_series, so neither loads extended
+    loaded = fresh_modules(code)
+    assert {"rootstack_gw.h0", "rootstack_gw.ifunctions"} <= loaded
+    assert "rootstack_gw.extended" not in loaded
 
 
 @pytest.mark.parametrize(

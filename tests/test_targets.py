@@ -157,3 +157,17 @@ class TestHypotheses:
             (Divisor("F1", (0, 1)), Divisor("F2", (0, 1)))
         )
         assert not same_ruling.intersection_nonempty(p1p1, (0, 1))
+
+    def test_intersection_class_is_shared_and_read_only(self, p2, line_conic):
+        # one class per support is cached and handed to every caller, so
+        # none of them may change it
+        cls = line_conic.intersection_class(p2, (0, 1))
+        with pytest.raises(TypeError):
+            cls.coeffs[(0,)] = F(1)
+        with pytest.raises(AttributeError, match="immutable"):
+            cls.coeffs = {}
+        with pytest.raises(AttributeError, match="immutable"):
+            del cls.coeffs
+        again = line_conic.intersection_class(p2, (0, 1))
+        assert again == cls == p2.cls((1,)) * p2.cls((2,))
+        assert dict(again.coeffs) == {(2,): F(2)}
